@@ -574,6 +574,8 @@ let rec atomic_min a v =
   let cur = Atomic.get a in
   if v < cur && not (Atomic.compare_and_set a cur v) then atomic_min a v
 
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 (* Parallel exact search over prefix subtrees.
 
    The sequential search explores root 0's choices in ascending-own-weight
@@ -611,7 +613,7 @@ let bounded_search ?(domains = 1) ?deadline ~incumbent g (xi : exact_instance) =
           if !expired then false
           else begin
             incr tick;
-            if !tick land 2047 = 0 && Sys.time () > dl then expired := true;
+            if !tick land 2047 = 0 && now_s () > dl then expired := true;
             not !expired
           end
     in

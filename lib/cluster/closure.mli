@@ -85,6 +85,11 @@ val atomic_min : int Atomic.t -> int -> unit
     Used by the portfolio layer to let heuristic arms warm the exact
     search. *)
 
+val now_s : unit -> float
+(** Seconds on a monotonic wall clock: the time base of [deadline]s.
+    Process CPU time ([Sys.time]) would not do, since it sums over domains
+    and would expire a budget up to N× early with N domains. *)
+
 val solve_exact_par :
   ?domains:int ->
   ?incumbent:int Atomic.t ->
@@ -124,8 +129,8 @@ val solve_exact_par :
 
     When [incumbent] is supplied, costs found by other solver arms prune
     this search too; solutions costing {e more} than the incumbent's value
-    may then be reported as [None].  [deadline] (an absolute [Sys.time]
-    value) makes workers stop expanding once the clock passes it and
+    may then be reported as [None].  [deadline] (an absolute {!now_s}
+    time) makes workers stop expanding once the clock passes it and
     report their best-so-far — an explicitly {e non-deterministic} budget
     mode used only by the opt-in portfolio time budget.  Raises
     [Invalid_argument] on the same

@@ -55,34 +55,38 @@ let auto_algorithm (g : Callgraph.t) =
 
    [budget_s] opts into the non-deterministic time budget: if the exact arm
    exceeds it, the best solution known across all arms is returned. *)
+let race ~incumbent ~arms primary =
+  let spawn f =
+    Domain.spawn (fun () ->
+        let r = f () in
+        Option.iter (fun (s : Types.solution) -> Closure.atomic_min incumbent s.Types.cost) r;
+        r)
+  in
+  let running = List.map spawn arms in
+  let settle f = match f () with r -> Ok r | exception e -> Error e in
+  let primary = settle primary in
+  (* Every arm is joined before anything is returned or raised, so no
+     domain outlives the race. *)
+  let joined = List.map (fun d -> settle (fun () -> Domain.join d)) running in
+  let get = function Ok r -> r | Error e -> raise e in
+  let primary = get primary in
+  (primary, List.map get joined)
+
 let auto_portfolio ~seed ~domains ?budget_s (g : Callgraph.t) (lim : Types.limits) =
   let incumbent = Atomic.make max_int in
-  let arm_results = Array.make 2 None in
-  let arm i f =
-    Domain.spawn (fun () ->
-        match f () with
-        | Some (s : Types.solution) ->
-            Closure.atomic_min incumbent s.Types.cost;
-            arm_results.(i) <- Some s
-        | None -> ()
-        | exception _ -> ())
+  let deadline = Option.map (fun b -> Closure.now_s () +. b) budget_s in
+  let exact, arm_results =
+    race ~incumbent
+      ~arms:[ (fun () -> Dih.solve g lim); (fun () -> Grasp.solve (Rng.create seed) g lim) ]
+      (fun () -> Optimal.solve ~domains:(max 1 (domains - 2)) ~incumbent ?deadline g lim)
   in
-  let arms =
-    [
-      arm 0 (fun () -> Dih.solve g lim);
-      arm 1 (fun () -> Grasp.solve (Rng.create seed) g lim);
-    ]
-  in
-  let deadline = Option.map (fun b -> Sys.time () +. b) budget_s in
-  let exact = Optimal.solve ~domains:(max 1 (domains - 2)) ~incumbent ?deadline g lim in
-  List.iter Domain.join arms;
   match budget_s with
   | None -> exact
   | Some _ ->
       (* Budget mode: the exact arm may have been cut short; fall back to
          the cheapest arm seen. *)
       let best =
-        Array.fold_left
+        List.fold_left
           (fun acc r ->
             match (acc, r) with
             | None, r -> r

@@ -58,6 +58,19 @@ val auto :
     arm exceeds it, the best solution known across all arms is returned —
     explicitly trading the determinism guarantee for bounded latency. *)
 
+val race :
+  incumbent:int Atomic.t ->
+  arms:(unit -> Types.solution option) list ->
+  (unit -> 'a) ->
+  'a * Types.solution option list
+(** The portfolio's racing primitive, used by {!auto}: [race ~incumbent
+    ~arms primary] runs each arm on its own domain, lowering [incumbent]
+    to an arm's solution cost the moment it finishes, while [primary]
+    runs in the calling domain.  Returns [primary]'s result and the arms'
+    results in order.  Every arm is joined before [race] returns or
+    raises; a failure in [primary] or in any arm is re-raised (the
+    primary's first, then the arms' in order), never swallowed. *)
+
 val resolve_incremental :
   ?seed:int ->
   ?domains:int ->

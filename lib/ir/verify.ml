@@ -33,11 +33,11 @@ let is_int_ty = function
 
 (* --- Base tier: name resolution, arity, return consistency --- *)
 
-let check_func (m : Ir.modul) (f : Ir.func) =
-  (* Memoized per-module indexes: O(1) per name probe across the many
-     call-sites and global references a merged module accumulates. *)
-  let fidx = Ir.func_index m in
-  let gidx = Ir.global_index m in
+(* The base tier sees the rest of the module only through two probes:
+   [callee_sig name] — the [(param types, ret type)] a call to [name]
+   resolves to, if any — and [bound name] — whether [@name] names a global
+   or a function.  Everything else it reads is [f] itself. *)
+let check_func ~callee_sig ~bound (f : Ir.func) =
   let out = ref [] in
   let add d = out := d :: !out in
   let where = f.Ir.fname in
@@ -73,7 +73,7 @@ let check_func (m : Ir.modul) (f : Ir.func) =
             if not (Hashtbl.mem locals l) then
               add (diag ~code:"V003" ~block where "use of undefined local %%%s" l)
         | Ir.Const (Ir.Cglobal g) ->
-            if gidx g = None && fidx g = None then
+            if not (bound g) then
               add (diag ~code:"V004" ~block where "reference to undefined global @%s" g)
         | Ir.Const (Ir.Cint _ | Ir.Cfloat _ | Ir.Cnull) -> ()
       in
@@ -86,12 +86,7 @@ let check_func (m : Ir.modul) (f : Ir.func) =
           (match i with
           | Ir.Call { callee; args; ret; dst } -> (
               List.iter (fun (_, v) -> check_value v) args;
-              let known_sig =
-                match fidx callee with
-                | Some target -> Some (List.map snd target.Ir.params, target.Ir.ret_ty)
-                | None -> Intrinsics.signature callee
-              in
-              (match known_sig with
+              (match callee_sig callee with
               | None -> add (diag ~code:"V005" ~block where "call to unknown function @%s" callee)
               | Some (ptys, rty) ->
                   if List.length ptys <> List.length args then
@@ -417,35 +412,119 @@ let interference (m : Ir.modul) =
     m.Ir.funcs;
   List.rev !out
 
-(* --- Entry points --- *)
+(* --- Entry points ---
 
-let run ?(strict = false) (m : Ir.modul) =
+   One code path serves both the one-shot [run] and the merge pipeline's
+   per-stage checks: [incremental] keeps, per function name, the function
+   last verified, the names its base check probed, and its diagnostics.
+   A function that is [==] or structurally equal to its predecessor, none
+   of whose probed names resolves differently than in the previous module,
+   gets the same diagnostics by construction: the strict tier reads only
+   the function, and the base tier reads only the function and its probes.
+   Module-level duplicate checks (V012) are recomputed every time. *)
+
+(* All a base-tier probe can observe of a module: the signature of the
+   first function bound to each name, and which names are globals.
+   Intrinsic signatures are fixed, so they need no entry. *)
+type env = {
+  sigs : (string, Ir.ty list * Ir.ty) Hashtbl.t;
+  globals : (string, unit) Hashtbl.t;
+}
+
+(* The module's [env], plus its V012 duplicate-symbol findings. *)
+let env_of (m : Ir.modul) =
   let out = ref [] in
-  let seen = Hashtbl.create 64 in
+  let sigs = Hashtbl.create 64 in
   List.iter
     (fun (f : Ir.func) ->
-      if Hashtbl.mem seen f.Ir.fname then
-        out := diag ~code:"V012" "module" "duplicate symbol @%s" f.Ir.fname :: !out;
-      Hashtbl.replace seen f.Ir.fname ())
+      if Hashtbl.mem sigs f.Ir.fname then
+        out := diag ~code:"V012" "module" "duplicate symbol @%s" f.Ir.fname :: !out
+      else Hashtbl.add sigs f.Ir.fname (List.map snd f.Ir.params, f.Ir.ret_ty))
     m.Ir.funcs;
-  let gseen = Hashtbl.create 64 in
+  let globals = Hashtbl.create 64 in
   List.iter
     (fun (g : Ir.global) ->
-      if Hashtbl.mem gseen g.Ir.gname then
-        out := diag ~code:"V012" "module" "duplicate global @%s" g.Ir.gname :: !out;
-      Hashtbl.replace gseen g.Ir.gname ())
+      if Hashtbl.mem globals g.Ir.gname then
+        out := diag ~code:"V012" "module" "duplicate global @%s" g.Ir.gname :: !out
+      else Hashtbl.add globals g.Ir.gname ())
     m.Ir.globals;
-  let func_diags =
-    List.concat_map
-      (fun f -> check_func m f @ if strict then check_func_strict f else [])
-      m.Ir.funcs
-  in
-  List.rev !out @ func_diags
+  ({ sigs; globals }, List.rev !out)
 
-let check_exn ?strict ?stage m =
-  match List.filter (fun d -> d.severity = Error) (run ?strict m) with
+(* Names some probe answers differently in [a] and [b]. *)
+let changed_names a b =
+  let changed = Hashtbl.create 8 in
+  let missing_from x y =
+    Hashtbl.iter
+      (fun name v ->
+        match Hashtbl.find_opt y name with
+        | Some v' when v = v' -> ()
+        | Some _ | None -> Hashtbl.replace changed name ())
+      x
+  in
+  missing_from a.sigs b.sigs;
+  missing_from b.sigs a.sigs;
+  missing_from a.globals b.globals;
+  missing_from b.globals a.globals;
+  changed
+
+type memo_entry = { m_func : Ir.func; m_probed : string list; m_diags : diagnostic list }
+
+let incremental ~strict () =
+  let memo = ref (Hashtbl.create 0) in
+  let prev_env = ref { sigs = Hashtbl.create 0; globals = Hashtbl.create 0 } in
+  fun (m : Ir.modul) ->
+    let env, module_diags = env_of m in
+    let changed = lazy (changed_names !prev_env env) in
+    let verify (f : Ir.func) =
+      let probed = ref [] in
+      let callee_sig name =
+        probed := name :: !probed;
+        match Hashtbl.find_opt env.sigs name with
+        | Some s -> Some s
+        | None -> Intrinsics.signature name
+      in
+      let bound name =
+        probed := name :: !probed;
+        Hashtbl.mem env.globals name || Hashtbl.mem env.sigs name
+      in
+      let diags = check_func ~callee_sig ~bound f @ if strict then check_func_strict f else [] in
+      { m_func = f; m_probed = !probed; m_diags = diags }
+    in
+    let reusable e (f : Ir.func) =
+      (e.m_func == f || compare e.m_func f = 0)
+      &&
+      let changed = Lazy.force changed in
+      Hashtbl.length changed = 0 || not (List.exists (Hashtbl.mem changed) e.m_probed)
+    in
+    let next = Hashtbl.create (List.length m.Ir.funcs) in
+    let func_diags =
+      List.concat_map
+        (fun (f : Ir.func) ->
+          let e =
+            match Hashtbl.find_opt !memo f.Ir.fname with
+            | Some e when reusable e f -> e
+            | Some _ | None -> verify f
+          in
+          Hashtbl.replace next f.Ir.fname e;
+          e.m_diags)
+        m.Ir.funcs
+    in
+    memo := next;
+    prev_env := env;
+    module_diags @ func_diags
+
+let run ?(strict = false) m = incremental ~strict () m
+
+let raise_errors ?stage diags =
+  match List.filter (fun d -> d.severity = Error) diags with
   | [] -> ()
   | diags ->
       let msgs = List.map to_string diags in
       let prefix = match stage with None -> "Verify" | Some s -> "Verify[" ^ s ^ "]" in
       failwith (prefix ^ ": " ^ String.concat "; " msgs)
+
+let check_exn ?strict ?stage m = raise_errors ?stage (run ?strict m)
+
+let stage_checker ~strict () =
+  let check = incremental ~strict () in
+  fun ~stage m -> raise_errors ~stage (check m)

@@ -47,3 +47,34 @@ val check_exn : ?strict:bool -> ?stage:string -> Ir.modul -> unit
 (** Raises [Failure] with a readable summary if {!run} reports any
     [Error]-severity diagnostic ([Warning]s never raise).  [stage] names
     the pipeline stage in the summary. *)
+
+(** {1 Incremental verification}
+
+    The merge pipeline verifies the whole module after every stage, yet a
+    stage rewrites only a few functions.  An incremental verifier still
+    checks every function of every module it is given, but it remembers,
+    per function name, the function it verified last time, its diagnostics,
+    and the names its base check {e probed} in the module: every callee,
+    whose [(param types, ret type)] or absence decides V005–V008, and
+    every [@name] reference, whose existence as a global or function
+    decides V004.  A function's diagnostics are reused when it is [==] or
+    structurally equal to the remembered one and none of its probed names
+    resolves differently than in the previous module (a function of that
+    name appeared, vanished or changed signature, or a global of that name
+    appeared or vanished).  The reuse is exact, not a heuristic: the
+    strict tier reads nothing but the function, and the base tier reads
+    nothing but the function and those probes, so re-running either would
+    produce the same list.  Module-level findings (V012) are recomputed on
+    every call.  The memo holds at most one version per function name and
+    lives in the returned closure; nothing is shared across closures or
+    domains. *)
+
+val incremental : strict:bool -> unit -> Ir.modul -> diagnostic list
+(** [incremental ~strict ()] returns a verifier whose every result equals
+    [run ~strict m] for the module [m] it is given, reusing work from its
+    previous call.  {!run} is [incremental ~strict ()] applied once. *)
+
+val stage_checker : strict:bool -> unit -> stage:string -> Ir.modul -> unit
+(** A {!check_exn} over one {!incremental} verifier, for checking the
+    successive stages of one compilation: raises [Failure] naming [stage]
+    if that stage's module has an [Error]-severity diagnostic. *)

@@ -51,13 +51,19 @@ let bfs_order ~members ~edges ~root =
     members;
   List.rev !order
 
-let merge_group_uncached ~lookup ~members ~root ~edge_mode ~billing ~optimize () =
+let merge_group_uncached ?(on_stage = fun ~stage:_ _ -> ()) ~lookup ~members ~root
+    ?(edge_mode = fun ~caller:_ ~callee:_ -> Always_local) ?(billing = false) ?(optimize = true) ()
+    =
   if not (List.mem root members) then failwith "Pipeline.merge_group: root must be a member";
   (* The strict verifier runs after every stage: a stage that breaks SSA
      dominance, typing or phi/CFG agreement is reported by name instead of
-     surfacing as a miscompiled module three passes later. *)
+     surfacing as a miscompiled module three passes later.  One incremental
+     checker per merge: each stage re-checks only the functions it changed
+     (or whose callees' signatures it changed). *)
+  let check = Verify.stage_checker ~strict:true () in
   let checked ~stage m =
-    Verify.check_exn ~strict:true ~stage m;
+    on_stage ~stage m;
+    check ~stage m;
     m
   in
   let member_set = Hashtbl.create 16 in
@@ -162,8 +168,9 @@ let merge_group_uncached ~lookup ~members ~root ~edge_mode ~billing ~optimize ()
   let after = List.length !merged.Ir.funcs + List.length !merged.Ir.globals in
   (* Optional per-function billing instrumentation (§8). *)
   if billing then merged := checked ~stage:"billing" (Pass_billing.run !merged);
-  merged := { !merged with Ir.mname = Printf.sprintf "quilt-merged.%s" (Ast.mangle root) };
-  Verify.check_exn ~strict:true ~stage:"final" !merged;
+  merged :=
+    checked ~stage:"final"
+      { !merged with Ir.mname = Printf.sprintf "quilt-merged.%s" (Ast.mangle root) };
   {
     rounds = List.rev !rounds;
     removed_symbols = before - after;

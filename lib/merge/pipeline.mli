@@ -43,11 +43,27 @@ val merge_group :
     {!Quilt_ir.Pass_jumpthread}, {!Quilt_ir.Pass_livedce} — after scalar
     simplification; [false] is the before-arm of [bench/main.exe ir]'s
     analysis section.
-    Every stage's output is checked by the strict verifier
-    ({!Quilt_ir.Verify.run} with [~strict:true]); an [Error]-severity
-    finding fails the merge immediately, naming the stage.
+    Every stage's output is checked by the strict verifier, through one
+    {!Quilt_ir.Verify.stage_checker} per compile (diagnostics equal to
+    {!Quilt_ir.Verify.run} with [~strict:true], re-checking only what the
+    stage changed); an [Error]-severity finding fails the merge
+    immediately, naming the stage.
     Raises [Failure] if a member is unreachable from the root through
     member-internal edges (the subgraph would not be a connected rDAG). *)
+
+val merge_group_uncached :
+  ?on_stage:(stage:string -> Quilt_ir.Ir.modul -> unit) ->
+  lookup:(string -> Quilt_lang.Ast.fn) ->
+  members:string list ->
+  root:string ->
+  ?edge_mode:(caller:string -> callee:string -> edge_mode) ->
+  ?billing:bool ->
+  ?optimize:bool ->
+  unit ->
+  report
+(** {!merge_group} without the merge cache: always compiles.  [on_stage]
+    (default: ignore) sees each stage's module, under the stage name the
+    verifier reports, just before that module is verified. *)
 
 val entry_handler : string -> string
 (** Symbol of the merged module's entry point (the root's handler). *)

@@ -546,8 +546,191 @@ entry:
   Alcotest.(check (list string)) "dead global dropped" [ "gused" ]
     (List.map (fun (g : Ir.global) -> g.Ir.gname) m'.Ir.globals)
 
+(* --- Incremental verification --- *)
+
+module Pipeline = Quilt_merge.Pipeline
+module Workflow = Quilt_apps.Workflow
+
+let bundled_workflows () =
+  Quilt_apps.Deathstar.all ~async:false ()
+  @ Quilt_apps.Deathstar.all ~async:true ()
+  @ Quilt_apps.Special.
+      [
+        modified_nearby_cinema ();
+        noop ();
+        cross_language ();
+        fan_out ~callee_mem_mb:14 ();
+        routed ();
+      ]
+
+(* [m] with one called, defined function's return type flipped: the
+   function itself now fails V010 and its unchanged callers fail V008, so a
+   verifier that reused stale diagnostics would miss both. *)
+let corrupt_one (m : Ir.modul) =
+  let defined name =
+    match Ir.find_func m name with Some f -> not (Ir.is_declaration f) | None -> false
+  in
+  let callees =
+    List.concat_map
+      (fun (f : Ir.func) ->
+        List.concat_map
+          (fun (b : Ir.block) ->
+            List.filter_map
+              (function Ir.Call { callee; _ } when defined callee -> Some callee | _ -> None)
+              b.Ir.instrs)
+          f.Ir.blocks)
+      m.Ir.funcs
+  in
+  match callees with
+  | [] -> None
+  | victim :: _ ->
+      let flip = function Ir.Void -> Ir.I64 | Ir.I64 -> Ir.Ptr | _ -> Ir.Void in
+      Some
+        {
+          m with
+          Ir.funcs =
+            List.map
+              (fun (f : Ir.func) ->
+                if f.Ir.fname = victim then { f with Ir.ret_ty = flip f.Ir.ret_ty } else f)
+              m.Ir.funcs;
+        }
+
+(* Every stage module the pipeline produces, in order, fed through one
+   incremental verifier, must get exactly the diagnostics (warnings
+   included) a from-scratch strict run gives.  Each stage is followed by a
+   corrupted copy of itself, so reuse is exercised against real findings
+   too, not only against clean modules. *)
+let test_incremental_matches_scratch_on_pipeline () =
+  let merge ?edge_mode ?billing ?optimize () ~on_stage (wf : Workflow.t) =
+    ignore
+      (Pipeline.merge_group_uncached ~on_stage ~lookup:(Workflow.lookup wf)
+         ~members:(Workflow.fn_names wf) ~root:wf.Workflow.entry ?edge_mode ?billing ?optimize ())
+  in
+  let variants =
+    [
+      ("default", merge ());
+      ( "guarded+billing",
+        merge ~edge_mode:(fun ~caller:_ ~callee:_ -> Pipeline.Guarded 2) ~billing:true () );
+      ("unoptimized", merge ~optimize:false ());
+    ]
+  in
+  let stages = ref 0 and corrupted = ref 0 in
+  List.iter
+    (fun (wf : Workflow.t) ->
+      List.iter
+        (fun (variant, merge) ->
+          let check = Verify.incremental ~strict:true () in
+          let same ~stage m =
+            if check m <> Verify.run ~strict:true m then
+              Alcotest.failf "%s (%s), stage %s: incremental diagnostics differ from a full run"
+                wf.Workflow.wf_name variant stage
+          in
+          let on_stage ~stage m =
+            incr stages;
+            same ~stage m;
+            Option.iter
+              (fun bad ->
+                incr corrupted;
+                same ~stage:(stage ^ " (corrupted)") bad)
+              (corrupt_one m)
+          in
+          merge ~on_stage wf)
+        variants)
+    (bundled_workflows ());
+  Alcotest.(check bool) "stages were compared" true (!stages > 100);
+  Alcotest.(check bool) "corrupted stages were compared" true (!corrupted > 100)
+
+let caller_module =
+  parse
+    {|
+module "inc"
+@g = global i64 0
+declare i64 @callee(i64)
+define i64 @caller(i64 %x) {
+entry:
+  %v = load i64, ptr @g
+  %r = call i64 @callee(i64 %x)
+  %s = add i64 %r, %v
+  ret i64 %s
+}
+|}
+
+(* The caller record stays physically the same in every stage below; only
+   what it refers to changes, so every finding comes from a probe. *)
+let test_incremental_invalidation () =
+  let caller = func caller_module "caller" in
+  let callee sig_text = Parser.parse_func ("declare " ^ sig_text) in
+  let ok_callee = callee "i64 @callee(i64)" in
+  let stage ?(globals = caller_module.Ir.globals) funcs = { caller_module with Ir.globals; funcs } in
+  let stages =
+    [
+      ("clean", stage [ caller; ok_callee ], []);
+      ("arity", stage [ caller; callee "i64 @callee(i64, i64)" ], [ "V006" ]);
+      ("argument type", stage [ caller; callee "i64 @callee(ptr)" ], [ "V007" ]);
+      ("return type", stage [ caller; callee "ptr @callee(i64)" ], [ "V008" ]);
+      ("clean again", stage [ caller; ok_callee ], []);
+      ("global removed", stage ~globals:[] [ caller; ok_callee ], [ "V004" ]);
+      ("callee removed", stage [ caller ], [ "V005" ]);
+      ("duplicate symbol", stage [ caller; ok_callee; caller ], [ "V012" ]);
+      ("clean at last", stage [ caller; ok_callee ], []);
+    ]
+  in
+  let check = Verify.incremental ~strict:true () in
+  List.iter
+    (fun (name, m, codes) ->
+      let got = check m in
+      Alcotest.(check bool) (name ^ ": equals a full run") true (got = Verify.run ~strict:true m);
+      Alcotest.(check (list string))
+        (name ^ ": errors")
+        codes
+        (List.sort_uniq compare
+           (List.filter_map
+              (fun d -> if d.Verify.severity = Verify.Error then Some d.Verify.code else None)
+              got)))
+    stages
+
+let test_stage_checker_names_breaking_stage () =
+  let good = caller_module in
+  let broken =
+    parse
+      {|
+module "inc"
+@g = global i64 0
+declare i64 @callee(i64)
+define i64 @caller(i64 %x) {
+entry:
+  %s = add i64 %r, 1
+  %r = call i64 @callee(i64 %x)
+  ret i64 %s
+}
+|}
+  in
+  let check = Verify.stage_checker ~strict:true () in
+  check ~stage:"one" good;
+  check ~stage:"two" { good with Ir.mname = "renamed" };
+  let raises_at stage m =
+    match check ~stage m with
+    | () -> Alcotest.failf "stage %s: broken function not reported" stage
+    | exception Failure msg ->
+        let prefix = "Verify[" ^ stage ^ "]: S001" in
+        Alcotest.(check string) "names the stage" prefix
+          (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+  in
+  raises_at "three" broken;
+  (* Still broken, and unchanged: the reused diagnostics name the new stage. *)
+  raises_at "four" { broken with Ir.mname = "again" };
+  check ~stage:"five" good
+
 let suite =
   [
+    ( "analysis.incremental",
+      [
+        Alcotest.test_case "pipeline stages match full runs" `Quick
+          test_incremental_matches_scratch_on_pipeline;
+        Alcotest.test_case "probe changes invalidate reuse" `Quick test_incremental_invalidation;
+        Alcotest.test_case "stage checker names the stage" `Quick
+          test_stage_checker_names_breaking_stage;
+      ] );
     ( "analysis.cfg",
       [
         Alcotest.test_case "dominator tree (CHK)" `Quick test_dominators;

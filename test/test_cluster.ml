@@ -678,6 +678,34 @@ let test_portfolio_all_regimes () =
         (same_solution (Decision.auto ~domains:4 g lim) seq))
     [ 10; 30; 70 ]
 
+let test_race_surfaces_arm_failure () =
+  let incumbent = Atomic.make max_int in
+  let ok () = None in
+  let boom () = failwith "arm boom" in
+  Alcotest.check_raises "a failing arm re-raises in the caller" (Failure "arm boom") (fun () ->
+      ignore (Decision.race ~incumbent ~arms:[ ok; boom ] (fun () -> 42)));
+  Alcotest.check_raises "so does a failing primary" (Failure "primary boom") (fun () ->
+      ignore (Decision.race ~incumbent ~arms:[ ok ] (fun () -> failwith "primary boom")));
+  let primary, arms = Decision.race ~incumbent ~arms:[ ok; ok ] (fun () -> 7) in
+  Alcotest.(check int) "primary result" 7 primary;
+  Alcotest.(check int) "one result per arm" 2 (List.length arms)
+
+let test_portfolio_budget () =
+  (* The budget is wall-clock time: a generous one never cuts the exact arm
+     short (the result is the sequential one), and even a budget that has
+     already expired returns a valid solution from some arm. *)
+  let rng = Rng.create 77 in
+  let g, lims = Gen.random_rdag rng ~n:10 () in
+  let lim = { Types.max_cpu = lims.Gen.max_cpu; max_mem_mb = lims.Gen.max_mem_mb } in
+  let seq = Decision.auto ~domains:1 g lim in
+  Alcotest.(check bool) "generous budget = sequential" true
+    (same_solution (Decision.auto ~domains:2 ~budget_s:600.0 g lim) seq);
+  match Decision.auto ~domains:2 ~budget_s:0.0 g lim with
+  | None -> Alcotest.(check bool) "expired budget: infeasible only if sequential is" true (seq = None)
+  | Some s ->
+      Alcotest.(check bool) "expired budget: still a valid solution" true
+        (Metrics.solution_valid g lim s = Ok ())
+
 let resource_drifted_graph rng (g : Callgraph.t) =
   let n = Callgraph.n_nodes g in
   let victim = Rng.int_in rng 0 (n - 1) in
@@ -819,5 +847,7 @@ let suite =
         Alcotest.test_case "portfolio parity across regimes" `Slow test_portfolio_all_regimes;
         QCheck_alcotest.to_alcotest prop_incremental_matches_touch_all;
         Alcotest.test_case "QUILT_SEQUENTIAL escape hatch" `Quick test_sequential_escape_hatch;
+        Alcotest.test_case "portfolio arm failures surface" `Quick test_race_surfaces_arm_failure;
+        Alcotest.test_case "portfolio wall-clock budget" `Quick test_portfolio_budget;
       ] );
   ]
