@@ -4,18 +4,12 @@
    Sections, each writing its own key into BENCH_decision.json:
    - the Figure-8b decision-time sweep vs graph size (promoted here from
      the fig8 section; `fig8b` now delegates to this module);
-   - shared-incumbent parallel exact search vs the sequential reference on
-     the n=200/seed-1200 instance, at 1/2/4/8 domains, with bit-identity
-     asserted row by row;
-   - portfolio `Decision.auto` parity (parallel == sequential output);
+   - the exact Phase-2 search ({!Closure.solve_exact}) on one in-cap
+     instance of the n=200/seed-1200 rDAG;
    - warm-start incremental re-decision vs a from-scratch solve after a
      single-group drift;
    - bechamel micro rows for the decision algorithms (promoted from the
-     micro section).
-
-   All parallel rows must return solutions bit-identical to their
-   sequential counterparts — the bench aborts if they do not, so a parity
-   regression cannot silently ship plausible-looking speedups. *)
+     micro section). *)
 
 open Common
 module Gen = Quilt_dag.Gen
@@ -30,29 +24,12 @@ module Rng = Quilt_util.Rng
 
 let smoke_flag = ref false
 
-(* `bench/main.exe --domains N` narrows the domain sweep to {1, N}. *)
-let domains_override : int option ref = ref None
-
 let reps () = if fast || !smoke_flag then 1 else 3
 
 let graph_of n =
   let rng = Rng.create (1000 + n) in
   let g, lims = Gen.random_rdag rng ~n ~heavy_fraction:0.15 () in
   (g, { Types.max_cpu = lims.Gen.max_cpu; max_mem_mb = lims.Gen.max_mem_mb })
-
-let solution_sig (s : Types.solution) =
-  ( s.Types.cost,
-    s.Types.roots,
-    List.map
-      (fun (sg : Types.subgraph) ->
-        (sg.Types.root, List.sort compare sg.Types.absorbed, Array.to_list sg.Types.members))
-      s.Types.subgraphs )
-
-let assert_identical ~what a b =
-  match (a, b) with
-  | Some a, Some b when solution_sig a = solution_sig b -> ()
-  | None, None -> ()
-  | _ -> failwith (Printf.sprintf "decision bench: %s diverged from the sequential result" what)
 
 (* --- Figure 8b sweep (promoted from bench/fig8.ml) --- *)
 
@@ -103,7 +80,7 @@ let sweep () =
       "Downstream Impact takes <0.27s (median) up to 200 nodes and ~3.1s at 800 nodes.";
     ]
 
-(* --- shared-incumbent parallel exact search --- *)
+(* --- exact Phase-2 search --- *)
 
 (* An in-cap exact instance on the full n=200 graph: the graph root plus
    the highest-weighted-in-degree candidates (grown one at a time under the
@@ -113,8 +90,7 @@ let sweep () =
    the bench instance keeps the graph and the root choice structure and
    relaxes only the container size — right at the feasibility edge, which
    is where the branch-and-bound has real pruning work to do.  [k] picks
-   the search-space size (and hence the sequential runtime this section
-   races against). *)
+   the search-space size. *)
 let exact_instance g lim ~k =
   let n = Callgraph.n_nodes g in
   let redges roots =
@@ -151,95 +127,47 @@ let exact_instance g lim ~k =
   in
   (roots, scaled (feasible_scale 1.0))
 
-let domain_rows () =
-  let base = if !smoke_flag then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
-  match !domains_override with
-  | None -> base
-  | Some d -> List.sort_uniq compare [ 1; d ]
+(* The median of the full 2^(k-1) absorb-mask enumeration on the same
+   full-scale instance, as last measured while it was a production path; it
+   is not re-measured, since the enumeration now lives only in the test
+   suite. *)
+let full_enumeration_s = 0.171579122543
 
 let run_exact () =
-  subsection "parallel exact search: shared-incumbent B&B vs sequential";
+  subsection "exact search: pruned preparation + branch-and-bound";
   let g, lim0 = graph_of 200 in
   let k = if !smoke_flag then 10 else 14 in
   let roots, lim = exact_instance g lim0 ~k in
   Printf.printf "  n=200 rDAG (seed 1200), %d roots, limits %.0f vCPU·ms / %.0f MB\n"
     (List.length roots) lim.Types.max_cpu lim.Types.max_mem_mb;
-  let seq_ref = ref None in
-  let t_seq =
-    median_time ~reps:(reps ()) (fun () -> seq_ref := Closure.solve_exact g lim ~roots)
+  let r = ref None in
+  let t = median_time ~reps:(reps ()) (fun () -> r := Closure.solve_exact g lim ~roots) in
+  let cost =
+    match !r with
+    | Some s -> s.Types.cost
+    | None -> failwith "decision bench: the exact instance is unexpectedly infeasible"
   in
-  let seq = !seq_ref in
-  (match seq with
-  | Some s -> Printf.printf "  %-12s %10.4fs   cost %d\n" "sequential" t_seq s.Types.cost
-  | None -> Printf.printf "  %-12s %10.4fs   (infeasible)\n" "sequential" t_seq);
-  let rows =
-    List.map
-      (fun d ->
-        let r = ref None in
-        let t =
-          median_time ~reps:(reps ()) (fun () ->
-              r := Closure.solve_exact_par ~domains:d g lim ~roots)
-        in
-        assert_identical ~what:(Printf.sprintf "solve_exact_par (%d domains)" d) !r seq;
-        Printf.printf "  %-12s %10.4fs   speedup %5.2fx   identical\n"
-          (Printf.sprintf "%d domain%s" d (if d = 1 then "" else "s"))
-          t (t_seq /. t);
-        (d, t))
-      (domain_rows ())
-  in
-  record_timings ~key:"exact_parallel"
-    ([
-       ("note",
-        Json.str
-          "shared-incumbent branch-and-bound (greedy-warmed) vs sequential solve_exact on the \
-           n=200/seed-1200 rDAG; identical=true means the parallel solution was bit-identical");
-       ("smoke", Json.Bool !smoke_flag);
-       ("roots", Json.int (List.length roots));
-       ("sequential_s", Json.Float t_seq);
-       ("identical", Json.Bool true);
-     ]
-    @ List.map
-        (fun (d, t) ->
-          ( Printf.sprintf "domains_%d" d,
-            Json.Obj [ ("s", Json.Float t); ("speedup", Json.Float (t_seq /. t)) ] ))
-        rows)
-
-(* --- portfolio parity --- *)
-
-let run_portfolio () =
-  subsection "portfolio auto: racing arms, sequential output";
-  let rows =
-    List.map
-      (fun n ->
-        let g, lim = graph_of n in
-        let seq_r = ref None and par_r = ref None in
-        let t_seq =
-          median_time ~reps:(reps ()) (fun () -> seq_r := Decision.auto ~domains:1 g lim)
-        in
-        let d = match !domains_override with Some d -> max 2 d | None -> 4 in
-        let t_par =
-          median_time ~reps:(reps ()) (fun () -> par_r := Decision.auto ~domains:d g lim)
-        in
-        assert_identical ~what:(Printf.sprintf "portfolio auto (n=%d)" n) !par_r !seq_r;
-        Printf.printf "  n=%-4d seq %8.4fs   portfolio(%d domains) %8.4fs   identical\n" n t_seq d
-          t_par;
-        (n, t_seq, t_par))
-      [ 10; 12 ]
-  in
-  record_timings ~key:"portfolio_auto"
-    ([
-       ("note",
-        Json.str
-          "Decision.auto with racing DIH/GRASP arms warming the exact sweep vs sequential auto; \
-           outputs asserted bit-identical");
-       ("smoke", Json.Bool !smoke_flag);
-       ("identical", Json.Bool true);
-     ]
-    @ List.map
-        (fun (n, ts, tp) ->
-          ( Printf.sprintf "n%d" n,
-            Json.Obj [ ("sequential_s", Json.Float ts); ("portfolio_s", Json.Float tp) ] ))
-        rows)
+  Printf.printf "  %-12s %10.4fs   cost %d\n" "solve_exact" t cost;
+  record_timings ~key:"exact"
+    [
+      ("note",
+       Json.str
+         "Closure.solve_exact (pruned preparation + branch-and-bound) on an in-cap root set of \
+          the n=200/seed-1200 rDAG");
+      ("smoke", Json.Bool !smoke_flag);
+      ("roots", Json.int (List.length roots));
+      ("s", Json.Float t);
+      ("cost", Json.int cost);
+      ( "history",
+        Json.Obj
+          [
+            ( "note",
+              Json.str
+                "full 2^(k-1) absorb-mask enumeration on the same instance, last measured \
+                 before it left lib/; not re-measured" );
+            ("full_enumeration_s", Json.Float full_enumeration_s);
+          ] );
+    ]
 
 (* --- warm-start incremental re-decision --- *)
 
@@ -247,7 +175,7 @@ let run_redecision () =
   subsection "incremental re-decision: warm-start splice vs from-scratch";
   let g, lim = graph_of 200 in
   let prev =
-    match Decision.auto ~domains:1 g lim with
+    match Decision.auto g lim with
     | Some s -> s
     | None -> failwith "decision bench: n=200 instance unexpectedly infeasible"
   in
@@ -289,7 +217,7 @@ let run_redecision () =
   | Some _ -> ()
   | None -> failwith "decision bench: incremental re-decision unexpectedly declined");
   let t_full =
-    median_time ~reps:(reps ()) (fun () -> ignore (Decision.auto ~domains:1 g' lim))
+    median_time ~reps:(reps ()) (fun () -> ignore (Decision.auto g' lim))
   in
   Printf.printf "  from-scratch %8.4fs   incremental %8.4fs   speedup %6.1fx\n" t_full t_inc
     (t_full /. t_inc);
@@ -350,14 +278,8 @@ let run_micro () =
     (List.rev_map (fun (name, us) -> (name, Json.Float us)) !recorded)
 
 let run () =
-  section "Decision time: sweep, parallel exact, portfolio, incremental";
+  section "Decision time: sweep, exact search, incremental";
   sweep ();
   run_exact ();
-  run_portfolio ();
   run_redecision ();
-  run_micro ();
-  paper_note
-    [
-      "not in the paper: the parallel decision subsystem is this reproduction's own;";
-      "every parallel row is asserted bit-identical to the sequential solver output.";
-    ]
+  run_micro ()

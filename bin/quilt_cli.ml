@@ -85,17 +85,16 @@ let merge_cmd async dump_ir req name =
   List.iter
     (fun (callee, sites) -> Printf.printf "  merged %-24s (%d call sites rewritten)\n" callee sites)
     report.Pipeline.rounds;
-  (* Validation run on the default engine (QVM; QUILT_TREEWALK=1 falls back
-     to the tree-walker). *)
+  (* Validation run on the compiled engine (QVM). *)
   let req =
     match req with Some r -> r | None -> wf.Workflow.gen_req (Quilt_util.Rng.create 1)
   in
   (match Pipeline.validate ~host:Quilt_ir.Interp.echo_host report ~req with
   | Ok (res, stats) ->
-      Printf.printf "validated on %s engine: %s -> %s (%d steps)\n"
-        (Quilt_ir.Vm.engine_name ()) req res stats.Quilt_ir.Interp.steps
+      Printf.printf "validated on compiled engine: %s -> %s (%d steps)\n" req res
+        stats.Quilt_ir.Interp.steps
   | Error e ->
-      Printf.eprintf "validation on %s engine failed: %s\n" (Quilt_ir.Vm.engine_name ()) e;
+      Printf.eprintf "validation on compiled engine failed: %s\n" e;
       exit 1);
   if dump_ir then print_string (Quilt_ir.Pp.to_string report.Pipeline.merged_module)
 
@@ -482,7 +481,7 @@ let lint_t =
     Term.(const lint_cmd $ async_flag $ strict $ json $ target)
 
 (* Shared flag wiring: every load-driving subcommand takes the same
-   --seed/--smoke/--engine-stats/--domains set (bundled into one term so a
+   --seed/--smoke/--engine-stats set (bundled into one term so a
    command adds all of them with a single [$ run_flags]) and the same
    --rate and --duration shapes. *)
 
@@ -505,27 +504,10 @@ let engine_stats_flag =
           "Print simulator throughput (events/sec, peak event-queue depth) and the merge \
            cache's hit rate after the run.")
 
-let domains_flag =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Domain-pool width for the parallel decision paths (default: \
-           QUILT_POOL_DOMAINS, else the machine's recommended domain count). \
-           $(docv)=1 forces the sequential solvers, like QUILT_SEQUENTIAL=1.")
-
 let run_flags =
   Term.(
-    const (fun seed smoke engine_stats domains ->
-        (match domains with
-        | Some d when d >= 1 -> Unix.putenv "QUILT_POOL_DOMAINS" (string_of_int d)
-        | Some d ->
-            Printf.eprintf "--domains expects an integer >= 1, got %d\n" d;
-            Stdlib.exit 1
-        | None -> ());
-        (seed, smoke, engine_stats))
-    $ seed_flag $ smoke_flag $ engine_stats_flag $ domains_flag)
+    const (fun seed smoke engine_stats -> (seed, smoke, engine_stats))
+    $ seed_flag $ smoke_flag $ engine_stats_flag)
 
 let rate_flag default =
   Arg.(value & opt float default & info [ "rate" ] ~docv:"RPS" ~doc:"Offered load.")

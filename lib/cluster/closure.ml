@@ -118,12 +118,6 @@ let root_set_feasible (g : Callgraph.t) (lim : Types.limits) ~roots =
       feasible lim (resources_bits g ~members ~root:r))
     roots
 
-(* Union of closures for an absorb set, word by word. *)
-let members_of_absorb (g : Callgraph.t) closures absorb =
-  let m = Bitset.create (Callgraph.n_nodes g) in
-  List.iter (fun s -> Bitset.union_into ~dst:m closures.(s)) absorb;
-  m
-
 let build_solution (g : Callgraph.t) roots choices =
   (* choices: (root, absorb list, members bitset) list *)
   let cost = ref 0 in
@@ -154,18 +148,6 @@ type choice = {
   cut_mask : int;  (* bitmask over root-targeted edges this choice cuts *)
 }
 
-(* Everything the exact search needs that does not depend on the search
-   strategy: normalized roots, root-targeted edge array and the per-root
-   feasible choices sorted ascending by own cut weight.  Shared by the
-   sequential and the parallel searches so both explore choices in the same
-   order — the basis of the bit-identical-output guarantee. *)
-type exact_instance = {
-  xi_roots : int list;
-  xi_k : int;
-  xi_redges : Callgraph.edge array;
-  xi_sorted : choice array array;  (* per root, ascending own cut weight *)
-}
-
 let mask_weight redges mask =
   let acc = ref 0 in
   Array.iteri
@@ -173,7 +155,10 @@ let mask_weight redges mask =
     redges;
   !acc
 
-let prepare_exact ?(prune = false) (g : Callgraph.t) (lim : Types.limits) ~roots =
+(* Everything the search needs: normalized roots, the root-targeted edge
+   array and, per root, its feasible choices sorted ascending by own cut
+   weight — or [None] when some root has no feasible choice. *)
+let prepare_exact (g : Callgraph.t) (lim : Types.limits) ~roots =
   let roots = normalize_roots g roots in
   let k = List.length roots in
   if k > exact_max_roots then invalid_arg "Closure.solve_exact: too many roots (use solve_greedy)";
@@ -189,9 +174,7 @@ let prepare_exact ?(prune = false) (g : Callgraph.t) (lim : Types.limits) ~roots
   let closures = Array.make (Callgraph.n_nodes g) (Bitset.create 0) in
   List.iter (fun r -> closures.(r) <- nr_closure_bits g ~is_root r) roots;
   let root_arr = Array.of_list roots in
-  (* Enumerate feasible absorb sets per root.  Both enumerations emit the
-     same choices in the same (ascending-mask) order; [prune] only skips
-     work that provably cannot produce a feasible choice. *)
+  (* Enumerate feasible absorb sets per root, in ascending-mask order. *)
   let feasible_choices r =
     let pinned = not (Callgraph.node g r).Callgraph.mergeable in
     let others =
@@ -219,129 +202,122 @@ let prepare_exact ?(prune = false) (g : Callgraph.t) (lim : Types.limits) ~roots
         redge_arr;
       out := { absorb = absorb_of_mask mask; members; cut_mask = !cut } :: !out
     in
-    if not prune then
-      for mask = 0 to (1 lsl n_others) - 1 do
-        let members = members_of_absorb g closures (absorb_of_mask mask) in
-        if connected_bits g ~members ~root:r && feasible lim (resources_bits g ~members ~root:r) then
-          emit mask members
-      done
-    else begin
-      (* Lattice walk over absorb sets, most-significant bit decided first
-         with the exclude branch taken before the include branch: it visits
-         masks in the same ascending numeric order as the loop above and
-         emits the identical choice list, but
+    (* Lattice walk over absorb sets, most-significant bit decided first
+       with the exclude branch taken before the include branch: it visits
+       masks in ascending numeric order and emits exactly the choices a
+       full 2^(k-1) mask enumeration would (the test suite keeps that
+       enumeration as its reference), but
 
-         - an include step that blows the resource limits cuts its whole
-           subtree: resource demand is monotone in the member set (every
-           internal edge contributes nonnegatively, [Callgraph.alpha] >= 1),
-           so every superset of an infeasible absorb set is infeasible;
-         - resource totals are maintained incrementally along the walk, the
-           way {!solve_greedy}'s move evaluation does: an include step only
-           accounts the edges that become internal when [s]'s closure joins
-           the member set, O(|closure delta|) instead of O(|members|).  All
-           contributions are integer-valued in the profiled graphs, so the
-           running sums equal the from-scratch sums exactly;
-         - connectivity reduces to the included roots: a closure is
-           internally connected from its own root, so the union of closures
-           satisfies constraint 3 iff every absorbed root has a caller among
-           the final members — checked per emitted set in O(k * in-degree)
-           instead of a full member scan. *)
-      let account dcpu dmem (e : Callgraph.edge) =
-        let a = float_of_int (Callgraph.alpha g e) in
-        let callee = Callgraph.node g e.dst in
-        dcpu := !dcpu +. (a *. callee.Callgraph.cpu);
-        dmem := !dmem +. callee.Callgraph.mem_mb;
-        match e.Callgraph.kind with
-        | Callgraph.Async -> dmem := !dmem +. ((a -. 1.0) *. callee.Callgraph.mem_mb)
-        | Callgraph.Sync -> ()
-      in
-      let delta_of members s =
-        let delta = Bitset.diff closures.(s) members in
-        let dcpu = ref 0.0 and dmem = ref 0.0 in
-        Bitset.iter
-          (fun v ->
-            Array.iter
-              (fun (e : Callgraph.edge) ->
-                if Bitset.mem members e.dst || Bitset.mem delta e.dst then account dcpu dmem e)
-              (Callgraph.out_edges g v);
-            Array.iter
-              (fun (e : Callgraph.edge) -> if Bitset.mem members e.src then account dcpu dmem e)
-              (Callgraph.in_edges g v))
-          delta;
-        (delta, !dcpu, !dmem)
-      in
-      let roots_connected mask members =
-        let ok = ref true in
-        for b = 0 to n_others - 1 do
-          if !ok && mask land (1 lsl b) <> 0 then
+       - an include step that blows the resource limits cuts its whole
+         subtree: resource demand is monotone in the member set (every
+         internal edge contributes nonnegatively, [Callgraph.alpha] >= 1),
+         so every superset of an infeasible absorb set is infeasible;
+       - resource totals are maintained incrementally along the walk, the
+         way {!solve_greedy}'s move evaluation does: an include step only
+         accounts the edges that become internal when [s]'s closure joins
+         the member set, O(|closure delta|) instead of O(|members|).  All
+         contributions are integer-valued in the profiled graphs, so the
+         running sums equal the from-scratch sums exactly;
+       - connectivity reduces to the included roots: a closure is
+         internally connected from its own root, so the union of closures
+         satisfies constraint 3 iff every absorbed root has a caller among
+         the final members — checked per emitted set in O(k * in-degree)
+         instead of a full member scan. *)
+    let account dcpu dmem (e : Callgraph.edge) =
+      let a = float_of_int (Callgraph.alpha g e) in
+      let callee = Callgraph.node g e.dst in
+      dcpu := !dcpu +. (a *. callee.Callgraph.cpu);
+      dmem := !dmem +. callee.Callgraph.mem_mb;
+      match e.Callgraph.kind with
+      | Callgraph.Async -> dmem := !dmem +. ((a -. 1.0) *. callee.Callgraph.mem_mb)
+      | Callgraph.Sync -> ()
+    in
+    let delta_of members s =
+      let delta = Bitset.diff closures.(s) members in
+      let dcpu = ref 0.0 and dmem = ref 0.0 in
+      Bitset.iter
+        (fun v ->
+          Array.iter
+            (fun (e : Callgraph.edge) ->
+              if Bitset.mem members e.dst || Bitset.mem delta e.dst then account dcpu dmem e)
+            (Callgraph.out_edges g v);
+          Array.iter
+            (fun (e : Callgraph.edge) -> if Bitset.mem members e.src then account dcpu dmem e)
+            (Callgraph.in_edges g v))
+        delta;
+      (delta, !dcpu, !dmem)
+    in
+    let roots_connected mask members =
+      let ok = ref true in
+      for b = 0 to n_others - 1 do
+        if !ok && mask land (1 lsl b) <> 0 then
+          if
+            not
+              (Array.exists
+                 (fun (e : Callgraph.edge) -> Bitset.mem members e.src)
+                 (Callgraph.in_edges g others.(b)))
+          then ok := false
+      done;
+      !ok
+    in
+    (* Connectable-candidate prefilter: a root [s] can only ever be
+       absorbed when some member calls it, and members are unions of
+       closures — so compute the least fixed point of "s has a caller in
+       the base closure or in an already-connectable root's closure".
+       Any connected absorb set is contained in it (the provider relation
+       is acyclic in a DAG), so skipping the other bits loses nothing and
+       collapses the walk for roots that cannot reach their peers. *)
+    let provided_by t s =
+      Array.exists (fun (e : Callgraph.edge) -> Bitset.mem closures.(t) e.src) (Callgraph.in_edges g s)
+    in
+    let prov = Array.map (fun s ->
+        let m = ref 0 in
+        Array.iteri (fun b t -> if provided_by t s then m := !m lor (1 lsl b)) others;
+        !m)
+        others
+    in
+    let connectable =
+      let acc = ref 0 in
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        Array.iteri
+          (fun b s ->
             if
-              not
-                (Array.exists
-                   (fun (e : Callgraph.edge) -> Bitset.mem members e.src)
-                   (Callgraph.in_edges g others.(b)))
-            then ok := false
-        done;
-        !ok
-      in
-      (* Connectable-candidate prefilter: a root [s] can only ever be
-         absorbed when some member calls it, and members are unions of
-         closures — so compute the least fixed point of "s has a caller in
-         the base closure or in an already-connectable root's closure".
-         Any connected absorb set is contained in it (the provider relation
-         is acyclic in a DAG), so skipping the other bits loses nothing and
-         collapses the walk for roots that cannot reach their peers. *)
-      let provided_by t s =
-        Array.exists (fun (e : Callgraph.edge) -> Bitset.mem closures.(t) e.src) (Callgraph.in_edges g s)
-      in
-      let prov = Array.map (fun s ->
-          let m = ref 0 in
-          Array.iteri (fun b t -> if provided_by t s then m := !m lor (1 lsl b)) others;
-          !m)
+              !acc land (1 lsl b) = 0
+              && (provided_by r s || prov.(b) land !acc <> 0)
+            then begin
+              acc := !acc lor (1 lsl b);
+              changed := true
+            end)
           others
-      in
-      let connectable =
-        let acc = ref 0 in
-        let changed = ref true in
-        while !changed do
-          changed := false;
-          Array.iteri
-            (fun b s ->
-              if
-                !acc land (1 lsl b) = 0
-                && (provided_by r s || prov.(b) land !acc <> 0)
-              then begin
-                acc := !acc lor (1 lsl b);
-                changed := true
-              end)
-            others
-        done;
-        !acc
-      in
-      let rec walk b mask members cpu mem feas =
-        if b < 0 then begin
-          if feas && roots_connected mask members then emit mask members
-        end
-        else begin
-          walk (b - 1) mask members cpu mem feas;
-          if feas && connectable land (1 lsl b) <> 0 then begin
-            let s = others.(b) in
-            let delta, dcpu, dmem = delta_of members s in
-            let cpu' = cpu +. dcpu and mem' = mem +. dmem in
-            if feasible lim (cpu', mem') then begin
-              let members' = Bitset.copy members in
-              Bitset.union_into ~dst:members' delta;
-              walk (b - 1) (mask lor (1 lsl b)) members' cpu' mem' true
-            end
+      done;
+      !acc
+    in
+    let rec walk b mask members cpu mem feas =
+      if b < 0 then begin
+        if feas && roots_connected mask members then emit mask members
+      end
+      else begin
+        walk (b - 1) mask members cpu mem feas;
+        if feas && connectable land (1 lsl b) <> 0 then begin
+          let s = others.(b) in
+          let delta, dcpu, dmem = delta_of members s in
+          let cpu' = cpu +. dcpu and mem' = mem +. dmem in
+          if feasible lim (cpu', mem') then begin
+            let members' = Bitset.copy members in
+            Bitset.union_into ~dst:members' delta;
+            walk (b - 1) (mask lor (1 lsl b)) members' cpu' mem' true
           end
         end
-      in
-      let base = Bitset.copy closures.(r) in
-      let base_cpu, base_mem = resources_bits g ~members:base ~root:r in
-      (* The base set being infeasible kills every mask — supersets all
-         inherit the overrun — but the walk still descends exclude branches
-         with [feas = false] so nothing is emitted, mirroring the loop. *)
-      walk (n_others - 1) 0 base base_cpu base_mem (feasible lim (base_cpu, base_mem))
-    end;
+      end
+    in
+    let base = Bitset.copy closures.(r) in
+    let base_cpu, base_mem = resources_bits g ~members:base ~root:r in
+    (* The base set being infeasible kills every mask — supersets all
+       inherit the overrun — but the walk still descends exclude branches
+       with [feas = false] so nothing is emitted. *)
+    walk (n_others - 1) 0 base base_cpu base_mem (feasible lim (base_cpu, base_mem));
     !out
   in
   let all_choices = Array.map feasible_choices root_arr in
@@ -357,32 +333,37 @@ let prepare_exact ?(prune = false) (g : Callgraph.t) (lim : Types.limits) ~roots
           |> List.map snd |> Array.of_list)
         all_choices
     in
-    Some { xi_roots = roots; xi_k = k; xi_redges = redge_arr; xi_sorted = sorted_choices }
+    Some (roots, redge_arr, sorted_choices)
   end
 
-let solution_of_pick g { xi_roots; xi_k = _; _ } pick =
-  let choices =
-    List.mapi
-      (fun i r ->
-        match pick.(i) with Some c -> (r, c.absorb, c.members) | None -> assert false)
-      xi_roots
-  in
-  Some (build_solution g xi_roots choices)
+(* Counts exact branch-and-bound searches: one per [solve_exact] call whose
+   preparation left every root a feasible choice. *)
+let bounded_searches = Atomic.make 0
+let bounded_search_count () = Atomic.get bounded_searches
 
-let solve_exact (g : Callgraph.t) (lim : Types.limits) ~roots =
+(* Depth-first branch-and-bound over the joint choice, root by root, each
+   root's choices in sorted order.  The local best is a strict bound, so the
+   result is the first cost-optimal assignment in that order.  [incumbent]
+   is an additional inclusive bound, lowered to every cost found: it never
+   drops below the optimum of any search it has pruned, so a cost-optimal
+   assignment at or below it stays reachable, and a search whose optimum
+   lies above it reports [None]. *)
+let solve_exact ?(incumbent = ref max_int) (g : Callgraph.t) (lim : Types.limits) ~roots =
   match prepare_exact g lim ~roots with
   | None -> None
-  | Some ({ xi_k = k; xi_redges; xi_sorted = sorted_choices; _ } as xi) ->
-      let weight_of_mask mask = mask_weight xi_redges mask in
+  | Some (roots, redges, sorted_choices) ->
+      Atomic.incr bounded_searches;
+      let k = List.length roots in
       let best_cost = ref max_int in
       let best_pick = Array.make k None in
       let current = Array.make k None in
       let rec search idx acc_mask =
-        let acc_weight = weight_of_mask acc_mask in
-        if acc_weight < !best_cost then begin
+        let acc_weight = mask_weight redges acc_mask in
+        if acc_weight < !best_cost && acc_weight <= !incumbent then begin
           if idx = k then begin
             best_cost := acc_weight;
-            Array.blit current 0 best_pick 0 k
+            Array.blit current 0 best_pick 0 k;
+            if acc_weight < !incumbent then incumbent := acc_weight
           end
           else
             Array.iter
@@ -393,7 +374,13 @@ let solve_exact (g : Callgraph.t) (lim : Types.limits) ~roots =
         end
       in
       search 0 0;
-      if !best_cost = max_int then None else solution_of_pick g xi best_pick
+      if !best_cost = max_int then None
+      else
+        let choice i r =
+          match best_pick.(i) with Some c -> (r, c.absorb, c.members) | None -> assert false
+        in
+        let choices = List.mapi choice roots in
+        Some (build_solution g roots choices)
 
 (* --- Greedy search for large instances --- *)
 
@@ -560,134 +547,12 @@ let solve_greedy (g : Callgraph.t) (lim : Types.limits) ~roots =
     Some (build_solution g roots choices)
   end
 
-(* --- Shared-incumbent parallel branch-and-bound --- *)
-
-module Pool = Quilt_util.Pool
-
-(* Counts entries into the bounded (incumbent-driven) search.  Tests use it
-   to assert that QUILT_SEQUENTIAL=1 keeps every decision on the plain
-   sequential [solve_exact] path. *)
-let bounded_searches = Atomic.make 0
-let bounded_search_count () = Atomic.get bounded_searches
-
-let rec atomic_min a v =
-  let cur = Atomic.get a in
-  if v < cur && not (Atomic.compare_and_set a cur v) then atomic_min a v
-
-let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
-(* Parallel exact search over prefix subtrees.
-
-   The sequential search explores root 0's choices in ascending-own-weight
-   order and within each, roots 1..k-1 depth-first; its result is the
-   lexicographically first (in sorted-choice order) cost-optimal assignment.
-   The parallel search reproduces exactly that assignment:
-
-   - each subtree t (one choice for root 0) is explored independently with
-     the {e same} strict local pruning the sequential search uses, so a
-     subtree's recorded best is the lex-first optimum within the subtree;
-   - the shared incumbent is only an {e additional, inclusive} bound
-     ([acc <= incumbent]): since every published cost is the cost of a real
-     assignment, the incumbent never drops below the global optimum C*, and
-     the inclusive comparison keeps every prefix of a cost-C* assignment
-     explorable no matter which worker published C* first;
-   - the final scan selects the first subtree (in sorted order) achieving
-     the minimum — first-finisher timing cannot leak into the result. *)
-let bounded_search ?(domains = 1) ?deadline ~incumbent g (xi : exact_instance) =
-  Atomic.incr bounded_searches;
-  let { xi_k = k; xi_redges; xi_sorted = sorted_choices; _ } = xi in
-  let weight_of_mask mask = mask_weight xi_redges mask in
-  let subtrees = sorted_choices.(0) in
-  let explore t (c0 : choice) =
-    ignore t;
-    (* Time-budget support (portfolio racing): cheap amortized clock check.
-       Once expired, the worker stops expanding and reports its best so
-       far.  Only ever active when the caller opted into a budget — the
-       default path has no clock reads and stays deterministic. *)
-    let expired = ref false in
-    let tick = ref 0 in
-    let within_budget () =
-      match deadline with
-      | None -> true
-      | Some dl ->
-          if !expired then false
-          else begin
-            incr tick;
-            if !tick land 2047 = 0 && now_s () > dl then expired := true;
-            not !expired
-          end
-    in
-    let local_best = ref max_int in
-    let best_pick = Array.make k None in
-    let current = Array.make k None in
-    current.(0) <- Some c0;
-    let rec search idx acc_mask =
-      let acc_weight = weight_of_mask acc_mask in
-      if acc_weight < !local_best && acc_weight <= Atomic.get incumbent && within_budget () then begin
-        if idx = k then begin
-          local_best := acc_weight;
-          Array.blit current 0 best_pick 0 k;
-          atomic_min incumbent acc_weight
-        end
-        else
-          Array.iter
-            (fun c ->
-              current.(idx) <- Some c;
-              search (idx + 1) (acc_mask lor c.cut_mask))
-            sorted_choices.(idx)
-      end
-    in
-    search 1 c0.cut_mask;
-    if !local_best = max_int then None else Some (!local_best, Array.copy best_pick)
-  in
-  let results = Pool.mapi_array ~domains explore subtrees in
-  let best = ref None in
-  Array.iter
-    (fun r ->
-      match (r, !best) with
-      | Some (c, pick), Some (bc, _) -> if c < bc then best := Some (c, pick)
-      | Some (c, pick), None -> best := Some (c, pick)
-      | None, _ -> ())
-    results;
-  match !best with None -> None | Some (_, pick) -> solution_of_pick g xi pick
-
-let solve_exact_par ?domains ?incumbent ?deadline ?(warm = true) (g : Callgraph.t)
-    (lim : Types.limits) ~roots =
-  let d =
-    let requested = match domains with Some d -> d | None -> Pool.default_domains () in
-    if Pool.sequential_forced () then 1 else max 1 requested
-  in
-  if Pool.sequential_forced () || (d <= 1 && incumbent = None && not warm) then solve_exact g lim ~roots
-  else
-    match prepare_exact ~prune:true g lim ~roots with
-    | None -> None
-    | Some xi ->
-        let incumbent =
-          match incumbent with Some a -> a | None -> Atomic.make max_int
-        in
-        if warm then (
-          match solve_greedy g lim ~roots with
-          | Some s -> atomic_min incumbent s.Types.cost
-          | None -> ());
-        bounded_search ~domains:d ?deadline ~incumbent g xi
-
-(* Minimum instance size for which fanning the exact search out over
-   domains beats the spawn cost; below it, the bounded search still runs
-   (incumbent pruning is worthwhile at any size) but on the calling domain
-   only. *)
-let par_min_roots = 8
-
-let solve ?(domains = 1) ?incumbent g lim ~roots =
+let solve ?incumbent g lim ~roots =
   let roots' = normalize_roots g roots in
-  let k = List.length roots' in
   let is_root = root_bitset g roots' in
   let n_redges =
     List.length (List.filter (fun (e : Callgraph.edge) -> Bitset.mem is_root e.Callgraph.dst) g.Callgraph.edges)
   in
-  if k <= exact_max_roots && n_redges <= exact_max_root_edges then
-    if Pool.sequential_forced () || (incumbent = None && (domains <= 1 || k < par_min_roots)) then
-      solve_exact g lim ~roots
-    else
-      let domains = if k < par_min_roots then 1 else domains in
-      solve_exact_par ~domains ?incumbent ~warm:false g lim ~roots
+  if List.length roots' <= exact_max_roots && n_redges <= exact_max_root_edges then
+    solve_exact ?incumbent g lim ~roots
   else solve_greedy g lim ~roots

@@ -1,7 +1,6 @@
 module Callgraph = Quilt_dag.Callgraph
 module Drift = Quilt_dag.Drift
 module Rng = Quilt_util.Rng
-module Pool = Quilt_util.Pool
 
 type algorithm = Optimal | Dih | Weighted_degree | Grasp
 
@@ -11,105 +10,29 @@ let algorithm_name = function
   | Weighted_degree -> "weighted-degree"
   | Grasp -> "grasp"
 
-let validated g lim sol =
-  match sol with
-  | None -> None
-  | Some s -> (
-      match Metrics.solution_valid g lim s with
-      | Ok () -> Some s
-      | Error msg -> failwith (Printf.sprintf "Decision.solve: invalid solution produced: %s" msg))
-
-let solve ?(seed = 1) ?(domains = 1) algorithm (g : Callgraph.t) (lim : Types.limits) =
-  let domains = if Pool.sequential_forced () then 1 else max 1 domains in
+let solve ?(seed = 1) algorithm (g : Callgraph.t) (lim : Types.limits) =
   let sol =
     match algorithm with
-    | Optimal -> Optimal.solve ~domains g lim
-    | Dih -> Dih.solve ~domains g lim
-    | Weighted_degree -> Heur.solve_weighted_degree ~domains g lim
-    | Grasp -> Grasp.solve ~domains (Rng.create seed) g lim
+    | Optimal -> Optimal.solve g lim
+    | Dih -> Dih.solve g lim
+    | Weighted_degree -> Heur.solve_weighted_degree g lim
+    | Grasp -> Grasp.solve (Rng.create seed) g lim
   in
-  validated g lim sol
+  Option.map
+    (fun s ->
+      match Metrics.solution_valid g lim s with
+      | Ok () -> s
+      | Error msg -> failwith (Printf.sprintf "Decision.solve: invalid solution produced: %s" msg))
+    sol
 
 let auto_algorithm (g : Callgraph.t) =
   let n = Callgraph.n_nodes g in
   if n <= 12 then Optimal else if n <= 60 then Dih else Grasp
 
-(* Portfolio racing (tentpole layer 2).
+let auto ?(seed = 1) ?domains:_ (g : Callgraph.t) (lim : Types.limits) =
+  solve ~seed (auto_algorithm g) g lim
 
-   The exact regime (n <= 12) races three arms: DIH and GRASP run on their
-   own domains as {e advisory} arms whose solution costs are CAS-published
-   into a shared incumbent the moment they finish, while the exact sweep
-   runs in the calling domain with the remaining parallelism.  Every
-   heuristic solution is a feasible point of the same global problem, so
-   its cost upper-bounds the optimum and can only prune the exact search,
-   never change its answer: the result returned is the exact arm's, equal
-   to the sequential [auto] on every seed.
-
-   In the heuristic regimes the primary's own sweep is what parallelizes
-   (racing arms whose output must be discarded for determinism would burn a
-   domain for nothing): DIH fans its per-k root subsets out with a shared
-   incumbent; GRASP fans each pruning round's candidates.  External
-   incumbents are deliberately {e not} threaded into the sweeps — a foreign
-   bound would perturb the per-k improvement flags and hence the
-   patience-based stopping point, breaking output parity.
-
-   [budget_s] opts into the non-deterministic time budget: if the exact arm
-   exceeds it, the best solution known across all arms is returned. *)
-let race ~incumbent ~arms primary =
-  let spawn f =
-    Domain.spawn (fun () ->
-        let r = f () in
-        Option.iter (fun (s : Types.solution) -> Closure.atomic_min incumbent s.Types.cost) r;
-        r)
-  in
-  let running = List.map spawn arms in
-  let settle f = match f () with r -> Ok r | exception e -> Error e in
-  let primary = settle primary in
-  (* Every arm is joined before anything is returned or raised, so no
-     domain outlives the race. *)
-  let joined = List.map (fun d -> settle (fun () -> Domain.join d)) running in
-  let get = function Ok r -> r | Error e -> raise e in
-  let primary = get primary in
-  (primary, List.map get joined)
-
-let auto_portfolio ~seed ~domains ?budget_s (g : Callgraph.t) (lim : Types.limits) =
-  let incumbent = Atomic.make max_int in
-  let deadline = Option.map (fun b -> Closure.now_s () +. b) budget_s in
-  let exact, arm_results =
-    race ~incumbent
-      ~arms:[ (fun () -> Dih.solve g lim); (fun () -> Grasp.solve (Rng.create seed) g lim) ]
-      (fun () -> Optimal.solve ~domains:(max 1 (domains - 2)) ~incumbent ?deadline g lim)
-  in
-  match budget_s with
-  | None -> exact
-  | Some _ ->
-      (* Budget mode: the exact arm may have been cut short; fall back to
-         the cheapest arm seen. *)
-      let best =
-        List.fold_left
-          (fun acc r ->
-            match (acc, r) with
-            | None, r -> r
-            | Some (a : Types.solution), Some (b : Types.solution) ->
-                if b.Types.cost < a.Types.cost then Some b else Some a
-            | Some a, None -> Some a)
-          exact arm_results
-      in
-      best
-
-let auto ?(seed = 1) ?domains ?budget_s (g : Callgraph.t) (lim : Types.limits) =
-  let domains =
-    let requested = match domains with Some d -> d | None -> Pool.default_domains () in
-    if Pool.sequential_forced () then 1 else max 1 requested
-  in
-  let algorithm = auto_algorithm g in
-  if domains <= 1 then solve ~seed algorithm g lim
-  else
-    match algorithm with
-    | Optimal -> validated g lim (auto_portfolio ~seed ~domains ?budget_s g lim)
-    | _ -> solve ~seed ~domains algorithm g lim
-
-(* --- Warm-start incremental re-decision (tentpole layer 3) --- *)
+(* --- Warm-start incremental re-decision --- *)
 
 (* Re-decide only the previous solution's groups that intersect the drift
    report's touched set; splice every untouched group through unchanged.
@@ -125,7 +48,7 @@ let auto ?(seed = 1) ?domains ?budget_s (g : Callgraph.t) (lim : Types.limits) =
    returns [None] — callers then fall back to a from-scratch solve.  The
    same [None] fallback covers topology drift, where group membership
    itself is stale. *)
-let resolve_incremental ?(seed = 1) ?(domains = 1) ~prev_graph ~(prev : Types.solution) ~report
+let resolve_incremental ?(seed = 1) ~prev_graph ~(prev : Types.solution) ~report
     (g : Callgraph.t) (lim : Types.limits) =
   if Drift.topology_changed report then None
   else begin
@@ -192,10 +115,7 @@ let resolve_incremental ?(seed = 1) ?(domains = 1) ~prev_graph ~(prev : Types.so
                 ~root:(Hashtbl.find local_of root)
                 ~invocations:g.Callgraph.invocations
             in
-            let sub =
-              let algorithm = auto_algorithm lg in
-              solve ~seed ~domains algorithm lg lim
-            in
+            let sub = solve ~seed (auto_algorithm lg) lg lim in
             Option.map
               (fun (s : Types.solution) ->
                 List.map

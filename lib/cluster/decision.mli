@@ -1,12 +1,11 @@
 (** Front door for the merge-decision phase (§4): pick an algorithm, get a
     validated grouping.
 
-    This is also where the parallel decision subsystem is assembled: a
-    portfolio of solver arms racing over the Domain pool ({!auto}), and the
-    warm-start incremental re-decision path the control plane uses on drift
-    ticks ({!resolve_incremental}).  Every parallel path returns
-    bit-identical solutions to its sequential counterpart (qcheck-pinned),
-    and [QUILT_SEQUENTIAL=1] forces the sequential code end-to-end. *)
+    There is one decision path and it is sequential: every algorithm runs
+    in the calling domain, and the exact regime is one {!Optimal} sweep
+    over {!Closure.solve_exact}.  This module also holds the warm-start
+    incremental re-decision the control plane uses on drift ticks
+    ({!resolve_incremental}). *)
 
 type algorithm =
   | Optimal  (** Exhaustive k-sweep (§4.2); small graphs only. *)
@@ -24,56 +23,21 @@ val auto_algorithm : Quilt_dag.Callgraph.t -> algorithm
     regime or behind {!Closure.solve}'s own cap check. *)
 
 val solve :
-  ?seed:int ->
-  ?domains:int ->
-  algorithm ->
-  Quilt_dag.Callgraph.t ->
-  Types.limits ->
-  Types.solution option
+  ?seed:int -> algorithm -> Quilt_dag.Callgraph.t -> Types.limits -> Types.solution option
 (** Runs the chosen algorithm.  [seed] (default 1) feeds GRASP's randomized
-    stage.  [domains] (default 1) parallelizes the chosen algorithm's inner
-    sweep with output-identical results.  Every returned solution has
-    passed {!Metrics.solution_valid}; a solver bug therefore surfaces as an
-    exception here rather than as a corrupt deployment downstream. *)
+    stage.  Every returned solution has passed {!Metrics.solution_valid}; a
+    solver bug therefore surfaces as an exception here rather than as a
+    corrupt deployment downstream. *)
 
 val auto :
-  ?seed:int ->
-  ?domains:int ->
-  ?budget_s:float ->
-  Quilt_dag.Callgraph.t ->
-  Types.limits ->
-  Types.solution option
-(** What the Quilt optimizer itself uses: {!auto_algorithm}'s pick, run on
-    up to [domains] domains (default {!Quilt_util.Pool.default_domains}).
-
-    With [domains > 1], the exact regime races a portfolio: DIH and GRASP
-    arms run on their own domains and seed the exact sweep's incumbent with
-    their solution costs the moment they finish (heuristic-warmed pruning);
-    the exact arm's result is returned.  Heuristic regimes parallelize the
-    primary's own sweep instead.  In every regime the output equals the
-    sequential [auto] for equal seeds (qcheck-pinned); [QUILT_SEQUENTIAL=1]
-    forces the sequential path.
-
-    [budget_s] (opt-in, default off) arms a wall-clock budget: if the exact
-    arm exceeds it, the best solution known across all arms is returned —
-    explicitly trading the determinism guarantee for bounded latency. *)
-
-val race :
-  incumbent:int Atomic.t ->
-  arms:(unit -> Types.solution option) list ->
-  (unit -> 'a) ->
-  'a * Types.solution option list
-(** The portfolio's racing primitive, used by {!auto}: [race ~incumbent
-    ~arms primary] runs each arm on its own domain, lowering [incumbent]
-    to an arm's solution cost the moment it finishes, while [primary]
-    runs in the calling domain.  Returns [primary]'s result and the arms'
-    results in order.  Every arm is joined before [race] returns or
-    raises; a failure in [primary] or in any arm is re-raised (the
-    primary's first, then the arms' in order), never swallowed. *)
+  ?seed:int -> ?domains:int -> Quilt_dag.Callgraph.t -> Types.limits -> Types.solution option
+(** What the Quilt optimizer itself uses: {!solve} with {!auto_algorithm}'s
+    pick.  [domains] is unused and ignored; it is accepted only because the
+    repository benchmark still passes it, and goes with the next change to
+    that benchmark. *)
 
 val resolve_incremental :
   ?seed:int ->
-  ?domains:int ->
   prev_graph:Quilt_dag.Callgraph.t ->
   prev:Types.solution ->
   report:Quilt_dag.Drift.report ->

@@ -63,12 +63,12 @@ let candidate_pool ?weights (g : Callgraph.t) (lim : Types.limits) size =
   let ranked = List.sort (fun a b -> compare s.(b) s.(a)) candidates in
   List.filteri (fun i _ -> i < size) ranked
 
-let solve ?weights ?pool_size ?k_max ?patience ?domains ?(fallback = true) (g : Callgraph.t)
+let solve ?weights ?pool_size ?k_max ?patience ?(fallback = true) (g : Callgraph.t)
     (lim : Types.limits) =
   let n = Callgraph.n_nodes g in
   let pool_size = match pool_size with Some p -> p | None -> min 8 (n - 1) in
   let pool = candidate_pool ?weights g lim pool_size in
-  match Sweep.solve_over_pool ?k_max ?patience ?domains g lim ~pool with
+  match Sweep.solve_over_pool ?k_max ?patience g lim ~pool with
   | Some sol -> Some sol
   | None when not fallback -> None
   | None ->

@@ -35,7 +35,6 @@ val solve :
   ?pool_size:int ->
   ?k_max:int ->
   ?patience:int ->
-  ?domains:int ->
   ?fallback:bool ->
   Quilt_dag.Callgraph.t ->
   Types.limits ->
@@ -43,5 +42,4 @@ val solve :
 (** The DIH decision algorithm: build the candidate pool (default size
     min(8, |V|−1)) and sweep root sets drawn from it ({!Sweep}).  With
     [fallback] (default true), makes every vertex a root when the pool
-    yields nothing feasible.  [domains] parallelizes the sweep with
-    output-identical results (see {!Sweep.solve_over_pool}). *)
+    yields nothing feasible. *)

@@ -12,9 +12,8 @@ let draw_pool rng ~rcl ~count =
   Rng.shuffle rng rcl;
   Array.to_list (Array.sub rcl 0 (min count (Array.length rcl)))
 
-let solve ?weights ?(rcl_factor = 2) ?(initial_pool = 3) ?(domains = 1) rng (g : Callgraph.t)
+let solve ?weights ?(rcl_factor = 2) ?(initial_pool = 3) rng (g : Callgraph.t)
     (lim : Types.limits) =
-  let domains = if Quilt_util.Pool.sequential_forced () then 1 else domains in
   let n = Callgraph.n_nodes g in
   let s = Dih.scores ?weights g lim in
   let candidates = List.filter (fun j -> j <> g.Callgraph.root) (List.init n (fun i -> i)) in
@@ -52,47 +51,20 @@ let solve ?weights ?(rcl_factor = 2) ?(initial_pool = 3) ?(domains = 1) rng (g :
           List.filter (fun r -> r <> g.Callgraph.root) !best_roots
           |> List.sort (fun a b -> compare s.(a) s.(b))
         in
-        if domains > 1 && List.length removable > 1 then begin
-          (* Evaluate the whole round's prune candidates concurrently, then
-             accept the first improvement in DIH order — the same candidate
-             the sequential first-improvement scan (below) would commit. *)
-          let results =
-            Quilt_util.Pool.map ~domains
-              (fun r_remove ->
-                let roots' = List.filter (fun r -> r <> r_remove) !best_roots in
-                if Closure.root_set_feasible g lim ~roots:roots' then
-                  Closure.solve g lim ~roots:roots' |> Option.map (fun sol -> (roots', sol))
-                else None)
-              removable
-          in
-          try
-            List.iter
-              (fun res ->
-                match res with
-                | Some (roots', (sol : Types.solution)) when sol.Types.cost < !best.Types.cost ->
+        try
+          List.iter
+            (fun r_remove ->
+              let roots' = List.filter (fun r -> r <> r_remove) !best_roots in
+              if Closure.root_set_feasible g lim ~roots:roots' then begin
+                match Closure.solve g lim ~roots:roots' with
+                | Some sol when sol.Types.cost < !best.Types.cost ->
                     best := sol;
                     best_roots := roots';
                     improved := true;
                     raise Exit
-                | Some _ | None -> ())
-              results
-          with Exit -> ()
-        end
-        else
-          (try
-             List.iter
-               (fun r_remove ->
-                 let roots' = List.filter (fun r -> r <> r_remove) !best_roots in
-                 if Closure.root_set_feasible g lim ~roots:roots' then begin
-                   match Closure.solve g lim ~roots:roots' with
-                   | Some sol when sol.Types.cost < !best.Types.cost ->
-                       best := sol;
-                       best_roots := roots';
-                       improved := true;
-                       raise Exit
-                   | Some _ | None -> ()
-                 end)
-               removable
-           with Exit -> ())
+                | Some _ | None -> ()
+              end)
+            removable
+        with Exit -> ()
       done;
       Some !best

@@ -11,7 +11,6 @@ val solve :
   ?weights:Dih.weights ->
   ?rcl_factor:int ->
   ?initial_pool:int ->
-  ?domains:int ->
   Quilt_util.Rng.t ->
   Quilt_dag.Callgraph.t ->
   Types.limits ->
@@ -19,10 +18,5 @@ val solve :
 (** [rcl_factor] (default 2) sizes the RCL at [rcl_factor × ℓ];
     [initial_pool] (default 3) is the starting ℓ.  Phase 2 uses
     {!Closure.solve} (greedy beyond the exact-search limits).  [None] only
-    when even the all-roots assignment is infeasible.
-
-    [domains] (default 1) evaluates each stage-2 pruning round's candidates
-    concurrently and commits the first improvement in DIH order — the same
-    candidate the sequential scan accepts, so seeded runs stay
-    bit-identical.  The RNG draw sequence (stage 1) is untouched by
-    parallelism. *)
+    when even the all-roots assignment is infeasible.  Seeded runs are
+    deterministic. *)

@@ -56,8 +56,8 @@ let betweenness_scores (g : Callgraph.t) =
    what Experiment 5 compares DIH against, and why they "produce poor
    approximations" (Appendix C): neither a high in-degree nor centrality
    says anything about the resource pressure behind a vertex. *)
-let solve_by_score ~scores:s ?pool_size ?k_max ?(domains = 1) ?(fallback = true)
-    (g : Callgraph.t) (lim : Types.limits) =
+let solve_by_score ~scores:s ?pool_size ?k_max ?(fallback = true) (g : Callgraph.t)
+    (lim : Types.limits) =
   let n = Callgraph.n_nodes g in
   (* Root sets beyond ~12 defeat the point of a ranking heuristic (and the
      exact Phase-2 search); the default mirrors the practical ILP-size cap
@@ -70,26 +70,17 @@ let solve_by_score ~scores:s ?pool_size ?k_max ?(domains = 1) ?(fallback = true)
   in
   let candidates = List.filter (fun j -> j <> g.Callgraph.root) (List.init n (fun i -> i)) in
   let ranked = List.sort (fun a b -> compare s.(b) s.(a)) candidates in
-  (* One root set per k, so the k values themselves are the parallel axis;
-     the ordered fold below reproduces the sequential strict-improvement
-     evolution exactly. *)
-  let domains = if Quilt_util.Pool.sequential_forced () then 1 else domains in
-  let eval k =
-    let roots = g.Callgraph.root :: List.filteri (fun i _ -> i < k - 1) ranked in
-    if Closure.root_set_feasible g lim ~roots then Closure.solve g lim ~roots else None
-  in
-  let ks = List.init (min k_max n) (fun i -> i + 1) in
-  let results = if domains > 1 then Quilt_util.Pool.map ~domains eval ks else List.map eval ks in
   let best = ref None in
-  List.iter
-    (fun sol ->
-      match sol with
+  for k = 1 to min k_max n do
+    let roots = g.Callgraph.root :: List.filteri (fun i _ -> i < k - 1) ranked in
+    if Closure.root_set_feasible g lim ~roots then
+      match Closure.solve g lim ~roots with
       | Some sol -> (
           match !best with
           | Some (b : Types.solution) when sol.Types.cost >= b.Types.cost -> ()
           | _ -> best := Some sol)
-      | None -> ())
-    results;
+      | None -> ()
+  done;
   match !best with
   | Some sol -> Some sol
   | None when not fallback -> None
@@ -98,9 +89,9 @@ let solve_by_score ~scores:s ?pool_size ?k_max ?(domains = 1) ?(fallback = true)
       if Closure.root_set_feasible g lim ~roots:all then Closure.solve_greedy g lim ~roots:all
       else None
 
-let solve_weighted_degree ?pool_size ?k_max ?patience:_ ?domains ?fallback (g : Callgraph.t)
+let solve_weighted_degree ?pool_size ?k_max ?patience:_ ?fallback (g : Callgraph.t)
     (lim : Types.limits) =
-  solve_by_score ~scores:(weighted_in_degree_scores g) ?pool_size ?k_max ?domains ?fallback g lim
+  solve_by_score ~scores:(weighted_in_degree_scores g) ?pool_size ?k_max ?fallback g lim
 
-let solve_betweenness ?pool_size ?k_max ?domains ?fallback (g : Callgraph.t) (lim : Types.limits) =
-  solve_by_score ~scores:(betweenness_scores g) ?pool_size ?k_max ?domains ?fallback g lim
+let solve_betweenness ?pool_size ?k_max ?fallback (g : Callgraph.t) (lim : Types.limits) =
+  solve_by_score ~scores:(betweenness_scores g) ?pool_size ?k_max ?fallback g lim

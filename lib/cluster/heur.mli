@@ -14,7 +14,6 @@ val solve_weighted_degree :
   ?pool_size:int ->
   ?k_max:int ->
   ?patience:int ->
-  ?domains:int ->
   ?fallback:bool ->
   Quilt_dag.Callgraph.t ->
   Types.limits ->
@@ -27,7 +26,6 @@ val solve_weighted_degree :
 val solve_betweenness :
   ?pool_size:int ->
   ?k_max:int ->
-  ?domains:int ->
   ?fallback:bool ->
   Quilt_dag.Callgraph.t ->
   Types.limits ->

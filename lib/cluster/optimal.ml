@@ -1,12 +1,14 @@
 module Callgraph = Quilt_dag.Callgraph
-module Pool = Quilt_util.Pool
 
-(* Sequential root-set sweep: today's reference path, forced by
-   QUILT_SEQUENTIAL=1. *)
-let solve_seq ?max_k (g : Callgraph.t) (lim : Types.limits) =
+(* One incumbent is threaded through every root set's exact search, so the
+   best cost found so far prunes all later searches.  A search it prunes to
+   [None] is one whose optimum is above that cost, which the
+   strict-improvement fold below would have ignored anyway. *)
+let solve ?max_k (g : Callgraph.t) (lim : Types.limits) =
   let n = Callgraph.n_nodes g in
   let max_k = match max_k with Some k -> min k n | None -> n in
   let non_roots = List.filter (fun v -> v <> g.Callgraph.root) (List.init n (fun i -> i)) in
+  let incumbent = ref max_int in
   let best = ref None in
   let cost_zero () = match !best with Some b -> b.Types.cost = 0 | None -> false in
   (try
@@ -16,7 +18,7 @@ let solve_seq ?max_k (g : Callgraph.t) (lim : Types.limits) =
          (fun extra ->
            let roots = g.Callgraph.root :: extra in
            if Closure.root_set_feasible g lim ~roots then begin
-             match Closure.solve_exact g lim ~roots with
+             match Closure.solve_exact ~incumbent g lim ~roots with
              | None -> ()
              | Some sol -> (
                  match !best with
@@ -29,64 +31,3 @@ let solve_seq ?max_k (g : Callgraph.t) (lim : Types.limits) =
      done
    with Exit -> ());
   !best
-
-(* Parallel variant: subsets are evaluated in chunks fanned over the Domain
-   pool, every per-subset exact search shares one incumbent (costs found on
-   any root set prune all the others), and the chunk results are folded
-   sequentially in enumeration order with the same strict-improvement rule
-   the sequential sweep uses.  The incumbent never drops below the global
-   optimum C*, each pruned-to-[None] subset is one whose own optimum could
-   not have improved the final best, and the first subset achieving C* in
-   enumeration order always survives the inclusive bound — so the returned
-   solution is identical to {!solve_seq}'s. *)
-let solve_par ?max_k ?deadline ~domains ~incumbent (g : Callgraph.t) (lim : Types.limits) =
-  let n = Callgraph.n_nodes g in
-  let max_k = match max_k with Some k -> min k n | None -> n in
-  let non_roots = List.filter (fun v -> v <> g.Callgraph.root) (List.init n (fun i -> i)) in
-  let best = ref None in
-  let cost_zero () = match !best with Some b -> b.Types.cost = 0 | None -> false in
-  let chunk_size = max 8 (32 * domains) in
-  let rec chunks = function
-    | [] -> []
-    | l ->
-        let rec take i acc = function
-          | x :: rest when i < chunk_size -> take (i + 1) (x :: acc) rest
-          | rest -> (List.rev acc, rest)
-        in
-        let c, rest = take 0 [] l in
-        c :: chunks rest
-  in
-  (try
-     for k = 1 to max_k do
-       List.iter
-         (fun chunk ->
-           let results =
-             Pool.map ~domains
-               (fun extra ->
-                 let roots = g.Callgraph.root :: extra in
-                 if Closure.root_set_feasible g lim ~roots then
-                   Closure.solve_exact_par ~domains:1 ~incumbent ?deadline ~warm:false g lim ~roots
-                 else None)
-               chunk
-           in
-           List.iter
-             (fun sol ->
-               match sol with
-               | None -> ()
-               | Some sol -> (
-                   match !best with
-                   | Some b when sol.Types.cost >= b.Types.cost -> ()
-                   | _ -> best := Some sol))
-             results;
-           if cost_zero () then raise Exit)
-         (chunks (Sweep.combinations non_roots (k - 1)))
-     done
-   with Exit -> ());
-  !best
-
-let solve ?max_k ?(domains = 1) ?incumbent ?deadline (g : Callgraph.t) (lim : Types.limits) =
-  let domains = if Pool.sequential_forced () then 1 else domains in
-  if domains <= 1 && incumbent = None then solve_seq ?max_k g lim
-  else
-    let incumbent = match incumbent with Some a -> a | None -> Atomic.make max_int in
-    solve_par ?max_k ?deadline ~domains:(max 1 domains) ~incumbent g lim

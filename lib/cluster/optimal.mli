@@ -8,22 +8,12 @@
     workflows of ≤ ~15 functions, which covers the benchmark applications. *)
 
 val solve :
-  ?max_k:int ->
-  ?domains:int ->
-  ?incumbent:int Atomic.t ->
-  ?deadline:float ->
-  Quilt_dag.Callgraph.t ->
-  Types.limits ->
-  Types.solution option
+  ?max_k:int -> Quilt_dag.Callgraph.t -> Types.limits -> Types.solution option
 (** [max_k] truncates the sweep (the full sweep uses |V|); useful in the
     decision-time benchmarks.  Returns [None] when no feasible grouping
     exists even with every vertex its own root.
 
-    With [domains > 1], candidate root sets are evaluated in parallel
-    chunks whose exact searches share one incumbent bound (any arm's best
-    cost prunes all others); results are folded in enumeration order with
-    the sequential sweep's strict-improvement rule, so the returned
-    solution is bit-identical to the sequential one.  [incumbent] lets the
-    portfolio layer seed that bound from a heuristic arm; a solution is
-    then only reported if its cost is at or below the bound ever seen.
-    [QUILT_SEQUENTIAL=1] forces the plain sequential sweep. *)
+    The sweep is sequential and threads one {!Closure.solve_exact}
+    incumbent through every root set, so the best cost found so far prunes
+    every later search.  Root sets are folded in enumeration order with a
+    strict-improvement rule: the first optimal grouping found wins. *)

@@ -8,47 +8,33 @@ let rec combinations items size =
         let without_x = combinations rest size in
         with_x @ without_x
 
-let solve_over_pool ?k_max ?(patience = 2) ?(domains = 1) (g : Quilt_dag.Callgraph.t)
-    (lim : Types.limits) ~pool =
-  let k_max =
-    match k_max with Some k -> k | None -> List.length pool + 1
-  in
-  let domains = if Quilt_util.Pool.sequential_forced () then 1 else domains in
-  (* With domains > 1 the per-k subsets are evaluated in parallel and their
-     in-cap exact searches share one incumbent bound.  The results are then
-     folded sequentially in enumeration order with the same
-     strict-improvement rule as below, so the best solution, the per-k
-     improvement flag, and hence the patience-based stopping point are all
-     identical to the sequential sweep's (greedy-dispatched subsets ignore
-     the incumbent entirely). *)
-  let incumbent = if domains > 1 then Some (Atomic.make max_int) else None in
+(* One incumbent is threaded through every in-cap exact search (greedy
+   dispatched root sets ignore it).  It only prunes root sets that cannot
+   strictly improve on a cost already found, so the best solution, the per-k
+   improvement flag and hence the patience-based stopping point are those of
+   the sweep without it. *)
+let solve_over_pool ?k_max ?(patience = 2) (g : Quilt_dag.Callgraph.t) (lim : Types.limits) ~pool =
+  let k_max = match k_max with Some k -> k | None -> List.length pool + 1 in
+  let incumbent = ref max_int in
   let best = ref None in
   let stale = ref 0 in
   let k = ref 1 in
   let continue = ref true in
   while !continue && !k <= k_max do
     let improved = ref false in
-    let subsets = combinations pool (!k - 1) in
-    let eval extra =
-      let roots = g.Quilt_dag.Callgraph.root :: extra in
-      if Closure.root_set_feasible g lim ~roots then Closure.solve ?incumbent g lim ~roots
-      else None
-    in
-    let results =
-      if domains > 1 && List.length subsets > 1 then Quilt_util.Pool.map ~domains eval subsets
-      else List.map eval subsets
-    in
     List.iter
-      (fun sol ->
-        match sol with
-        | None -> ()
-        | Some sol -> (
-            match !best with
-            | Some b when sol.Types.cost >= b.Types.cost -> ()
-            | _ ->
-                best := Some sol;
-                improved := true))
-      results;
+      (fun extra ->
+        let roots = g.Quilt_dag.Callgraph.root :: extra in
+        if Closure.root_set_feasible g lim ~roots then
+          match Closure.solve ~incumbent g lim ~roots with
+          | None -> ()
+          | Some sol -> (
+              match !best with
+              | Some b when sol.Types.cost >= b.Types.cost -> ()
+              | _ ->
+                  best := Some sol;
+                  improved := true))
+      (combinations pool (!k - 1));
     if !improved then stale := 0
     else begin
       incr stale;

@@ -28,7 +28,7 @@ let default =
     profile_connections = 4;
     seed = 1;
     reliability_lambda = 0.0;
-    domains = Quilt_util.Pool.default_domains ();
+    domains = 1;
   }
 
 let limits cfg =

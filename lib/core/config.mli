@@ -31,11 +31,10 @@ type t = {
           [cost + λ × expected replay work], trading some cut-cost savings
           for smaller fault domains. *)
   domains : int;
-      (** Domains the merge decision may fan out over (default
-          {!Quilt_util.Pool.default_domains}, i.e. the machine; overridable
-          per-process with [QUILT_POOL_DOMAINS]).  Parallel decision paths
-          are output-identical to sequential ones, so this only changes
-          decision latency; [QUILT_SEQUENTIAL=1] forces 1 everywhere. *)
+      (** Unused (default 1): the merge decision always runs sequentially
+          in the calling domain.  The field remains only because the
+          repository benchmark still sets it; it goes with the next change
+          to that benchmark. *)
 }
 
 val default : t

@@ -78,17 +78,16 @@ let singleton_solution (g : Callgraph.t) =
    cost-only answer. *)
 let solve_with_penalty (cfg : Config.t) callgraph limits =
   let lambda = cfg.Config.reliability_lambda in
-  let domains = cfg.Config.domains in
   let primary =
     match cfg.Config.algorithm with
-    | Some algorithm -> Decision.solve ~seed:cfg.Config.seed ~domains algorithm callgraph limits
-    | None -> Decision.auto ~seed:cfg.Config.seed ~domains callgraph limits
+    | Some algorithm -> Decision.solve ~seed:cfg.Config.seed algorithm callgraph limits
+    | None -> Decision.auto ~seed:cfg.Config.seed callgraph limits
   in
   if lambda <= 0.0 then primary
   else begin
     let extra =
       List.filter_map
-        (fun alg -> Decision.solve ~seed:cfg.Config.seed ~domains alg callgraph limits)
+        (fun alg -> Decision.solve ~seed:cfg.Config.seed alg callgraph limits)
         [ Decision.Weighted_degree; Decision.Dih ]
     in
     let baseline =
@@ -155,8 +154,8 @@ let optimize_incremental ?graph (cfg : Config.t) ~(prev : t) ~report (wf : Workf
     | Ok callgraph -> (
         let limits = Config.limits cfg in
         match
-          Decision.resolve_incremental ~seed:cfg.Config.seed ~domains:cfg.Config.domains
-            ~prev_graph:prev.callgraph ~prev:prev.solution ~report callgraph limits
+          Decision.resolve_incremental ~seed:cfg.Config.seed ~prev_graph:prev.callgraph
+            ~prev:prev.solution ~report callgraph limits
         with
         | None -> Error "incremental re-decision infeasible for this drift"
         | Some solution -> Ok (plan_of_solution cfg wf ~callgraph solution))

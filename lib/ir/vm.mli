@@ -6,7 +6,8 @@
     responses, same trap messages (fuel, division by zero, wild pointers,
     unbound locals, ...), same {!Interp.stats} — enforced by the
     differential qcheck harness in [test_fuzz.ml] and the unit parity
-    suite in [test_vm.ml]. *)
+    suite in [test_vm.ml].  It is the only engine production code runs;
+    the tree-walker is the oracle those tests call directly. *)
 
 val run_handler :
   ?fuel:int ->
@@ -44,27 +45,3 @@ val run_local_prog :
   req:string ->
   (string * Interp.stats, string) result
 
-(** {2 Default-engine dispatch}
-
-    The compiled engine is the default everywhere (CLI, pipeline
-    validation); setting the [QUILT_TREEWALK] environment variable (any
-    value) switches back to the tree-walker as an escape hatch. *)
-
-val engine : unit -> [ `Compiled | `Treewalk ]
-val engine_name : unit -> string
-
-val run_handler_auto :
-  ?fuel:int ->
-  host:Interp.host ->
-  Ir.modul ->
-  fname:string ->
-  req:string ->
-  (string * Interp.stats, string) result
-
-val run_local_auto :
-  ?fuel:int ->
-  host:Interp.host ->
-  Ir.modul ->
-  fname:string ->
-  req:string ->
-  (string * Interp.stats, string) result

@@ -94,6 +94,5 @@ val validate :
   report ->
   req:string ->
   (string * Quilt_ir.Interp.stats, string) result
-(** Executes the merged module's entry handler on one request, on the
-    default engine: the {!Quilt_ir.Vm} compiled engine, or the tree-walker
-    when the [QUILT_TREEWALK] environment variable is set. *)
+(** Executes the merged module's entry handler on one request on the
+    {!Quilt_ir.Vm} compiled engine. *)

@@ -3,19 +3,6 @@
    construction and no synchronization beyond the counter is needed (each
    slot has exactly one writer, and Domain.join publishes the writes). *)
 
-let truthy = function Some ("1" | "true" | "yes") -> true | _ -> false
-
-let sequential_forced () =
-  truthy (Sys.getenv_opt "QUILT_SEQUENTIAL")
-  || Sys.getenv_opt "QUILT_POOL_DOMAINS" = Some "1"
-
-let default_domains () =
-  if sequential_forced () then 1
-  else
-    match Sys.getenv_opt "QUILT_POOL_DOMAINS" with
-    | Some s -> ( match int_of_string_opt s with Some d when d >= 1 -> d | _ -> Domain.recommended_domain_count ())
-    | None -> Domain.recommended_domain_count ()
-
 (* Spawn [d - 1] helper domains running [worker], run [worker] in the
    calling domain too, and join every helper that was actually spawned even
    if a later [Domain.spawn] itself raises (resource exhaustion): workers
@@ -36,13 +23,9 @@ let run_workers d worker =
       Printexc.raise_with_backtrace e bt);
   List.iter Domain.join !spawned
 
-let effective_domains ?domains n =
-  let requested = match domains with Some d -> d | None -> default_domains () in
-  if sequential_forced () then 1 else min requested n
-
 let mapi_array ?domains f items =
   let n = Array.length items in
-  let d = effective_domains ?domains n in
+  let d = min n (match domains with Some d -> d | None -> Domain.recommended_domain_count ()) in
   if d <= 1 || n <= 1 then Array.mapi f items
   else begin
     let results : ('b, exn * Printexc.raw_backtrace) result option array = Array.make n None in

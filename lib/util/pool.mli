@@ -7,29 +7,19 @@
     bit-identical to a sequential run.
 
     Parallelism is disabled (everything runs in the calling domain, still in
-    order) when any of the following holds:
-    - [QUILT_SEQUENTIAL=1] is set in the environment (the escape hatch for
-      debugging or for machines where timing noise matters);
-    - [~domains:1] is passed;
-    - the input has fewer than two elements.
+    order) when [~domains:1] is passed or the input has fewer than two
+    elements.  The pool reads no environment: the domain count is the
+    caller's [domains] argument, by default
+    [Domain.recommended_domain_count ()].
 
     Work items must not share mutable state with each other: each item is
     evaluated exactly once, in exactly one domain. *)
 
-val sequential_forced : unit -> bool
-(** True when [QUILT_SEQUENTIAL=1] (or [QUILT_POOL_DOMAINS=1]) is set. *)
-
-val default_domains : unit -> int
-(** [QUILT_POOL_DOMAINS] if set and >= 1, otherwise
-    [Domain.recommended_domain_count ()]; 1 when sequential mode is
-    forced. *)
-
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f items] is [List.map f items], computed on up to [domains]
-    domains (default {!default_domains}).  Results are returned in input
-    order.  If any application of [f] raises, the exception of the
-    earliest-indexed failing item is re-raised in the caller after all
-    domains have been joined. *)
+    domains.  Results are returned in input order.  If any application of
+    [f] raises, the exception of the earliest-indexed failing item is
+    re-raised in the caller after all domains have been joined. *)
 
 val mapi : ?domains:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
 (** Like {!map}, passing each item's index. *)

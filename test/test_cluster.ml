@@ -215,6 +215,202 @@ let prop_greedy_never_beats_exact =
       | None, Some _ -> false (* greedy found something exact missed: impossible *)
       | Some _, None -> false (* greedy must find at least the minimal assignment *))
 
+(* --- Reference exact solver: full absorb-set enumeration --- *)
+
+(* The exact Phase-2 search as first written: for every root, all 2^(k-1)
+   absorb masks over the other mergeable roots are enumerated and each is
+   checked from scratch (connectivity, resources); a plain branch-and-bound
+   then picks one choice per root, each root's choices in ascending order
+   of the weight they cut on their own.  [Closure.solve_exact] prepares its
+   choice lists with a pruned walk and may prune on a shared incumbent, but
+   must return exactly this solution. *)
+
+module Bitset = Quilt_util.Bitset
+
+let reference_solve_exact (g : Callgraph.t) (lim : Types.limits) ~roots =
+  let root = g.Callgraph.root in
+  let uniq =
+    List.fold_left
+      (fun acc r -> if List.mem r acc then acc else acc @ [ r ])
+      [] (roots @ Closure.forced_roots g)
+  in
+  let roots = root :: List.filter (fun r -> r <> root) uniq in
+  let n = Callgraph.n_nodes g in
+  let is_root = Bitset.of_list n roots in
+  let redges =
+    g.Callgraph.edges
+    |> List.filter (fun (e : Callgraph.edge) -> Bitset.mem is_root e.Callgraph.dst)
+    |> Array.of_list
+  in
+  let weight mask =
+    let w = ref 0 in
+    Array.iteri
+      (fun i (e : Callgraph.edge) -> if mask land (1 lsl i) <> 0 then w := !w + e.Callgraph.weight)
+      redges;
+    !w
+  in
+  let closure = Array.make n (Bitset.create 0) in
+  List.iter (fun r -> closure.(r) <- Closure.nr_closure_bits g ~is_root r) roots;
+  let fits (cpu, mem) = cpu <= lim.Types.max_cpu +. 1e-9 && mem <= lim.Types.max_mem_mb +. 1e-9 in
+  let mergeable v = (Callgraph.node g v).Callgraph.mergeable in
+  let choices r =
+    let others = if mergeable r then List.filter (fun s -> s <> r && mergeable s) roots else [] in
+    let others = Array.of_list others in
+    let out = ref [] in
+    for mask = 0 to (1 lsl Array.length others) - 1 do
+      let absorb = ref [ r ] in
+      Array.iteri (fun b s -> if mask land (1 lsl b) <> 0 then absorb := s :: !absorb) others;
+      let members = Bitset.create n in
+      List.iter (fun s -> Bitset.union_into ~dst:members closure.(s)) !absorb;
+      if Closure.connected_bits g ~members ~root:r && fits (Closure.resources_bits g ~members ~root:r)
+      then begin
+        let cut = ref 0 in
+        Array.iteri
+          (fun i (e : Callgraph.edge) ->
+            if Bitset.mem members e.Callgraph.src && not (Bitset.mem members e.Callgraph.dst) then
+              cut := !cut lor (1 lsl i))
+          redges;
+        out := (!absorb, members, !cut) :: !out
+      end
+    done;
+    Array.of_list (List.stable_sort (fun (_, _, a) (_, _, b) -> compare (weight a) (weight b)) !out)
+  in
+  let sorted = Array.of_list (List.map choices roots) in
+  if Array.exists (fun c -> c = [||]) sorted then None
+  else begin
+    let k = Array.length sorted in
+    let best = ref max_int in
+    let best_pick = Array.make k 0 and current = Array.make k 0 in
+    let rec search idx acc =
+      if weight acc < !best then
+        if idx = k then begin
+          best := weight acc;
+          Array.blit current 0 best_pick 0 k
+        end
+        else
+          Array.iteri
+            (fun ci (_, _, cut) ->
+              current.(idx) <- ci;
+              search (idx + 1) (acc lor cut))
+            sorted.(idx)
+    in
+    search 0 0;
+    if !best = max_int then None
+    else begin
+      let picked = List.mapi (fun i r -> (r, sorted.(i).(best_pick.(i)))) roots in
+      let cut (e : Callgraph.edge) =
+        List.exists
+          (fun (_, (absorb, members, _)) ->
+            Bitset.mem members e.Callgraph.src
+            && not (List.mem e.Callgraph.dst absorb || Bitset.mem members e.Callgraph.dst))
+          picked
+      in
+      let cost =
+        List.fold_left
+          (fun c (e : Callgraph.edge) -> if cut e then c + e.Callgraph.weight else c)
+          0 g.Callgraph.edges
+      in
+      let subgraphs =
+        List.map
+          (fun (r, (absorb, members, _)) ->
+            let cpu, mem = Closure.resources_bits g ~members ~root:r in
+            let members = Bitset.to_bool_array members in
+            { Types.root = r; absorbed = absorb; members; cpu; mem_mb = mem })
+          picked
+      in
+      Some { Types.roots; subgraphs; cost }
+    end
+  end
+
+(* The root-set sweep of §4.2 over the reference solver: every k, every
+   (k-1)-subset of the non-root vertices, strict improvement, stop at 0. *)
+let reference_optimal (g : Callgraph.t) lim =
+  let n = Callgraph.n_nodes g in
+  let non_roots = List.filter (fun v -> v <> g.Callgraph.root) (List.init n (fun i -> i)) in
+  let best = ref None in
+  (try
+     for k = 1 to n do
+       List.iter
+         (fun extra ->
+           let roots = g.Callgraph.root :: extra in
+           let improves (sol : Types.solution) =
+             match !best with Some b -> sol.Types.cost < b.Types.cost | None -> true
+           in
+           (if Closure.root_set_feasible g lim ~roots then
+              match reference_solve_exact g lim ~roots with
+              | Some sol when improves sol -> best := Some sol
+              | Some _ | None -> ());
+           match !best with Some b when b.Types.cost = 0 -> raise Exit | Some _ | None -> ())
+         (Sweep.combinations non_roots (k - 1))
+     done
+   with Exit -> ());
+  !best
+
+let solution_sig (s : Types.solution) =
+  ( s.Types.cost,
+    s.Types.roots,
+    List.map
+      (fun (sg : Types.subgraph) ->
+        (sg.Types.root, sg.Types.absorbed, sg.Types.members, sg.Types.cpu, sg.Types.mem_mb))
+      s.Types.subgraphs )
+
+let same_solution a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> solution_sig a = solution_sig b
+  | Some _, None | None, Some _ -> false
+
+(* A random rDAG with its limits scaled down toward the heaviest vertex (so
+   many absorb sets breach them and the pruned walk has work to cut), and
+   half the time one pinned (non-mergeable) vertex. *)
+let tight_instance rng ~n =
+  let g, lims = Gen.random_rdag rng ~n () in
+  let g =
+    if Rng.bool rng then
+      let pinned = Rng.int_in rng 1 (n - 1) in
+      Callgraph.with_mergeable g (fun name -> name <> Printf.sprintf "f%d" pinned)
+    else g
+  in
+  let f = 0.55 +. Rng.float rng 0.45 in
+  (g, { Types.max_cpu = lims.Gen.max_cpu *. f; max_mem_mb = lims.Gen.max_mem_mb *. f })
+
+let prop_exact_matches_reference =
+  QCheck.Test.make ~name:"solve_exact = full-enumeration reference, incumbent inclusive" ~count:150
+    (QCheck.int_range 1 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = Rng.int_in rng 3 12 in
+      let g, lim = tight_instance rng ~n in
+      let extras =
+        List.filter (fun v -> v <> g.Callgraph.root && Rng.chance rng 0.5) (List.init n (fun i -> i))
+      in
+      let roots = g.Callgraph.root :: extras in
+      let expected = reference_solve_exact g lim ~roots in
+      same_solution (Closure.solve_exact g lim ~roots) expected
+      &&
+      match expected with
+      | None -> true
+      | Some s ->
+          (* An incumbent at the optimum keeps it reachable; one below it
+             prunes the whole search. *)
+          same_solution (Closure.solve_exact ~incumbent:(ref s.Types.cost) g lim ~roots) expected
+          && (s.Types.cost = 0
+             || Closure.solve_exact ~incumbent:(ref (s.Types.cost - 1)) g lim ~roots = None))
+
+let prop_optimal_matches_reference_sweep =
+  QCheck.Test.make ~name:"Optimal.solve = sweep over the reference solver" ~count:40
+    (QCheck.int_range 1 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g, lim = tight_instance rng ~n:(Rng.int_in rng 3 9) in
+      same_solution (Optimal.solve g lim) (reference_optimal g lim))
+
+let test_bounded_search_count () =
+  let before = Closure.bounded_search_count () in
+  ignore (Optimal.solve (appendix_a_graph ()) appendix_a_limits);
+  Alcotest.(check bool) "one Optimal.solve runs exact searches" true
+    (Closure.bounded_search_count () > before)
+
 let prop_optimal_beats_heuristics =
   QCheck.Test.make ~name:"optimal <= DIH <= baseline; all valid" ~count:25
     (QCheck.int_range 1 10_000)
@@ -615,96 +811,7 @@ let prop_incremental_greedy_matches_reference =
                a.Types.subgraphs b.Types.subgraphs
       | Some _, None | None, Some _ -> false)
 
-(* --- parallel decision subsystem: differential pinning --- *)
-
-let solution_sig (s : Types.solution) =
-  ( s.Types.cost,
-    s.Types.roots,
-    List.map
-      (fun (sg : Types.subgraph) ->
-        (sg.Types.root, List.sort compare sg.Types.absorbed, sg.Types.members))
-      s.Types.subgraphs )
-
-let same_solution a b =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b -> solution_sig a = solution_sig b
-  | Some _, None | None, Some _ -> false
-
-let prop_exact_par_matches_exact =
-  QCheck.Test.make ~name:"solve_exact_par = solve_exact (1/2/4 domains, warm on/off)" ~count:30
-    (QCheck.int_range 1 100_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let n = Rng.int_in rng 4 12 in
-      let g, lims = Gen.random_rdag rng ~n () in
-      let lim = { Types.max_cpu = lims.Gen.max_cpu; max_mem_mb = lims.Gen.max_mem_mb } in
-      let extras =
-        List.filter (fun v -> v <> g.Callgraph.root && Rng.chance rng 0.5) (List.init n (fun i -> i))
-      in
-      let roots = g.Callgraph.root :: extras in
-      let seq = Closure.solve_exact g lim ~roots in
-      List.for_all
-        (fun domains ->
-          List.for_all
-            (fun warm ->
-              same_solution (Closure.solve_exact_par ~domains ~warm g lim ~roots) seq)
-            [ true; false ])
-        [ 1; 2; 4 ])
-
-let prop_portfolio_auto_matches_sequential =
-  QCheck.Test.make ~name:"portfolio auto = sequential auto (2 and 4 domains)" ~count:15
-    (QCheck.int_range 1 100_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let n = Rng.int_in rng 5 13 in
-      let g, lims = Gen.random_rdag rng ~n () in
-      let lim = { Types.max_cpu = lims.Gen.max_cpu; max_mem_mb = lims.Gen.max_mem_mb } in
-      let seq = Decision.auto ~domains:1 g lim in
-      List.for_all (fun d -> same_solution (Decision.auto ~domains:d g lim) seq) [ 2; 4 ])
-
-let test_portfolio_all_regimes () =
-  (* One instance per auto_algorithm regime: exact portfolio (n <= 12),
-     DIH sweep (n <= 60), GRASP (beyond). *)
-  List.iter
-    (fun n ->
-      let rng = Rng.create (2000 + n) in
-      let g, lims = Gen.random_rdag rng ~n () in
-      let lim = { Types.max_cpu = lims.Gen.max_cpu; max_mem_mb = lims.Gen.max_mem_mb } in
-      let seq = Decision.auto ~domains:1 g lim in
-      Alcotest.(check bool)
-        (Printf.sprintf "n=%d: portfolio output identical" n)
-        true
-        (same_solution (Decision.auto ~domains:4 g lim) seq))
-    [ 10; 30; 70 ]
-
-let test_race_surfaces_arm_failure () =
-  let incumbent = Atomic.make max_int in
-  let ok () = None in
-  let boom () = failwith "arm boom" in
-  Alcotest.check_raises "a failing arm re-raises in the caller" (Failure "arm boom") (fun () ->
-      ignore (Decision.race ~incumbent ~arms:[ ok; boom ] (fun () -> 42)));
-  Alcotest.check_raises "so does a failing primary" (Failure "primary boom") (fun () ->
-      ignore (Decision.race ~incumbent ~arms:[ ok ] (fun () -> failwith "primary boom")));
-  let primary, arms = Decision.race ~incumbent ~arms:[ ok; ok ] (fun () -> 7) in
-  Alcotest.(check int) "primary result" 7 primary;
-  Alcotest.(check int) "one result per arm" 2 (List.length arms)
-
-let test_portfolio_budget () =
-  (* The budget is wall-clock time: a generous one never cuts the exact arm
-     short (the result is the sequential one), and even a budget that has
-     already expired returns a valid solution from some arm. *)
-  let rng = Rng.create 77 in
-  let g, lims = Gen.random_rdag rng ~n:10 () in
-  let lim = { Types.max_cpu = lims.Gen.max_cpu; max_mem_mb = lims.Gen.max_mem_mb } in
-  let seq = Decision.auto ~domains:1 g lim in
-  Alcotest.(check bool) "generous budget = sequential" true
-    (same_solution (Decision.auto ~domains:2 ~budget_s:600.0 g lim) seq);
-  match Decision.auto ~domains:2 ~budget_s:0.0 g lim with
-  | None -> Alcotest.(check bool) "expired budget: infeasible only if sequential is" true (seq = None)
-  | Some s ->
-      Alcotest.(check bool) "expired budget: still a valid solution" true
-        (Metrics.solution_valid g lim s = Ok ())
+(* --- Warm-start incremental re-decision --- *)
 
 let resource_drifted_graph rng (g : Callgraph.t) =
   let n = Callgraph.n_nodes g in
@@ -727,7 +834,7 @@ let prop_incremental_matches_touch_all =
       let n = Rng.int_in rng 5 25 in
       let g, lims = Gen.random_rdag rng ~n () in
       let lim = { Types.max_cpu = lims.Gen.max_cpu; max_mem_mb = lims.Gen.max_mem_mb } in
-      match Decision.auto ~domains:1 g lim with
+      match Decision.auto g lim with
       | None -> true
       | Some prev ->
           let g' = resource_drifted_graph rng g in
@@ -740,31 +847,6 @@ let prop_incremental_matches_touch_all =
           && (match inc with
              | None -> true
              | Some s -> Metrics.solution_valid g' lim s = Ok ()))
-
-let test_sequential_escape_hatch () =
-  let saved = Sys.getenv_opt "QUILT_SEQUENTIAL" in
-  let restore () =
-    Unix.putenv "QUILT_SEQUENTIAL" (match saved with Some v -> v | None -> "")
-  in
-  Fun.protect ~finally:restore (fun () ->
-      Unix.putenv "QUILT_SEQUENTIAL" "";
-      let rng = Rng.create 4242 in
-      let g, lims = Gen.random_rdag rng ~n:10 () in
-      let lim = { Types.max_cpu = lims.Gen.max_cpu; max_mem_mb = lims.Gen.max_mem_mb } in
-      let seq = Decision.auto ~domains:1 g lim in
-      (* Unforced, the portfolio runs incumbent-driven searches... *)
-      let c0 = Closure.bounded_search_count () in
-      let unforced = Decision.auto ~domains:4 g lim in
-      Alcotest.(check bool) "portfolio uses the bounded search" true
-        (Closure.bounded_search_count () > c0);
-      Alcotest.(check bool) "portfolio output identical" true (same_solution unforced seq);
-      (* ...and QUILT_SEQUENTIAL=1 must keep it off that path end-to-end. *)
-      Unix.putenv "QUILT_SEQUENTIAL" "1";
-      let c1 = Closure.bounded_search_count () in
-      let forced = Decision.auto ~domains:4 g lim in
-      ignore (Closure.solve_exact_par ~domains:4 g lim ~roots:[ g.Callgraph.root ]);
-      Alcotest.(check int) "no incumbent-driven search ran" c1 (Closure.bounded_search_count ());
-      Alcotest.(check bool) "forced result = sequential auto" true (same_solution forced seq))
 
 let test_decision_names () =
   Alcotest.(check string) "optimal" "optimal" (Decision.algorithm_name Decision.Optimal);
@@ -795,11 +877,14 @@ let suite =
         QCheck_alcotest.to_alcotest prop_exact_solutions_valid;
         QCheck_alcotest.to_alcotest prop_greedy_never_beats_exact;
         QCheck_alcotest.to_alcotest prop_incremental_greedy_matches_reference;
+        QCheck_alcotest.to_alcotest prop_exact_matches_reference;
+        Alcotest.test_case "bounded_search_count advances" `Quick test_bounded_search_count;
       ] );
     ( "cluster.optimal",
       [
         Alcotest.test_case "appendix A: more subgraphs win" `Slow test_appendix_a_more_subgraphs_win;
         QCheck_alcotest.to_alcotest prop_optimal_beats_heuristics;
+        QCheck_alcotest.to_alcotest prop_optimal_matches_reference_sweep;
       ] );
     ( "cluster.dih",
       [
@@ -842,12 +927,6 @@ let suite =
       ] );
     ( "cluster.parallel",
       [
-        QCheck_alcotest.to_alcotest prop_exact_par_matches_exact;
-        QCheck_alcotest.to_alcotest prop_portfolio_auto_matches_sequential;
-        Alcotest.test_case "portfolio parity across regimes" `Slow test_portfolio_all_regimes;
         QCheck_alcotest.to_alcotest prop_incremental_matches_touch_all;
-        Alcotest.test_case "QUILT_SEQUENTIAL escape hatch" `Quick test_sequential_escape_hatch;
-        Alcotest.test_case "portfolio arm failures surface" `Quick test_race_surfaces_arm_failure;
-        Alcotest.test_case "portfolio wall-clock budget" `Quick test_portfolio_budget;
       ] );
   ]

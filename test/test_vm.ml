@@ -275,25 +275,6 @@ entry:
       Alcotest.(check (list (pair string int))) "billing" [ ("downstream", 1) ] billing
   | Error e -> Alcotest.fail ("unexpected trap: " ^ e)
 
-(* The engine dispatch honours QUILT_TREEWALK (any value = tree-walker). *)
-let test_engine_dispatch () =
-  let with_env value body =
-    let old = Sys.getenv_opt "QUILT_TREEWALK" in
-    (match value with Some v -> Unix.putenv "QUILT_TREEWALK" v | None -> ());
-    Fun.protect body ~finally:(fun () ->
-        match old with
-        | Some v -> Unix.putenv "QUILT_TREEWALK" v
-        | None -> if value <> None then Unix.putenv "QUILT_TREEWALK" "")
-  in
-  (* An empty string is how we "unset": getenv_opt still returns Some "",
-     which the dispatch treats as set, so only assert the set direction
-     when we know the variable was absent to begin with. *)
-  (match Sys.getenv_opt "QUILT_TREEWALK" with
-  | None -> Alcotest.(check string) "default engine" "compiled" (Vm.engine_name ())
-  | Some _ -> ());
-  with_env (Some "1") (fun () ->
-      Alcotest.(check string) "escape hatch" "treewalk" (Vm.engine_name ()))
-
 let test_run_local_parity () =
   (* run_local convention: ptr f(ptr) over C strings. *)
   let src =
@@ -337,7 +318,6 @@ let suite =
         Alcotest.test_case "branch to missing label" `Quick test_branch_missing_label;
         Alcotest.test_case "no such function" `Quick test_no_function;
         Alcotest.test_case "stats parity on success" `Quick test_stats_parity_on_success;
-        Alcotest.test_case "engine dispatch env var" `Quick test_engine_dispatch;
         Alcotest.test_case "run_local parity" `Quick test_run_local_parity;
       ] );
   ]
