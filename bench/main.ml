@@ -20,7 +20,7 @@ let experiments =
     ("fault", Fault.run, "fault injection: availability/goodput under chaos (writes BENCH_fault.json)");
     ("micro", Micro.run, "bechamel micro-benchmarks of the core algorithms");
     ("ir", Ir_bench.run, "tree-walker vs QVM compiled engine (writes BENCH_ir.json)");
-    ("engine", Engine_bench.run, "timer-wheel vs seed-heap simulator throughput + merge cache (writes BENCH_engine.json)");
+    ("engine", Engine_bench.run, "timer-wheel simulator throughput, fingerprint-pinned + merge cache (writes BENCH_engine.json)");
     ("place", Place.run, "flat vs topology-aware placement + joint merge decision (writes BENCH_place.json)");
     ("obs", Obs_bench.run, "span-recorder overhead + live-profiler decision fidelity (writes BENCH_obs.json)");
   ]

@@ -19,7 +19,6 @@
 
 module Engine = Quilt_platform.Engine
 module Loadgen = Quilt_platform.Loadgen
-module Sched = Quilt_platform.Sched
 module Workflow = Quilt_apps.Workflow
 module Config = Quilt_core.Config
 module Quilt = Quilt_core.Quilt
@@ -54,11 +53,11 @@ let run_overhead () =
   let faster a b =
     if a.Engine_bench.a_wall_s <= b.Engine_bench.a_wall_s then a else b
   in
-  let bare1 = Engine_bench.run_arm ~kind:Sched.Wheel ~rate_rps ~duration_us () in
-  let traced1 = Engine_bench.run_arm ~setup ~kind:Sched.Wheel ~rate_rps ~duration_us () in
-  let bare = faster bare1 (Engine_bench.run_arm ~kind:Sched.Wheel ~rate_rps ~duration_us ()) in
+  let bare1 = Engine_bench.run_arm ~rate_rps ~duration_us () in
+  let traced1 = Engine_bench.run_arm ~setup ~rate_rps ~duration_us () in
+  let bare = faster bare1 (Engine_bench.run_arm ~rate_rps ~duration_us ()) in
   let traced =
-    faster traced1 (Engine_bench.run_arm ~setup ~kind:Sched.Wheel ~rate_rps ~duration_us ())
+    faster traced1 (Engine_bench.run_arm ~setup ~rate_rps ~duration_us ())
   in
   if Engine_bench.fingerprint bare.Engine_bench.a_result
      <> Engine_bench.fingerprint traced.Engine_bench.a_result

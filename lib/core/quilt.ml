@@ -16,9 +16,9 @@ type t = {
   deployments : Deploy.merged_deployment list;
 }
 
-let fresh_platform ?(seed = 7) ?params ?sched ?(config = Config.default) ~workflows () =
+let fresh_platform ?(seed = 7) ?params ?(config = Config.default) ~workflows () =
   let registry = Workflow.registry workflows in
-  let engine = Engine.create ~seed ?params ?sched ~registry () in
+  let engine = Engine.create ~seed ?params ~registry () in
   List.iter (fun wf -> Deploy.deploy_baseline engine config wf) workflows;
   engine
 

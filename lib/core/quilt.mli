@@ -73,14 +73,12 @@ val rollback : Quilt_platform.Engine.t -> Config.t -> t -> unit
 val fresh_platform :
   ?seed:int ->
   ?params:Quilt_platform.Params.t ->
-  ?sched:Quilt_platform.Sched.kind ->
   ?config:Config.t ->
   workflows:Quilt_apps.Workflow.t list ->
   unit ->
   Quilt_platform.Engine.t
 (** An engine with baseline deployments for every function of the given
-    workflows.  [sched] selects the event-scheduler implementation (see
-    {!Quilt_platform.Engine.create}); default the timer wheel. *)
+    workflows. *)
 
 type reconsideration =
   | Keep of Quilt_dag.Drift.report

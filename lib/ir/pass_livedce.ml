@@ -1,16 +1,13 @@
-(* Liveness-based instruction-level DCE.  [Pass_simplify.drop_dead] only
-   removes an instruction once its destination has no remaining textual
-   uses, so a cluster of pure instructions that feed each other — a
-   phi-carried cycle whose value never escapes being the canonical case —
-   survives it forever.  Marking live instructions backward from the
-   observable roots (calls, stores, loads, terminators) removes the whole
-   cluster at once.
+(* Liveness-based instruction-level DCE.  Removing an instruction only once
+   its destination has no remaining textual uses would leave a cluster of
+   pure instructions that feed each other — a phi-carried cycle whose value
+   never escapes being the canonical case — in place forever.  Marking live
+   instructions backward from the observable roots (calls, stores, loads,
+   terminators) removes the whole cluster at once.
 
    Two extra liveness-derived rewrites ride along: a store into an alloca
    slot that is never loaded and never escapes ({!Analysis.write_only_slots})
-   is dropped, and so is the alloca itself once its stores are gone.  The
-   droppable instruction classes are exactly the ones [drop_dead] already
-   treats as pure, so no new trap-removal behaviour is introduced. *)
+   is dropped, and so is the alloca itself once its stores are gone. *)
 
 module SS = Analysis.SS
 

@@ -1,16 +1,18 @@
-(** Liveness-based instruction-level dead-code elimination.
+(** Liveness-based instruction-level dead-code elimination (§5).
 
-    Complements the two existing DCE layers: {!Pass_dce} strips whole
-    unreferenced symbols, and {!Pass_simplify}'s [drop_dead] removes pure
-    instructions whose destination has no textual use — which can never
-    retire a self-sustaining cluster such as a phi-carried loop recurrence
-    whose value never escapes.  This pass marks liveness backward from the
+    The pipeline's one instruction-level DCE; {!Pass_dce} strips whole
+    unreferenced symbols.  This pass marks liveness backward from the
     observable roots (calls, loads, stores, terminator operands) through
     the def-use graph and drops every pure instruction left unmarked, plus
-    stores into never-read slots (and then the slots themselves).
+    stores into never-read slots (and then the slots themselves).  Marking
+    backward, rather than dropping instructions whose destination has no
+    textual use, also retires self-sustaining clusters such as a
+    phi-carried loop recurrence whose value never escapes.
 
-    Only the instruction classes [drop_dead] already considers pure are
-    ever deleted, so the pass removes no trap the existing pipeline would
-    have kept.  Expects a module that passes {!Verify.run}. *)
+    The pure classes are binop, icmp, gep, select, phi and alloca; calls,
+    loads and stores (other than the dead stores above) always stay.  An
+    unused binop counts as pure even when it would trap (an [sdiv] by
+    zero), so such a trap goes with it.  Expects a module that passes
+    {!Verify.run}. *)
 
 val run : Ir.modul -> Ir.modul

@@ -134,67 +134,14 @@ let fold_round (f : Ir.func) =
   in
   ({ f with Ir.blocks }, !changed)
 
-(* Remove pure instructions whose result is never used. *)
-let drop_dead (f : Ir.func) =
-  let used : (string, unit) Hashtbl.t = Hashtbl.create 32 in
-  let note v = match v with Ir.Local l -> Hashtbl.replace used l () | Ir.Const _ -> () in
-  List.iter
-    (fun (b : Ir.block) ->
-      List.iter
-        (fun (i : Ir.instr) ->
-          match i with
-          | Ir.Binop { lhs; rhs; _ } | Ir.Icmp { lhs; rhs; _ } ->
-              note lhs;
-              note rhs
-          | Ir.Call { args; _ } -> List.iter (fun (_, v) -> note v) args
-          | Ir.Alloca { bytes; _ } -> note bytes
-          | Ir.Load { ptr; _ } -> note ptr
-          | Ir.Store { src; ptr; _ } ->
-              note src;
-              note ptr
-          | Ir.Gep { base; offset; _ } ->
-              note base;
-              note offset
-          | Ir.Phi { incoming; _ } -> List.iter (fun (v, _) -> note v) incoming
-          | Ir.Select { cond; if_true; if_false; _ } ->
-              note cond;
-              note if_true;
-              note if_false)
-        b.Ir.instrs;
-      match b.Ir.term with
-      | Ir.Ret (Some (_, v)) -> note v
-      | Ir.Cbr { cond; _ } -> note cond
-      | Ir.Ret None | Ir.Br _ | Ir.Unreachable -> ())
-    f.Ir.blocks;
-  let changed = ref false in
-  let keep (i : Ir.instr) =
-    let droppable_dst =
-      match i with
-      | Ir.Binop { dst; _ } | Ir.Icmp { dst; _ } | Ir.Gep { dst; _ } | Ir.Select { dst; _ }
-      | Ir.Phi { dst; _ } | Ir.Alloca { dst; _ } ->
-          Some dst
-      | Ir.Call _ | Ir.Load _ | Ir.Store _ -> None
-    in
-    match droppable_dst with
-    | Some d when not (Hashtbl.mem used d) ->
-        changed := true;
-        false
-    | Some _ | None -> true
-  in
-  let blocks =
-    List.map (fun (b : Ir.block) -> { b with Ir.instrs = List.filter keep b.Ir.instrs }) f.Ir.blocks
-  in
-  ({ f with Ir.blocks }, !changed)
-
 let run_func (f : Ir.func) =
   if Ir.is_declaration f then f
   else begin
     let rec fixpoint f rounds =
       if rounds = 0 then f
       else begin
-        let f, c1 = fold_round f in
-        let f, c2 = drop_dead f in
-        if c1 || c2 then fixpoint f (rounds - 1) else f
+        let f, changed = fold_round f in
+        if changed then fixpoint f (rounds - 1) else f
       end
     in
     fixpoint f 8

@@ -1,5 +1,4 @@
-(** Scalar simplification: constant folding, copy propagation, and
-    dead-instruction elimination.
+(** Scalar simplification: constant folding and copy propagation.
 
     Part of the pipeline's "variety of optimizations" (§1.1): after merging,
     the IR carries identity pointer adjustments (the [gep ptr %x, 0] aliases
@@ -8,9 +7,11 @@
     the size model sees and the work the interpreter does.
 
     Semantics-preserving by construction: only pure instructions are folded
-    or removed (never calls, stores, or loads). *)
+    (never calls, stores, or loads), and a fold that would trap at run time
+    (division by zero) is left in place.  Instructions whose results end up
+    unused stay; {!Pass_livedce} removes them. *)
 
 val run : Ir.modul -> Ir.modul
-(** Iterates folding + dead-code removal per function to a fixpoint. *)
+(** Iterates folding per function to a fixpoint. *)
 
 val run_func : Ir.func -> Ir.func

@@ -154,15 +154,16 @@ let merge_group_uncached ?(on_stage = fun ~stage:_ _ -> ()) ~lookup ~members ~ro
   (* Step ⑦: DelayHTTP. *)
   merged := checked ~stage:"delayhttp" (Pass_delayhttp.run !merged);
   (* Steps ⑧–⑩: scalar simplification (folds the localization aliases and
-     anything constant), the analysis-driven optimization passes, then
-     strip everything unreachable from the entry handler. *)
+     anything constant), the analysis-driven optimization passes, dead
+     instructions, then strip everything unreachable from the entry
+     handler. *)
   merged := checked ~stage:"simplify" (Pass_simplify.run !merged);
   if optimize then begin
     merged := checked ~stage:"shiminline" (Pass_shiminline.run !merged);
     merged := checked ~stage:"sccp" (Pass_sccp.run !merged);
-    merged := checked ~stage:"jumpthread" (Pass_jumpthread.run !merged);
-    merged := checked ~stage:"livedce" (Pass_livedce.run !merged)
+    merged := checked ~stage:"jumpthread" (Pass_jumpthread.run !merged)
   end;
+  merged := checked ~stage:"livedce" (Pass_livedce.run !merged);
   let before = List.length !merged.Ir.funcs + List.length !merged.Ir.globals in
   merged := checked ~stage:"dce" (Pass_dce.run ~roots:[ root_handler ] !merged);
   let after = List.length !merged.Ir.funcs + List.length !merged.Ir.globals in

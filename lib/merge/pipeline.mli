@@ -40,9 +40,10 @@ val merge_group :
     [fun ~caller:_ ~callee:_ -> Always_local].
     [optimize] (default [true]) runs the analysis-driven optimization
     passes — {!Quilt_ir.Pass_shiminline}, {!Quilt_ir.Pass_sccp},
-    {!Quilt_ir.Pass_jumpthread}, {!Quilt_ir.Pass_livedce} — after scalar
-    simplification; [false] is the before-arm of [bench/main.exe ir]'s
-    analysis section.
+    {!Quilt_ir.Pass_jumpthread} — after scalar simplification; [false] is
+    the before-arm of [bench/main.exe ir]'s analysis section.  Dead
+    instructions are removed by {!Quilt_ir.Pass_livedce} on every merge,
+    either way.
     Every stage's output is checked by the strict verifier, through one
     {!Quilt_ir.Verify.stage_checker} per compile (diagnostics equal to
     {!Quilt_ir.Verify.run} with [~strict:true], re-checking only what the

@@ -158,7 +158,6 @@ type t = {
   prm : Params.t;
   registry : Calltree.registry;
   events : (unit -> unit) Sched.t;
-  legacy : bool;  (* Legacy_heap baseline arm: keep the seed's allocating idioms *)
   mutable now_ : float;
   deployments : (string, deployment) Hashtbl.t;
   routes : (string, string) Hashtbl.t;
@@ -224,13 +223,12 @@ let sync_stats sim =
   in
   bump ()
 
-let create ?(seed = 1) ?(params = Params.default) ?(sched = Sched.Wheel) ~registry () =
+let create ?(seed = 1) ?(params = Params.default) ~registry () =
   {
     rng = Rng.create seed;
     prm = params;
     registry;
-    events = Sched.create ~kind:sched ~dummy:nop ();
-    legacy = (match sched with Sched.Legacy_heap -> true | Sched.Wheel -> false);
+    events = Sched.create ~dummy:nop ();
     now_ = 0.0;
     deployments = Hashtbl.create 32;
     routes = Hashtbl.create 32;
@@ -267,7 +265,6 @@ let params sim = sim.prm
 let now sim = sim.now_
 let tracing sim = sim.store
 let set_profiling sim b = sim.profiling <- b
-let sched_kind sim = Sched.kind sim.events
 let events_processed sim = Sched.popped_total sim.events
 let peak_queue_depth sim = Sched.peak_length sim.events
 
@@ -437,11 +434,9 @@ let settle sim c nowt =
   end;
   c.last_update <- nowt
 
-(* A container's pending CPU tick is identified by its epoch.  In Wheel
-   mode the epoch rides in the event's tag and the preallocated [cpu_fn]
-   compares it against [Sched.last_tag] at dispatch — no per-reschedule
-   closure.  The Legacy_heap arm keeps the seed's idiom: a fresh closure
-   per reschedule capturing the epoch. *)
+(* A container's pending CPU tick is identified by its epoch.  The epoch
+   rides in the event's tag and the preallocated [cpu_fn] compares it
+   against [Sched.last_tag] at dispatch — no per-reschedule closure. *)
 let rec cpu_tick sim c =
   settle sim c sim.now_;
   let finished, running = List.partition (fun s -> s.remaining <= 1e-6) c.compute in
@@ -463,11 +458,7 @@ and reschedule_cpu sim c =
           infinity segs
       in
       let dt = Float.max 0.0 dt in
-      if sim.legacy then begin
-        let ep = c.epoch in
-        schedule sim dt (fun () -> if (not c.dead) && c.epoch = ep then cpu_tick sim c)
-      end
-      else schedule_tag sim dt c.epoch c.cpu_fn
+      schedule_tag sim dt c.epoch c.cpu_fn
 
 let add_compute sim c us k =
   if c.dead then ()
@@ -627,27 +618,6 @@ let accepts sim c =
     float_of_int c.n_compute < slots
   end
 
-(* Seed idiom, kept for the Legacy_heap bench arm: a fresh list and a fresh
-   array per dispatch. *)
-let pick_container_legacy sim dep =
-  let alive = List.filter (fun c -> not c.dead) dep.pool in
-  let n = List.length alive in
-  if n = 0 then None
-  else begin
-    (* Round-robin over the pool, Fission-style. *)
-    let arr = Array.of_list alive in
-    let rec scan i tries =
-      if tries >= n then None
-      else begin
-        let c = arr.(i mod n) in
-        if accepts sim c then Some c else scan (i + 1) (tries + 1)
-      end
-    in
-    let found = scan dep.rr 0 in
-    dep.rr <- (dep.rr + 1) mod max 1 n;
-    found
-  end
-
 (* Hot path: the alive pool is copied into a per-deployment scratch array
    that is reused across dispatches, so the round-robin scan allocates
    nothing.  This replaces the seed's List.filter + Array.of_list pair —
@@ -662,32 +632,30 @@ let scratch_put dep n c =
   dep.scratch.(n) <- c
 
 let pick_container sim dep =
-  if sim.legacy then pick_container_legacy sim dep
-  else begin
-    let rec fill l n =
-      match l with
-      | [] -> n
-      | c :: tl ->
-          if c.dead then fill tl n
-          else begin
-            scratch_put dep n c;
-            fill tl (n + 1)
-          end
-    in
-    let n = fill dep.pool 0 in
-    if n = 0 then None
-    else begin
-      let rec scan i tries =
-        if tries >= n then None
+  let rec fill l n =
+    match l with
+    | [] -> n
+    | c :: tl ->
+        if c.dead then fill tl n
         else begin
-          let c = dep.scratch.(i mod n) in
-          if accepts sim c then Some c else scan (i + 1) (tries + 1)
+          scratch_put dep n c;
+          fill tl (n + 1)
         end
-      in
-      let found = scan dep.rr 0 in
-      dep.rr <- (dep.rr + 1) mod n;
-      found
-    end
+  in
+  let n = fill dep.pool 0 in
+  if n = 0 then None
+  else begin
+    (* Round-robin over the pool, Fission-style. *)
+    let rec scan i tries =
+      if tries >= n then None
+      else begin
+        let c = dep.scratch.(i mod n) in
+        if accepts sim c then Some c else scan (i + 1) (tries + 1)
+      end
+    in
+    let found = scan dep.rr 0 in
+    dep.rr <- (dep.rr + 1) mod n;
+    found
   end
 
 (* --- Execution --- *)

@@ -48,18 +48,9 @@ type spec = {
 
 type t
 
-val create :
-  ?seed:int ->
-  ?params:Params.t ->
-  ?sched:Sched.kind ->
-  registry:Calltree.registry ->
-  unit ->
-  t
-(** [sched] selects the event-scheduler implementation: {!Sched.Wheel}
-    (default — the monomorphic timer wheel with an allocation-free hot
-    path) or {!Sched.Legacy_heap} (the seed's generic binary heap, kept as
-    the before-arm of [bench/main.exe engine]).  Both produce bit-identical
-    simulations for equal seeds; only throughput differs. *)
+val create : ?seed:int -> ?params:Params.t -> registry:Calltree.registry -> unit -> t
+(** Events run on a {!Sched} timer wheel with an allocation-free hot path;
+    equal seeds give bit-identical simulations. *)
 
 val params : t -> Params.t
 
@@ -127,8 +118,6 @@ type counters = {
 val counters : t -> counters
 
 (** {1 Scheduler statistics} *)
-
-val sched_kind : t -> Sched.kind
 
 val events_processed : t -> int
 (** Events dispatched by this engine's scheduler so far. *)

@@ -1,96 +1,20 @@
-type kind = Wheel | Legacy_heap
+(* 4096 buckets of 256 µs: a window of ≈1.05 virtual seconds, wide enough
+   for the engine's CPU ticks and short I/O waits. *)
+let slots = 4096
 
-(* --- The seed event queue, kept verbatim as the baseline arm ---
+let mask = slots - 1
 
-   A faithful copy of the original `Quilt_util.Heap`: generic priority
-   type, so [<] compiles to polymorphic compare, and one entry record
-   allocated per push.  `bench/main.exe engine` runs the simulator over
-   this heap as the "before" arm, and the qcheck parity harness checks the
-   wheel pops in exactly this order.  (The tag field is new — it rides in
-   the entry so both arms expose the same API — and does not change the
-   compare path or the allocation count.) *)
-module Legacy = struct
-  type ('p, 'a) entry = { prio : 'p; seq : int; tag : int; value : 'a }
+let granularity = 256.0
 
-  type ('p, 'a) t = {
-    mutable data : ('p, 'a) entry array;
-    mutable size : int;
-    mutable next_seq : int;
-  }
+(* Bucket index of the farthest representable time.  Every time at or past
+   it (including [infinity]) saturates here, far beyond any cursor the
+   wheel reaches in practice, so such events wait in the overflow heap and
+   are ordered there by (time, seq). *)
+let max_index = max_int / 4
 
-  let create () = { data = [||]; size = 0; next_seq = 0 }
+let max_quotient = float_of_int max_index
 
-  let length h = h.size
-
-  (* Generic [<]: this is the polymorphic-compare cost the wheel removes. *)
-  let lt a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
-
-  let grow h e =
-    let cap = Array.length h.data in
-    if h.size = cap then begin
-      let ncap = if cap = 0 then 16 else cap * 2 in
-      let nd = Array.make ncap e in
-      Array.blit h.data 0 nd 0 h.size;
-      h.data <- nd
-    end
-
-  let push h prio tag value =
-    let e = { prio; seq = h.next_seq; tag; value } in
-    h.next_seq <- h.next_seq + 1;
-    grow h e;
-    let i = ref h.size in
-    h.size <- h.size + 1;
-    h.data.(!i) <- e;
-    let continue = ref true in
-    while !continue && !i > 0 do
-      let parent = (!i - 1) / 2 in
-      if lt h.data.(!i) h.data.(parent) then begin
-        let tmp = h.data.(parent) in
-        h.data.(parent) <- h.data.(!i);
-        h.data.(!i) <- tmp;
-        i := parent
-      end
-      else continue := false
-    done
-
-  let sift_down h =
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.size && lt h.data.(l) h.data.(!smallest) then smallest := l;
-      if r < h.size && lt h.data.(r) h.data.(!smallest) then smallest := r;
-      if !smallest <> !i then begin
-        let tmp = h.data.(!smallest) in
-        h.data.(!smallest) <- h.data.(!i);
-        h.data.(!i) <- tmp;
-        i := !smallest
-      end
-      else continue := false
-    done
-
-  let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      if h.size > 0 then begin
-        h.data.(0) <- h.data.(h.size);
-        sift_down h
-      end;
-      Some top
-    end
-
-  let peek h = if h.size = 0 then None else Some h.data.(0)
-end
-
-(* --- Timer wheel --- *)
-
-type 'a wheel = {
-  granularity : float;  (* bucket width in µs *)
-  slots : int;  (* power of two *)
-  mask : int;
+type 'a t = {
   buckets : int array;  (* slot -> head event id, -1 when empty *)
   occ : int array;  (* occupancy bitmap, 32 slots per word *)
   mutable cur : int;  (* absolute bucket index of the cursor *)
@@ -115,69 +39,44 @@ type 'a wheel = {
   mutable ovf_len : int;
   mutable len : int;
   mutable next_seq : int;
-  mutable w_scheduled : int;
-  mutable w_popped : int;
-  mutable w_peak : int;
-  mutable w_last_time : float;
-  mutable w_last_tag : int;
+  mutable scheduled : int;
+  mutable popped : int;
+  mutable peak : int;
+  mutable last_time : float;
+  mutable last_tag : int;
 }
 
-type 'a legacy = {
-  lh : (float, 'a) Legacy.t;
-  mutable l_scheduled : int;
-  mutable l_popped : int;
-  mutable l_peak : int;
-  mutable l_last_time : float;
-  mutable l_last_tag : int;
-}
+let create ~dummy () =
+  {
+    buckets = Array.make slots (-1);
+    occ = Array.make (slots lsr 5) 0;
+    cur = 0;
+    wcount = 0;
+    ev_time = [||];
+    ev_seq = [||];
+    ev_tag = [||];
+    ev_next = [||];
+    ev_payload = [||];
+    dummy;
+    free_head = -1;
+    due = Array.make 64 (-1);
+    due_len = 0;
+    ovf = Array.make 64 (-1);
+    ovf_len = 0;
+    len = 0;
+    next_seq = 0;
+    scheduled = 0;
+    popped = 0;
+    peak = 0;
+    last_time = 0.0;
+    last_tag = 0;
+  }
 
-type 'a t = W of 'a wheel | L of 'a legacy
-
-let create ?(kind = Wheel) ?(slot_bits = 12) ?(granularity_us = 256.0) ~dummy () =
-  match kind with
-  | Legacy_heap ->
-      L { lh = Legacy.create (); l_scheduled = 0; l_popped = 0; l_peak = 0;
-          l_last_time = 0.0; l_last_tag = 0 }
-  | Wheel ->
-      let slot_bits = max 5 (min 20 slot_bits) in
-      let slots = 1 lsl slot_bits in
-      if granularity_us <= 0.0 then invalid_arg "Sched.create: granularity must be positive";
-      W
-        {
-          granularity = granularity_us;
-          slots;
-          mask = slots - 1;
-          buckets = Array.make slots (-1);
-          occ = Array.make (slots lsr 5) 0;
-          cur = 0;
-          wcount = 0;
-          ev_time = [||];
-          ev_seq = [||];
-          ev_tag = [||];
-          ev_next = [||];
-          ev_payload = [||];
-          dummy;
-          free_head = -1;
-          due = Array.make 64 (-1);
-          due_len = 0;
-          ovf = Array.make 64 (-1);
-          ovf_len = 0;
-          len = 0;
-          next_seq = 0;
-          w_scheduled = 0;
-          w_popped = 0;
-          w_peak = 0;
-          w_last_time = 0.0;
-          w_last_tag = 0;
-        }
-
-let kind = function W _ -> Wheel | L _ -> Legacy_heap
-
-let length = function W w -> w.len | L l -> Legacy.length l.lh
+let length w = w.len
 
 let is_empty t = length t = 0
 
-(* --- wheel internals --- *)
+(* --- internals --- *)
 
 let occ_set w s = w.occ.(s lsr 5) <- w.occ.(s lsr 5) lor (1 lsl (s land 31))
 
@@ -197,9 +96,9 @@ let lowest_bit_index v =
    (mod slots) in (cur, cur + slots] — every parked event lives in that
    window, so the mapping is exact. *)
 let abs_of_slot w s =
-  let cs = w.cur land w.mask in
-  let d = (s - cs + w.slots) land w.mask in
-  w.cur + (if d = 0 then w.slots else d)
+  let cs = w.cur land mask in
+  let d = (s - cs + slots) land mask in
+  w.cur + (if d = 0 then slots else d)
 
 (* Next occupied absolute bucket index strictly after the cursor, or
    max_int when no events are parked in the wheel.  Scans the occupancy
@@ -209,22 +108,26 @@ let abs_of_slot w s =
 let next_occupied w =
   if w.wcount = 0 then max_int
   else begin
-    let words = w.slots lsr 5 in
-    let start = (w.cur + 1) land w.mask in
-    let rec scan wi remaining mask =
+    let words = slots lsr 5 in
+    let start = (w.cur + 1) land mask in
+    let rec scan wi remaining bits =
       if remaining <= 0 then max_int
       else begin
-        let v = w.occ.(wi) land mask in
+        let v = w.occ.(wi) land bits in
         if v <> 0 then abs_of_slot w ((wi lsl 5) lor lowest_bit_index v)
         else scan ((wi + 1) mod words) (remaining - 32) (-1)
       end
     in
-    scan (start lsr 5) (w.slots + 32) ((-1) lsl (start land 31))
+    scan (start lsr 5) (slots + 32) ((-1) lsl (start land 31))
   end
 
-let bucket_index w time =
-  let i = int_of_float (time /. w.granularity) in
-  if i < 0 then 0 else i
+(* Times are ≥ 0 and not NaN ({!schedule} enforces both).  The quotient is
+   compared before the conversion because [int_of_float] of a value past
+   [max_int] is unspecified (negative on amd64), which would misfile a
+   far-future event as due now. *)
+let bucket_index time =
+  let q = time /. granularity in
+  if q >= max_quotient then max_index else int_of_float q
 
 let ev_lt w a b =
   let ta = w.ev_time.(a) and tb = w.ev_time.(b) in
@@ -359,9 +262,10 @@ let release w id =
   w.ev_next.(id) <- w.free_head;
   w.free_head <- id
 
-(* --- wheel operations --- *)
+(* --- operations --- *)
 
-let w_schedule w ~time ~tag payload =
+let schedule w ~time ~tag payload =
+  if Float.is_nan time then invalid_arg "Sched.schedule: time is NaN";
   let time = if time < 0.0 then 0.0 else time in
   let id = alloc w in
   w.ev_time.(id) <- time;
@@ -370,12 +274,12 @@ let w_schedule w ~time ~tag payload =
   w.ev_tag.(id) <- tag;
   w.ev_payload.(id) <- payload;
   w.len <- w.len + 1;
-  w.w_scheduled <- w.w_scheduled + 1;
-  if w.len > w.w_peak then w.w_peak <- w.len;
-  let idx = bucket_index w time in
+  w.scheduled <- w.scheduled + 1;
+  if w.len > w.peak then w.peak <- w.len;
+  let idx = bucket_index time in
   if idx <= w.cur then due_push w id
-  else if idx - w.cur <= w.slots then begin
-    let s = idx land w.mask in
+  else if idx - w.cur <= slots then begin
+    let s = idx land mask in
     w.ev_next.(id) <- w.buckets.(s);
     w.buckets.(s) <- id;
     occ_set w s;
@@ -392,10 +296,10 @@ let ensure_due w =
   else if w.len = 0 then false
   else begin
     let nw = next_occupied w in
-    let ov = if w.ovf_len = 0 then max_int else bucket_index w w.ev_time.(w.ovf.(0)) in
+    let ov = if w.ovf_len = 0 then max_int else bucket_index w.ev_time.(w.ovf.(0)) in
     let target = if nw < ov then nw else ov in
     w.cur <- target;
-    let s = target land w.mask in
+    let s = target land mask in
     let rec drain id =
       if id >= 0 then begin
         let nx = w.ev_next.(id) in
@@ -409,60 +313,38 @@ let ensure_due w =
       w.buckets.(s) <- -1;
       occ_clear w s
     end;
-    while w.ovf_len > 0 && bucket_index w w.ev_time.(w.ovf.(0)) <= w.cur do
+    while w.ovf_len > 0 && bucket_index w.ev_time.(w.ovf.(0)) <= w.cur do
       due_push w (ovf_pop w)
     done;
     true
   end
 
-let next_time t =
-  match t with
-  | W w -> if ensure_due w then w.ev_time.(w.due.(0)) else infinity
-  | L l -> ( match Legacy.peek l.lh with Some e -> e.Legacy.prio | None -> infinity)
+let next_time w = if ensure_due w then w.ev_time.(w.due.(0)) else infinity
 
-let schedule t ~time ~tag payload =
-  match t with
-  | W w -> w_schedule w ~time ~tag payload
-  | L l ->
-      let time = if time < 0.0 then 0.0 else time in
-      Legacy.push l.lh time tag payload;
-      l.l_scheduled <- l.l_scheduled + 1;
-      if Legacy.length l.lh > l.l_peak then l.l_peak <- Legacy.length l.lh
+let pop_exn w =
+  if not (ensure_due w) then raise Not_found;
+  let id = due_pop w in
+  w.len <- w.len - 1;
+  w.popped <- w.popped + 1;
+  w.last_time <- w.ev_time.(id);
+  w.last_tag <- w.ev_tag.(id);
+  let p = w.ev_payload.(id) in
+  release w id;
+  p
 
-let pop_exn t =
-  match t with
-  | W w ->
-      if not (ensure_due w) then raise Not_found;
-      let id = due_pop w in
-      w.len <- w.len - 1;
-      w.w_popped <- w.w_popped + 1;
-      w.w_last_time <- w.ev_time.(id);
-      w.w_last_tag <- w.ev_tag.(id);
-      let p = w.ev_payload.(id) in
-      release w id;
-      p
-  | L l -> (
-      match Legacy.pop l.lh with
-      | None -> raise Not_found
-      | Some e ->
-          l.l_popped <- l.l_popped + 1;
-          l.l_last_time <- e.Legacy.prio;
-          l.l_last_tag <- e.Legacy.tag;
-          e.Legacy.value)
+let last_time w = w.last_time
 
-let last_time = function W w -> w.w_last_time | L l -> l.l_last_time
+let last_tag w = w.last_tag
 
-let last_tag = function W w -> w.w_last_tag | L l -> l.l_last_tag
-
-let pop t =
-  if is_empty t then None
+let pop w =
+  if is_empty w then None
   else begin
-    let p = pop_exn t in
-    Some (last_time t, last_tag t, p)
+    let p = pop_exn w in
+    Some (w.last_time, w.last_tag, p)
   end
 
-let scheduled_total = function W w -> w.w_scheduled | L l -> l.l_scheduled
+let scheduled_total w = w.scheduled
 
-let popped_total = function W w -> w.w_popped | L l -> l.l_popped
+let popped_total w = w.popped
 
-let peak_length = function W w -> w.w_peak | L l -> l.l_peak
+let peak_length w = w.peak

@@ -5,9 +5,9 @@
     entry record per event — fine for thousands of requests, hostile to
     million-request runs.  This module replaces it with:
 
-    - a single-level timer wheel of [2^slot_bits] buckets of
-      [granularity_us] µs each (window ≈ [2^slot_bits × granularity_us]),
-      with O(1) insertion for near-future events;
+    - a single-level timer wheel of 4096 buckets of 256 µs each (a window
+      of ≈1.05 virtual seconds), with O(1) insertion for near-future
+      events;
     - an overflow heap for events beyond the wheel window, cascaded back
       into the wheel as the cursor advances;
     - a due heap ordered by (time, seq) holding the events of the bucket
@@ -17,10 +17,9 @@
       nothing.
 
     Pop order is exactly nondecreasing (time, seq) with [seq] assigned at
-    schedule time — bit-identical to the seed binary heap, FIFO on ties.
-    The {!Legacy_heap} kind keeps a faithful copy of that seed heap
-    (polymorphic compare, one allocated entry per event) as the before-arm
-    of [bench/main.exe engine] and as the parity-test reference.
+    schedule time — the order of a binary heap that is FIFO on ties, as
+    the seed's was.  [test/test_sched.ml] pins it against
+    {!Quilt_util.Heap} as the reference model.
 
     Every event carries an integer [tag].  The engine stores a container's
     CPU epoch there, which replaces the seed's invalidate-by-reschedule
@@ -29,24 +28,21 @@
     closure allocation.  {!last_time} and {!last_tag} describe the most
     recently popped event and stay valid until the next pop. *)
 
-type kind = Wheel | Legacy_heap
-
 type 'a t
 
-val create :
-  ?kind:kind -> ?slot_bits:int -> ?granularity_us:float -> dummy:'a -> unit -> 'a t
+val create : dummy:'a -> unit -> 'a t
 (** [dummy] fills freed payload slots so the scheduler never pins dead
-    events for the GC.  Defaults: [Wheel], [slot_bits = 12] (4096 slots),
-    [granularity_us = 256.0] (≈1.05 s window). *)
-
-val kind : 'a t -> kind
+    events for the GC. *)
 
 val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
 val schedule : 'a t -> time:float -> tag:int -> 'a -> unit
-(** Absolute event time; times must be ≥ 0 (the engine clamps delays). *)
+(** Absolute event time.  Negative times are clamped to 0 (the engine
+    clamps delays); arbitrarily far times, [infinity] included, pop in
+    order after every nearer event.  Raises [Invalid_argument] if [time]
+    is NaN, which has no place in the order. *)
 
 val next_time : 'a t -> float
 (** Time of the earliest pending event, [infinity] when empty.  May
@@ -55,7 +51,7 @@ val next_time : 'a t -> float
 val pop_exn : 'a t -> 'a
 (** Removes and returns the earliest event's payload (FIFO on equal
     times); sets {!last_time}/{!last_tag}.  Raises [Not_found] when empty.
-    Allocation-free in [Wheel] mode. *)
+    Allocation-free. *)
 
 val pop : 'a t -> (float * int * 'a) option
 (** Convenience wrapper over {!pop_exn}: [(time, tag, payload)]. *)

@@ -4,8 +4,8 @@
     decision algorithms).  Priorities compare with the native float [<], so
     no polymorphic-compare call sits on the pop path; ties break by
     insertion order so drains are deterministic.  The simulator's event
-    queue moved to the timer-wheel scheduler ([Quilt_platform.Sched]),
-    which keeps this heap as its parity reference. *)
+    queue moved to the timer-wheel scheduler ([Quilt_platform.Sched]);
+    [test/test_sched.ml] checks the wheel's pop order against this heap. *)
 
 type 'a t
 

@@ -563,6 +563,23 @@ let bundled_workflows () =
         routed ();
       ]
 
+(* The liveness DCE is the pipeline's only instruction-level DCE and runs
+   on every merge, optimized or not: an unoptimized merge leaves it nothing
+   to remove. *)
+let test_unoptimized_merge_is_livedce_fixpoint () =
+  List.iter
+    (fun (wf : Workflow.t) ->
+      let m =
+        (Pipeline.merge_group_uncached ~lookup:(Workflow.lookup wf)
+           ~members:(Workflow.fn_names wf) ~root:wf.Workflow.entry ~optimize:false ())
+          .Pipeline.merged_module
+      in
+      Alcotest.(check string)
+        (wf.Workflow.wf_name ^ ": livedce changes nothing")
+        (Pp.to_string m)
+        (Pp.to_string (Pass_livedce.run m)))
+    (bundled_workflows ())
+
 (* [m] with one called, defined function's return type flipped: the
    function itself now fails V010 and its unchanged callers fail V008, so a
    verifier that reused stale diagnostics would miss both. *)
@@ -768,5 +785,7 @@ let suite =
         Alcotest.test_case "jumpthread coalesces chains" `Quick test_jumpthread_coalesces;
         Alcotest.test_case "shim inlining flattens wrappers" `Quick test_shiminline_flattens;
         Alcotest.test_case "symbol DCE is a fixed point" `Quick test_dce_fixed_point;
+        Alcotest.test_case "unoptimized merges are livedce fixpoints" `Quick
+          test_unoptimized_merge_is_livedce_fixpoint;
       ] );
   ]

@@ -311,56 +311,119 @@ let test_simulation_is_deterministic () =
   let a = run () and b = run () in
   Alcotest.(check bool) "bit-identical reruns" true (a = b)
 
-(* The Legacy_heap scheduler IS the seed event queue (a faithful copy);
-   an entire simulation must come out bit-identical on either scheduler:
-   same completions, same latency distribution (exact float equality),
-   same virtual clock, same counters.  This is the engine-level face of
-   the sched.parity qcheck harness. *)
-let test_wheel_and_legacy_heap_bit_identical () =
-  let module Rng = Quilt_util.Rng in
-  let run sched =
-    let engine = Engine.create ~sched ~registry:(Workflow.registry [ dial_wf ]) () in
-    deploy_dial ~vcpus:1.0 ~max_scale:4 engine;
-    let r =
-      Loadgen.run_open_loop engine ~entry:"dial"
-        ~gen_req:(fun rng ->
-          req ~cpu:(200 + Rng.int rng 3000) ~io:(Rng.int rng 5000) ~mem:(Rng.int rng 8))
-        ~rate_rps:400.0 ~duration_us:4_000_000.0 ()
-    in
-    ( ( r.Loadgen.successes,
-        r.Loadgen.failures,
-        r.Loadgen.offered,
-        r.Loadgen.throughput_rps ),
-      (Loadgen.median_ms r, Loadgen.p99_ms r, Loadgen.mean_ms r),
-      Engine.counters engine,
-      Engine.now engine )
-  in
-  let a = run Quilt_platform.Sched.Wheel in
-  let b = run Quilt_platform.Sched.Legacy_heap in
-  Alcotest.(check bool) "bit-identical across schedulers" true (a = b)
+(* Golden fingerprints: everything a load generator and the engine observe
+   of one whole simulation — outcomes, the exact latency distribution
+   (float equality), counters, event count, queue depth and the final
+   virtual clock.  The values were recorded when the engine could still
+   run the seed's binary-heap scheduler beside the timer wheel and both
+   produced them bit for bit, so they pin the wheel to the seed's event
+   order. *)
+type golden = {
+  g_successes : int;
+  g_failures : int;
+  g_offered : int;
+  g_median_ms : float;
+  g_p99_ms : float;
+  g_mean_ms : float;
+  g_counters : Engine.counters;
+  g_events : int;
+  g_peak_depth : int;
+  g_clock_us : float;
+}
 
-(* Same property through the full optimize/apply path: a merged deployment
-   (guards, local calls, per-member monitors) behaves identically on both
-   schedulers and across reruns of the same seed. *)
-let test_sched_parity_through_merge_path () =
-  let run sched =
-    let wfs = Quilt_apps.Deathstar.social_network ~async:false () in
-    let compose = List.find (fun w -> w.Workflow.wf_name = "compose-post") wfs in
-    let engine = Quilt.fresh_platform ~seed:23 ~sched ~workflows:[ compose ] () in
-    let r =
-      Loadgen.run_open_loop engine ~entry:"compose-post" ~gen_req:compose.Workflow.gen_req
-        ~rate_rps:150.0 ~duration_us:3_000_000.0 ~warmup_us:500_000.0 ()
-    in
-    ( r.Loadgen.successes,
-      r.Loadgen.offered,
-      Loadgen.median_ms r,
-      Loadgen.p99_ms r,
-      Engine.counters engine,
-      Engine.now engine )
+let fingerprint engine (r : Loadgen.result) =
+  {
+    g_successes = r.Loadgen.successes;
+    g_failures = r.Loadgen.failures;
+    g_offered = r.Loadgen.offered;
+    g_median_ms = Loadgen.median_ms r;
+    g_p99_ms = Loadgen.p99_ms r;
+    g_mean_ms = Loadgen.mean_ms r;
+    g_counters = Engine.counters engine;
+    g_events = Engine.events_processed engine;
+    g_peak_depth = Engine.peak_queue_depth engine;
+    g_clock_us = Engine.now engine;
+  }
+
+let check_golden ~expected got =
+  let i name f = Alcotest.(check int) name (f expected) (f got) in
+  let x name f = Alcotest.(check (float 0.0)) name (f expected) (f got) in
+  i "successes" (fun g -> g.g_successes);
+  i "failures" (fun g -> g.g_failures);
+  i "offered" (fun g -> g.g_offered);
+  x "median ms" (fun g -> g.g_median_ms);
+  x "p99 ms" (fun g -> g.g_p99_ms);
+  x "mean ms" (fun g -> g.g_mean_ms);
+  Alcotest.(check bool) "counters" true (expected.g_counters = got.g_counters);
+  i "events" (fun g -> g.g_events);
+  i "peak queue depth" (fun g -> g.g_peak_depth);
+  x "final clock" (fun g -> g.g_clock_us)
+
+let no_faults =
+  {
+    Engine.cold_starts = 0;
+    oom_kills = 0;
+    completed = 0;
+    failed = 0;
+    remote_invocations = 0;
+    local_invocations = 0;
+    crash_kills = 0;
+    net_drops = 0;
+    hop_timeouts = 0;
+  }
+
+(* A saturated single-vCPU pool with mixed CPU, I/O and memory phases. *)
+let test_dial_golden_fingerprint () =
+  let module Rng = Quilt_util.Rng in
+  let engine = Engine.create ~registry:(Workflow.registry [ dial_wf ]) () in
+  deploy_dial ~vcpus:1.0 ~max_scale:4 engine;
+  let r =
+    Loadgen.run_open_loop engine ~entry:"dial"
+      ~gen_req:(fun rng ->
+        req ~cpu:(200 + Rng.int rng 3000) ~io:(Rng.int rng 5000) ~mem:(Rng.int rng 8))
+      ~rate_rps:400.0 ~duration_us:4_000_000.0 ()
   in
-  let a = run Quilt_platform.Sched.Wheel in
-  let b = run Quilt_platform.Sched.Legacy_heap in
-  Alcotest.(check bool) "merge path bit-identical across schedulers" true (a = b)
+  Alcotest.(check (float 0.0)) "throughput rps" 397.0 r.Loadgen.throughput_rps;
+  check_golden (fingerprint engine r)
+    ~expected:
+      {
+        g_successes = 1590;
+        g_failures = 0;
+        g_offered = 1590;
+        g_median_ms = 6.4960000000000004;
+        g_p99_ms = 39.68;
+        g_mean_ms = 6.9667529746973171;
+        g_counters = { no_faults with cold_starts = 4; completed = 1749 };
+        g_events = 10498;
+        g_peak_depth = 18;
+        g_clock_us = 34_400_000.0;
+      }
+
+(* The DeathStarBench compose-post workflow on baseline deployments, where
+   every call between its services is a remote hop. *)
+let test_compose_post_golden_fingerprint () =
+  let wfs = Quilt_apps.Deathstar.social_network ~async:false () in
+  let compose = List.find (fun w -> w.Workflow.wf_name = "compose-post") wfs in
+  let engine = Quilt.fresh_platform ~seed:23 ~workflows:[ compose ] () in
+  let r =
+    Loadgen.run_open_loop engine ~entry:"compose-post" ~gen_req:compose.Workflow.gen_req
+      ~rate_rps:150.0 ~duration_us:3_000_000.0 ~warmup_us:500_000.0 ()
+  in
+  check_golden (fingerprint engine r)
+    ~expected:
+      {
+        g_successes = 420;
+        g_failures = 0;
+        g_offered = 420;
+        g_median_ms = 1859.5840000000001;
+        g_p99_ms = 3293.1840000000002;
+        g_mean_ms = 1907.4464131688619;
+        g_counters =
+          { no_faults with cold_starts = 110; completed = 506; remote_invocations = 5060 };
+        g_events = 38167;
+        g_peak_depth = 130;
+        g_clock_us = 33_500_000.0;
+      }
 
 (* The process-wide scheduler stats are atomics because bench fan-outs
    drive engines from a Domain pool.  Whatever the interleaving of the
@@ -399,8 +462,8 @@ let test_global_stats_race_free_under_domains () =
 (* The cluster topology subsystem must be invisible until asked for: a
    [Topology.Flat] install — and even a degenerate one-node cluster tuned
    to the seed's constants — leaves a full simulation bit-identical to the
-   untouched engine.  The engine-level face of the flat-parity claim in
-   ISSUE's placement work, beside the scheduler-parity tests above. *)
+   untouched engine.  The engine-level face of the placement subsystem's
+   flat-parity claim, beside the scheduler golden fingerprints above. *)
 let compose_fingerprint prepare =
   let wfs = Quilt_apps.Deathstar.social_network ~async:false () in
   let compose = List.find (fun w -> w.Workflow.wf_name = "compose-post") wfs in
@@ -591,9 +654,10 @@ let suite =
       ] );
     ( "engine.sched",
       [
-        Alcotest.test_case "wheel = legacy heap, bit-identical" `Quick
-          test_wheel_and_legacy_heap_bit_identical;
-        Alcotest.test_case "parity through merge path" `Quick test_sched_parity_through_merge_path;
+        Alcotest.test_case "dial open loop = golden fingerprint" `Quick
+          test_dial_golden_fingerprint;
+        Alcotest.test_case "compose-post = golden fingerprint" `Quick
+          test_compose_post_golden_fingerprint;
         Alcotest.test_case "global stats race-free across domains" `Quick
           test_global_stats_race_free_under_domains;
       ] );

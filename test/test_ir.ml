@@ -515,10 +515,13 @@ let test_simplify_preserves_division_by_zero () =
   let m = Pass_simplify.run (Parser.parse_module src) in
   match Ir.find_func m "main__handler" with
   | Some f ->
-      (* %q is dead (unused) so dead-code removal may drop it — but folding
-         must not have produced a bogus constant.  Either the sdiv remains
-         or it was dropped as dead; both preserve semantics of uses (none).  *)
-      ignore f
+      (* Folding must not produce a bogus constant: the sdiv stays as it
+         was (removing unused instructions is Pass_livedce's job). *)
+      let divs =
+        List.concat_map (fun (b : Ir.block) -> b.Ir.instrs) f.Ir.blocks
+        |> List.filter (fun i -> match i with Ir.Binop { op = Ir.Sdiv; _ } -> true | _ -> false)
+      in
+      Alcotest.(check int) "sdiv kept" 1 (List.length divs)
   | None -> Alcotest.fail "function missing"
 
 let test_delayhttp_moves_init () =
