@@ -2,8 +2,7 @@
    adaptive scenario is driven twice through the phased workload — once
    with the controller in the loop and once with the initial plan frozen —
    and the post-shift phase compares the two arms.  Writes every outcome
-   to BENCH_adaptive.json.  QUILT_BENCH_FAST=1 switches to the smoke-sized
-   phases. *)
+   to BENCH_adaptive.json.  --fast switches to the smoke-sized phases. *)
 
 open Common
 module Scenario = Quilt_control.Scenario
@@ -13,7 +12,7 @@ module Loadgen = Quilt_platform.Loadgen
 let json_file = "BENCH_adaptive.json"
 
 (* `bench/main.exe adaptive --smoke` — seconds, not minutes — without
-   having to set QUILT_BENCH_FAST for the whole harness. *)
+   having to pass --fast for the whole harness. *)
 let smoke_flag = ref false
 
 let post_shift_p99 (o : Scenario.outcome) =
@@ -38,7 +37,7 @@ let run () =
       "run as a closed loop: sliding-window profiling, drift detection with";
       "hysteresis, re-decision, rolling redeploy, canary + SLO watchdog.";
     ];
-  let smoke = fast || !smoke_flag in
+  let smoke = !fast || !smoke_flag in
   let outcomes =
     List.map
       (fun name ->

@@ -8,12 +8,12 @@ module Quilt = Quilt_core.Quilt
 module Pool = Quilt_util.Pool
 module Json = Quilt_util.Json
 
-(* QUILT_BENCH_FAST=1 shrinks run durations and sweep densities so the whole
-   harness completes in well under a minute; default runs use the full
-   parameters recorded in EXPERIMENTS.md. *)
-let fast = Sys.getenv_opt "QUILT_BENCH_FAST" <> None
+(* [--fast] (set by main.ml before any section runs) shrinks run durations
+   and sweep densities so the whole harness completes in well under a
+   minute; default runs use the full parameters recorded in EXPERIMENTS.md. *)
+let fast = ref false
 
-let scale x = if fast then x /. 4.0 else x
+let scale x = if !fast then x /. 4.0 else x
 
 let section title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')

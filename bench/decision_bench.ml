@@ -24,7 +24,7 @@ module Rng = Quilt_util.Rng
 
 let smoke_flag = ref false
 
-let reps () = if fast || !smoke_flag then 1 else 3
+let reps () = if !fast || !smoke_flag then 1 else 3
 
 let graph_of n =
   let rng = Rng.create (1000 + n) in
@@ -34,12 +34,12 @@ let graph_of n =
 (* --- Figure 8b sweep (promoted from bench/fig8.ml) --- *)
 
 let decision_time algorithm g lim =
-  median_time ~reps:(if fast then 1 else 3) (fun () -> ignore (Decision.solve algorithm g lim))
+  median_time ~reps:(if !fast then 1 else 3) (fun () -> ignore (Decision.solve algorithm g lim))
 
 let sweep () =
   subsection "Figure 8b: time to find the grouping vs graph size";
   Printf.printf "  %-8s %14s %18s %18s\n" "|V|" "optimal" "weighted-degree" "downstream-impact";
-  let sizes = if fast then [ 6; 10; 25; 100 ] else [ 4; 6; 8; 10; 12; 25; 50; 100; 200; 400; 800 ] in
+  let sizes = if !fast then [ 6; 10; 25; 100 ] else [ 4; 6; 8; 10; 12; 25; 50; 100; 200; 400; 800 ] in
   (* Every size is an independent (seeded) instance, so the sweep fans out
      across domains; rows come back in input order and are printed after the
      join.  Solver outputs stay bit-identical to a sequential run — only the
@@ -252,7 +252,7 @@ let run_micro () =
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second (if fast || !smoke_flag then 0.25 else 1.0)) ()
+    Benchmark.cfg ~limit:200 ~quota:(Time.second (if !fast || !smoke_flag then 0.25 else 1.0)) ()
   in
   let recorded = ref [] in
   List.iter

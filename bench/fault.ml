@@ -5,7 +5,7 @@
    buying availability at a bounded replayed-work cost, and the
    reliability-penalty sweep showing λ shrinking the chosen fault domains.
    Writes everything to BENCH_fault.json.  `bench/main.exe fault --smoke`
-   (or QUILT_BENCH_FAST=1) shrinks each run to ~12 virtual seconds. *)
+   (or --fast) shrinks each run to ~12 virtual seconds. *)
 
 open Common
 module Fs = Quilt_fault.Scenario
@@ -75,7 +75,7 @@ let run () =
       "crash destroys (and an at-least-once retry replays) every member's";
       "in-flight work.  Deterministic fault plans make that measurable.";
     ];
-  let smoke = fast || !smoke_flag in
+  let smoke = !fast || !smoke_flag in
   let seed = !seed_ref in
   subsection "scenario x arm matrix (retry policy)";
   let matrix =

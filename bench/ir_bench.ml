@@ -124,7 +124,7 @@ let series ~iters ~samples ~host m ~fname ~req =
 
 let run () =
   Common.section "ir: tree-walker vs QVM compiled engine";
-  let iters, samples = if !smoke_flag || Common.fast then (150, 3) else (2000, 7) in
+  let iters, samples = if !smoke_flag || !Common.fast then (150, 3) else (2000, 7) in
   let host = Interp.echo_host in
 
   (* Workload 1: the merged compose-post handler, end to end. *)
@@ -181,6 +181,37 @@ let run () =
   let m_instrs = Qir.instr_count m in
   let lint_kinstr_per_s = float_of_int m_instrs /. lint_us *. 1e3 in
 
+  (* Strict verification alone over the merged module of every bundled
+     workflow: minor words allocated per instruction (deterministic) and
+     wall time per function. *)
+  let corpus =
+    List.map
+      (fun (w : Workflow.t) ->
+        (Pipeline.merge_group_uncached
+           ~lookup:(fun svc -> Workflow.lookup w svc)
+           ~members:(Workflow.fn_names w) ~root:w.Workflow.entry ())
+          .Pipeline.merged_module)
+      (wfs
+      @ Deathstar.all ~async:true ()
+      @ Quilt_apps.Special.
+          [
+            modified_nearby_cinema ();
+            noop ();
+            cross_language ();
+            fan_out ~callee_mem_mb:14 ();
+            routed ();
+          ])
+  in
+  let verify_corpus () = List.iter (fun m -> ignore (Verify.run ~strict:true m)) corpus in
+  let corpus_instrs = List.fold_left (fun n m -> n + Qir.instr_count m) 0 corpus in
+  let corpus_funcs = List.fold_left (fun n m -> n + List.length m.Qir.funcs) 0 corpus in
+  let w0 = Gc.minor_words () in
+  verify_corpus ();
+  let words_per_instr = (Gc.minor_words () -. w0) /. float_of_int corpus_instrs in
+  let verify_us_per_func =
+    time_us_per_run ~iters:(max 1 (iters / 10)) ~samples verify_corpus /. float_of_int corpus_funcs
+  in
+
   (* Optimization deltas: the same merge with the analysis-driven passes
      (SCCP, jump threading, liveness DCE) switched off vs on.  [m] above is
      the optimized module; the baseline arm recompiles without them. *)
@@ -223,6 +254,8 @@ let run () =
   let dl_delta = delta "dispatch-loop" dl dl_opt "dispatch-loop" dl_req in
   Printf.printf "  %-24s %6d instrs  strict lint %8.2f us/run  (%.0f kinstr/s)\n%!"
     "lint:compose-post" m_instrs lint_us lint_kinstr_per_s;
+  Printf.printf "  %-24s %6d instrs  %4d funcs  strict verify %6.2f us/func  %6.1f words/instr\n%!"
+    "verify:bundled-merges" corpus_instrs corpus_funcs verify_us_per_func words_per_instr;
 
   Common.record_timings ~file:"BENCH_ir.json" ~key:"ir"
     [
@@ -240,6 +273,11 @@ let run () =
                   ("module_instrs", Json.Int m_instrs);
                   ("strict_lint_us_per_run", Json.Float lint_us);
                   ("kinstr_per_s", Json.Float lint_kinstr_per_s);
+                  ("verify_modules", Json.String "merged module of every bundled workflow");
+                  ("verify_instrs", Json.Int corpus_instrs);
+                  ("verify_funcs", Json.Int corpus_funcs);
+                  ("strict_verify_us_per_func", Json.Float verify_us_per_func);
+                  ("minor_words_per_instr", Json.Float words_per_instr);
                 ] );
             ("pass_deltas", Json.List [ cp_delta; dl_delta ]);
           ] );

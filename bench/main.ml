@@ -1,7 +1,7 @@
 (* Benchmark harness: one section per table/figure of the paper's
    evaluation.  Run everything with `dune exec bench/main.exe`, or a single
-   experiment with e.g. `dune exec bench/main.exe -- fig7`.  Set
-   QUILT_BENCH_FAST=1 for a quick pass. *)
+   experiment with e.g. `dune exec bench/main.exe -- fig7`.  Pass --fast
+   for a quick pass. *)
 
 let experiments =
   [
@@ -26,18 +26,23 @@ let experiments =
   ]
 
 let usage () =
-  print_endline "usage: bench/main.exe [experiment...]";
+  print_endline "usage: bench/main.exe [--fast] [--smoke] [--seed N] [experiment...]";
   print_endline "experiments:";
   List.iter (fun (name, _, descr) -> Printf.printf "  %-8s %s\n" name descr) experiments
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let args =
-    (* --smoke shrinks the adaptive and fault scenarios without flipping
-       the whole harness into QUILT_BENCH_FAST mode. *)
+    (* --fast shrinks every section; --smoke shrinks only the sections that
+       have a smoke scale, without flipping the whole harness into fast
+       mode. *)
     List.filter
       (fun a ->
-        if a = "--smoke" then begin
+        if a = "--fast" then begin
+          Common.fast := true;
+          false
+        end
+        else if a = "--smoke" then begin
           Adaptive.smoke_flag := true;
           Fault.smoke_flag := true;
           Ir_bench.smoke_flag := true;
@@ -67,7 +72,7 @@ let () =
   | [ "--help" ] | [ "help" ] -> usage ()
   | [] ->
       Printf.printf "Quilt benchmark harness (all experiments%s)\n"
-        (if Common.fast then ", fast mode" else "");
+        (if !Common.fast then ", fast mode" else "");
       List.iter (fun (_, run, _) -> run ()) experiments
   | names ->
       List.iter

@@ -52,7 +52,7 @@ let tests =
 let run () =
   Common.section "Micro-benchmarks (bechamel): core algorithm costs";
   let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second (if Common.fast then 0.25 else 1.0)) () in
+  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second (if !Common.fast then 0.25 else 1.0)) () in
   let recorded = ref [] in
   List.iter
     (fun (uncached, test) ->

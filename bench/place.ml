@@ -265,7 +265,7 @@ let run () =
       "lands changes what its cut edges cost (Costless) and what a node";
       "failure takes down.";
     ];
-  let smoke = fast || !smoke_flag in
+  let smoke = !fast || !smoke_flag in
   let seed = 0 in
   let duration_us = if smoke then 12_000_000.0 else 40_000_000.0 in
   (* Busy but not saturated: pools stay small enough that the example

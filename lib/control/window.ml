@@ -36,9 +36,5 @@ let graph t =
       Ok (Quilt_core.Quilt.with_optin t.wf g)
 
 let invocations_in_window t =
-  let st = Engine.tracing t.engine in
-  let since = start_of t in
-  List.length
-    (List.filter
-       (fun (s : Trace.span) -> s.Trace.caller = None && s.Trace.callee = t.wf.Workflow.entry)
-       (Trace.spans st ~since ()))
+  Trace.count_spans (Engine.tracing t.engine) ~since:(start_of t) (fun (s : Trace.span) ->
+      s.Trace.caller = None && s.Trace.callee = t.wf.Workflow.entry)

@@ -8,6 +8,7 @@ type cfg = {
   succs : int list array;
   preds : int list array;
   reachable : bool array;
+  index : (string, int) Hashtbl.t;
 }
 
 let term_succ_labels = function
@@ -16,21 +17,14 @@ let term_succ_labels = function
   | Ir.Cbr { if_true; if_false; _ } ->
       if if_true = if_false then [ if_true ] else [ if_true; if_false ]
 
-(* Label → index tables are rebuilt on demand instead of stored: every
-   consumer that needs one (the verifier, the passes) walks the function
-   once, so a cfg value stays a plain immutable snapshot. *)
-let index_table blocks =
-  let tbl = Hashtbl.create ((2 * Array.length blocks) + 1) in
-  (* First occurrence wins, matching the interpreter's block_of. *)
-  Array.iteri
-    (fun i (b : Ir.block) -> if not (Hashtbl.mem tbl b.Ir.label) then Hashtbl.add tbl b.Ir.label i)
-    blocks;
-  tbl
-
 let cfg_of_func (f : Ir.func) =
   let blocks = Array.of_list f.Ir.blocks in
   let n = Array.length blocks in
-  let index = index_table blocks in
+  let index = Hashtbl.create ((2 * n) + 1) in
+  (* First occurrence wins, matching the interpreter's block_of. *)
+  Array.iteri
+    (fun i (b : Ir.block) -> if not (Hashtbl.mem index b.Ir.label) then Hashtbl.add index b.Ir.label i)
+    blocks;
   let succs = Array.make n [] in
   let preds = Array.make n [] in
   Array.iteri
@@ -58,15 +52,7 @@ let cfg_of_func (f : Ir.func) =
         succs.(b)
     done
   end;
-  { func = f; blocks; succs; preds; reachable }
-
-let block_index cfg label =
-  (* Linear probe: cfgs are small and this is off the hot paths. *)
-  let n = Array.length cfg.blocks in
-  let rec go i =
-    if i >= n then None else if cfg.blocks.(i).Ir.label = label then Some i else go (i + 1)
-  in
-  go 0
+  { func = f; blocks; succs; preds; reachable; index }
 
 (* --- Dominators: Cooper–Harvey–Kennedy over reverse postorder --- *)
 
@@ -132,8 +118,6 @@ let dominates ~idom a b =
 
 (* --- Definitions and uses --- *)
 
-type def_site = Def_param | Def_instr of { block : int; index : int }
-
 let instr_dst (i : Ir.instr) =
   match i with
   | Ir.Binop { dst; _ }
@@ -157,39 +141,30 @@ let instr_dst_ty (i : Ir.instr) =
   | Ir.Call { dst = Some d; ret; _ } -> Some (d, ret)
   | Ir.Call { dst = None; _ } | Ir.Store _ -> None
 
-let instr_operands (i : Ir.instr) =
+let rec iter_fst fn = function [] -> () | (v, _) :: tl -> fn v; iter_fst fn tl
+let rec iter_snd fn = function [] -> () | (_, v) :: tl -> fn v; iter_snd fn tl
+
+let iter_operands fn (i : Ir.instr) =
   match i with
-  | Ir.Binop { lhs; rhs; _ } | Ir.Icmp { lhs; rhs; _ } -> [ lhs; rhs ]
-  | Ir.Call { args; _ } -> List.map snd args
-  | Ir.Alloca { bytes; _ } -> [ bytes ]
-  | Ir.Load { ptr; _ } -> [ ptr ]
-  | Ir.Store { src; ptr; _ } -> [ src; ptr ]
-  | Ir.Gep { base; offset; _ } -> [ base; offset ]
-  | Ir.Phi { incoming; _ } -> List.map fst incoming
-  | Ir.Select { cond; if_true; if_false; _ } -> [ cond; if_true; if_false ]
+  | Ir.Binop { lhs; rhs; _ } | Ir.Icmp { lhs; rhs; _ } | Ir.Gep { base = lhs; offset = rhs; _ } ->
+      fn lhs;
+      fn rhs
+  | Ir.Store { src; ptr; _ } ->
+      fn src;
+      fn ptr
+  | Ir.Call { args; _ } -> iter_snd fn args
+  | Ir.Alloca { bytes = v; _ } | Ir.Load { ptr = v; _ } -> fn v
+  | Ir.Phi { incoming; _ } -> iter_fst fn incoming
+  | Ir.Select { cond; if_true; if_false; _ } ->
+      fn cond;
+      fn if_true;
+      fn if_false
 
 let term_operands (t : Ir.terminator) =
   match t with
   | Ir.Ret (Some (_, v)) -> [ v ]
   | Ir.Cbr { cond; _ } -> [ cond ]
   | Ir.Ret None | Ir.Br _ | Ir.Unreachable -> []
-
-let def_sites cfg =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun (p, _) -> Hashtbl.replace tbl p Def_param) cfg.func.Ir.params;
-  Array.iteri
-    (fun bi (b : Ir.block) ->
-      List.iteri
-        (fun ii i ->
-          match instr_dst i with
-          | Some d ->
-              if not (Hashtbl.mem tbl d) then
-                let index = match i with Ir.Phi _ -> -1 | _ -> ii in
-                Hashtbl.add tbl d (Def_instr { block = bi; index })
-          | None -> ())
-        b.Ir.instrs)
-    cfg.blocks;
-  tbl
 
 (* --- Type inference --- *)
 
@@ -207,21 +182,9 @@ let local_types (f : Ir.func) =
     f.Ir.blocks;
   tbl
 
-let type_of_value types (v : Ir.value) =
-  match v with
-  | Ir.Local l -> Hashtbl.find_opt types l
-  | Ir.Const (Ir.Cint (ty, _)) -> Some ty
-  | Ir.Const (Ir.Cfloat _) -> Some Ir.F64
-  | Ir.Const (Ir.Cnull | Ir.Cglobal _) -> Some Ir.Ptr
-
 (* --- Backward liveness --- *)
 
 type liveness = { live_in : SS.t array; live_out : SS.t array }
-
-let locals_of values =
-  List.fold_left
-    (fun acc v -> match v with Ir.Local l -> SS.add l acc | Ir.Const _ -> acc)
-    SS.empty values
 
 let liveness cfg =
   let n = Array.length cfg.blocks in
@@ -235,6 +198,11 @@ let liveness cfg =
   Array.iteri
     (fun bi (b : Ir.block) ->
       let defined = ref SS.empty in
+      let use v =
+        match v with
+        | Ir.Local l when not (SS.mem l !defined) -> gen.(bi) <- SS.add l gen.(bi)
+        | Ir.Local _ | Ir.Const _ -> ()
+      in
       List.iter
         (fun i ->
           match i with
@@ -253,14 +221,10 @@ let liveness cfg =
           match i with
           | Ir.Phi _ -> ()
           | _ ->
-              SS.iter
-                (fun l -> if not (SS.mem l !defined) then gen.(bi) <- SS.add l gen.(bi))
-                (locals_of (instr_operands i));
+              iter_operands use i;
               (match instr_dst i with Some d -> defined := SS.add d !defined | None -> ()))
         b.Ir.instrs;
-      SS.iter
-        (fun l -> if not (SS.mem l !defined) then gen.(bi) <- SS.add l gen.(bi))
-        (locals_of (term_operands b.Ir.term));
+      List.iter use (term_operands b.Ir.term);
       kill.(bi) <- !defined)
     cfg.blocks;
   let live_in = Array.make n SS.empty in
@@ -311,7 +275,7 @@ let write_only_slots (f : Ir.func) =
               (* The pointer position is the one permitted use. *)
               disqualify src
           | Ir.Alloca _ -> ()
-          | _ -> List.iter disqualify (instr_operands i))
+          | _ -> iter_operands disqualify i)
         b.Ir.instrs;
       List.iter disqualify (term_operands b.Ir.term))
     f.Ir.blocks;

@@ -22,13 +22,14 @@ type cfg = {
   succs : int list array;
   preds : int list array;  (** Deduplicated: a two-way [Cbr] to one target is one edge. *)
   reachable : bool array;  (** From the entry block along [succs]. *)
+  index : (string, int) Hashtbl.t;
+      (** Label → block index; the first of duplicate labels wins, as in the
+          interpreter.  Read-only. *)
 }
 
 val cfg_of_func : Ir.func -> cfg
 (** Branches to unknown labels are ignored here (the base verifier reports
     them); a declaration yields an empty graph. *)
-
-val block_index : cfg -> string -> int option
 
 (** {1 Dominators (Cooper–Harvey–Kennedy)} *)
 
@@ -42,33 +43,22 @@ val dominates : idom:int array -> int -> int -> bool
 
 (** {1 Definitions and uses} *)
 
-type def_site =
-  | Def_param  (** Defined on entry; dominates every use. *)
-  | Def_instr of { block : int; index : int }
-      (** [index] is the position in [instrs]; phis count as defining at
-          the top of their block (they bind before the instruction loop). *)
-
-val def_sites : cfg -> (string, def_site) Hashtbl.t
-(** First definition wins on (ill-formed) redefinition, matching the
-    interpreter's first-bind behaviour closely enough for diagnostics. *)
-
 val instr_dst : Ir.instr -> string option
 
 val instr_dst_ty : Ir.instr -> (string * Ir.ty) option
 (** Destination and its result type: [Icmp] produces [I1], [Alloca] and
     [Gep] produce [Ptr], everything else carries its annotation. *)
 
-val instr_operands : Ir.instr -> Ir.value list
+val iter_operands : (Ir.value -> unit) -> Ir.instr -> unit
+(** Visits the instruction's operands in source order, allocating
+    nothing: call arguments, phi incoming values, and so on. *)
+
 val term_operands : Ir.terminator -> Ir.value list
 
 (** {1 Type inference} *)
 
 val local_types : Ir.func -> (string, Ir.ty) Hashtbl.t
 (** Params plus every instruction destination, via {!instr_dst_ty}. *)
-
-val type_of_value : (string, Ir.ty) Hashtbl.t -> Ir.value -> Ir.ty option
-(** [Cnull] and [Cglobal] type as [Ptr], [Cfloat] as [F64], [Cint] as its
-    annotation; [None] only for undefined locals. *)
 
 (** {1 Backward liveness} *)
 

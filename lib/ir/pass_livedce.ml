@@ -51,14 +51,14 @@ let run_func (f : Ir.func) =
       List.iter
         (fun i ->
           if (not (droppable i)) && not (dead_store i) then
-            List.iter require (Analysis.instr_operands i))
+            Analysis.iter_operands require i)
         b.Ir.instrs;
       List.iter require (Analysis.term_operands b.Ir.term))
     f.Ir.blocks;
   while not (Queue.is_empty queue) do
     let l = Queue.pop queue in
     match Hashtbl.find_opt def_of l with
-    | Some i -> List.iter require (Analysis.instr_operands i)
+    | Some i -> Analysis.iter_operands require i
     | None -> ()
   done;
   let keep (i : Ir.instr) =

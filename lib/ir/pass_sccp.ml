@@ -72,10 +72,7 @@ let run_func (f : Ir.func) =
   let cfg = Analysis.cfg_of_func f in
   let blocks = cfg.Analysis.blocks in
   let n = Array.length blocks in
-  let index = Hashtbl.create ((2 * n) + 1) in
-  Array.iteri
-    (fun i (b : Ir.block) -> if not (Hashtbl.mem index b.Ir.label) then Hashtbl.add index b.Ir.label i)
-    blocks;
+  let index = cfg.Analysis.index in
   (* Use sites per local: (block, instr index) with -1 for the terminator. *)
   let uses : (string, (int * int) list) Hashtbl.t = Hashtbl.create 64 in
   let note_use bi ii v =
@@ -85,7 +82,7 @@ let run_func (f : Ir.func) =
   in
   Array.iteri
     (fun bi (b : Ir.block) ->
-      List.iteri (fun ii i -> List.iter (note_use bi ii) (Analysis.instr_operands i)) b.Ir.instrs;
+      List.iteri (fun ii i -> Analysis.iter_operands (note_use bi ii) i) b.Ir.instrs;
       List.iter (note_use bi (-1)) (Analysis.term_operands b.Ir.term))
     blocks;
   let lat : (string, lattice) Hashtbl.t = Hashtbl.create 64 in

@@ -31,46 +31,82 @@ let is_int_ty = function
   | Ir.I1 | Ir.I8 | Ir.I32 | Ir.I64 -> true
   | Ir.F64 | Ir.Ptr | Ir.Void -> false
 
-(* --- Base tier: name resolution, arity, return consistency --- *)
+(* --- Per-function checks ---
 
-(* The base tier sees the rest of the module only through two probes:
-   [callee_sig name] — the [(param types, ret type)] a call to [name]
-   resolves to, if any — and [bound name] — whether [@name] names a global
-   or a function.  Everything else it reads is [f] itself. *)
-let check_func ~callee_sig ~bound (f : Ir.func) =
+   One walk builds the tables both tiers read: the CFG's label → block
+   index (V001, V009, phi sources) and a local → id table over per-id
+   arrays of definition block ([-1] for a parameter), index ([-1] for a
+   phi) and type (V002, V003, S001, S00x).  The first definition wins, but
+   a repeated parameter takes the last one's type.  The base tier sees the
+   rest of the module only through two probes: [callee_sig name], the
+   [(param types, ret type)] a call to [name] resolves to, and [bound
+   name], whether [@name] names a global or a function. *)
+let check_func ~strict ~callee_sig ~bound (f : Ir.func) =
   let out = ref [] in
   let add d = out := d :: !out in
   let where = f.Ir.fname in
-  let labels = Hashtbl.create 16 in
+  let cfg = Analysis.cfg_of_func f in
+  let blocks = cfg.Analysis.blocks and labels = cfg.Analysis.index in
+  Array.iteri
+    (fun bi (b : Ir.block) ->
+      if Hashtbl.find labels b.Ir.label <> bi then
+        add (diag ~code:"V001" ~block:b.Ir.label where "duplicate label %%%s" b.Ir.label))
+    blocks;
+  let n =
+    Array.fold_left
+      (fun n (b : Ir.block) -> n + List.length b.Ir.instrs)
+      (List.length f.Ir.params) blocks
+  in
+  let ids = Hashtbl.create n in
+  let def_block = Array.make n (-1) and def_index = Array.make n (-1) in
+  let tys = Array.make n Ir.Void in
+  let fresh name =
+    let id = Hashtbl.length ids in
+    Hashtbl.add ids name id;
+    id
+  in
   List.iter
-    (fun (b : Ir.block) ->
-      if Hashtbl.mem labels b.Ir.label then
-        add (diag ~code:"V001" ~block:b.Ir.label where "duplicate label %%%s" b.Ir.label);
-      Hashtbl.replace labels b.Ir.label ())
-    f.Ir.blocks;
-  let locals = Hashtbl.create 32 in
-  List.iter (fun (p, _) -> Hashtbl.replace locals p ()) f.Ir.params;
-  (* First pass: collect all defined locals (QIR is unordered-SSA: a local
-     may be used by a phi in an earlier block). *)
-  List.iter
-    (fun (b : Ir.block) ->
-      List.iter
-        (fun (i : Ir.instr) ->
-          match Analysis.instr_dst i with
-          | Some d ->
-              if Hashtbl.mem locals d then
-                add (diag ~code:"V002" ~block:b.Ir.label where "local %%%s defined twice" d);
-              Hashtbl.replace locals d ()
-          | None -> ())
+    (fun (p, ty) ->
+      match Hashtbl.find ids p with
+      | id -> tys.(id) <- ty
+      | exception Not_found -> tys.(fresh p) <- ty)
+    f.Ir.params;
+  let define bi ii (b : Ir.block) d ty =
+    if Hashtbl.mem ids d then
+      add (diag ~code:"V002" ~block:b.Ir.label where "local %%%s defined twice" d)
+    else begin
+      let id = fresh d in
+      def_block.(id) <- bi;
+      def_index.(id) <- ii;
+      tys.(id) <- ty
+    end
+  in
+  let has_alloca = ref false in
+  Array.iteri
+    (fun bi (b : Ir.block) ->
+      List.iteri
+        (fun ii (i : Ir.instr) ->
+          match i with
+          | Ir.Binop { dst; ty; _ } | Ir.Load { dst; ty; _ } | Ir.Select { dst; ty; _ } ->
+              define bi ii b dst ty
+          | Ir.Phi { dst; ty; _ } -> define bi (-1) b dst ty
+          | Ir.Icmp { dst; _ } -> define bi ii b dst Ir.I1
+          | Ir.Alloca { dst; _ } ->
+              has_alloca := true;
+              define bi ii b dst Ir.Ptr
+          | Ir.Gep { dst; _ } -> define bi ii b dst Ir.Ptr
+          | Ir.Call { dst = Some d; ret; _ } -> define bi ii b d ret
+          | Ir.Call { dst = None; _ } | Ir.Store _ -> ())
         b.Ir.instrs)
-    f.Ir.blocks;
-  List.iter
+    blocks;
+  (* Base tier: name resolution, arity, return consistency. *)
+  Array.iter
     (fun (b : Ir.block) ->
       let block = b.Ir.label in
       let check_value v =
         match v with
         | Ir.Local l ->
-            if not (Hashtbl.mem locals l) then
+            if not (Hashtbl.mem ids l) then
               add (diag ~code:"V003" ~block where "use of undefined local %%%s" l)
         | Ir.Const (Ir.Cglobal g) ->
             if not (bound g) then
@@ -84,8 +120,11 @@ let check_func ~callee_sig ~bound (f : Ir.func) =
       List.iter
         (fun (i : Ir.instr) ->
           (match i with
+          | Ir.Phi { incoming; _ } -> List.iter (fun (_, l) -> check_label l) incoming
+          | _ -> ());
+          Analysis.iter_operands check_value i;
+          match i with
           | Ir.Call { callee; args; ret; dst } -> (
-              List.iter (fun (_, v) -> check_value v) args;
               (match callee_sig callee with
               | None -> add (diag ~code:"V005" ~block where "call to unknown function @%s" callee)
               | Some (ptys, rty) ->
@@ -109,15 +148,9 @@ let check_func ~callee_sig ~bound (f : Ir.func) =
                     (diag ~code:"V013" ~block where
                        "void call to @%s must not bind a destination (%%%s)" callee d)
               | Some _ | None -> ())
-          | Ir.Phi { incoming; _ } -> List.iter (fun (_, l) -> check_label l) incoming
-          | Ir.Binop _ | Ir.Icmp _ | Ir.Alloca _ | Ir.Load _ | Ir.Store _ | Ir.Gep _ | Ir.Select _
-            ->
-              ());
-          match i with
-          | Ir.Call _ -> () (* args checked above *)
-          | _ -> List.iter check_value (Analysis.instr_operands i))
+          | _ -> ())
         b.Ir.instrs;
-      (match b.Ir.term with
+      match b.Ir.term with
       | Ir.Ret None ->
           if f.Ir.ret_ty <> Ir.Void then
             add (diag ~code:"V010" ~block where "ret void in %s function" (ty_name f.Ir.ret_ty))
@@ -134,117 +167,107 @@ let check_func ~callee_sig ~bound (f : Ir.func) =
           check_value cond;
           check_label if_true;
           check_label if_false
-      | Ir.Unreachable -> ());
-      ())
-    f.Ir.blocks;
+      | Ir.Unreachable -> ())
+    blocks;
   (match f.Ir.blocks with
   | { Ir.label = "entry"; _ } :: _ | [] -> ()
   | { Ir.label = l; _ } :: _ ->
       add (diag ~code:"V011" ~block:l where "first block must be entry, found %%%s" l));
-  List.rev !out
-
-(* --- Strict tier: dominance, typing, CFG/phi agreement, lints --- *)
-
-let check_func_strict (f : Ir.func) =
-  if Ir.is_declaration f then []
-  else begin
-    let cfg = Analysis.cfg_of_func f in
+  if strict && not (Ir.is_declaration f) then begin
+    (* Strict tier: dominance, typing, CFG/phi agreement, lints. *)
     let idom = Analysis.dominators cfg in
-    let defs = Analysis.def_sites cfg in
-    let types = Analysis.local_types f in
-    let out = ref [] in
-    let add d = out := d :: !out in
-    let where = f.Ir.fname in
-    let ty_of v = Analysis.type_of_value types v in
-    (* [expect ~code ~block what ty v]: operand [v] must type as [ty] when
-       its type is known at all (undefined locals are the base tier's
-       V003, not re-reported here). *)
+    let preds = cfg.Analysis.preds and reachable = cfg.Analysis.reachable in
+    (* Raises [Not_found] for an undefined local: the base tier's V003, not
+       re-reported here. *)
+    let type_of v =
+      match v with
+      | Ir.Local l -> tys.(Hashtbl.find ids l)
+      | Ir.Const (Ir.Cint (ty, _)) -> ty
+      | Ir.Const (Ir.Cfloat _) -> Ir.F64
+      | Ir.Const (Ir.Cnull | Ir.Cglobal _) -> Ir.Ptr
+    in
+    (* [v]'s type when it is known and not [ty]. *)
+    let wrong ty v =
+      match type_of v with got when got <> ty -> Some got | _ -> None | exception Not_found -> None
+    in
     let expect ~code ~block what ty v =
-      match ty_of v with
-      | Some got when got <> ty ->
+      match wrong ty v with
+      | Some got ->
           add (diag ~code ~block where "%s must be %s, got %s" what (ty_name ty) (ty_name got))
-      | Some _ | None -> ()
+      | None -> ()
     in
     let expect_int ~code ~block what v =
-      match ty_of v with
-      | Some got when not (is_int_ty got) ->
+      match type_of v with
+      | got when not (is_int_ty got) ->
           add (diag ~code ~block where "%s must be an integer, got %s" what (ty_name got))
-      | Some _ | None -> ()
+      | _ -> ()
+      | exception Not_found -> ()
     in
     (* A definition dominates a use at instruction [ii] of block [bi]
-       (ii = max_int for the terminator).  Phis define at the top of their
-       block (index -1) and bind before the instruction loop runs. *)
-    let def_dominates_point l ~bi ~ii =
-      match Hashtbl.find_opt defs l with
-      | Some Analysis.Def_param | None -> true
-      | Some (Analysis.Def_instr { block = db; index = di }) ->
-          if db = bi then di < ii else Analysis.dominates ~idom db bi
-    in
-    let def_dominates_block_end l ~bi =
-      match Hashtbl.find_opt defs l with
-      | Some Analysis.Def_param | None -> true
-      | Some (Analysis.Def_instr { block = db; _ }) ->
-          db = bi || Analysis.dominates ~idom db bi
+       (ii = max_int for the terminator, or for the end of a phi source's
+       block).  Parameters and undefined locals dominate everything. *)
+    let dominated l ~bi ~ii =
+      match Hashtbl.find ids l with
+      | id ->
+          let db = def_block.(id) in
+          db < 0 || if db = bi then def_index.(id) < ii else Analysis.dominates ~idom db bi
+      | exception Not_found -> true
     in
     Array.iteri
       (fun bi (b : Ir.block) ->
         let block = b.Ir.label in
-        let pred_labels =
-          List.sort_uniq String.compare
-            (List.map (fun p -> cfg.Analysis.blocks.(p).Ir.label) cfg.Analysis.preds.(bi))
-        in
-        if not cfg.Analysis.reachable.(bi) then
+        if not reachable.(bi) then
           add
             (diag ~code:"W001" ~severity:Warning ~block where "block %%%s is unreachable" block)
         else begin
           (* S001: every use dominated by its definition. *)
-          let check_use ~ii v =
+          let ii = ref 0 in
+          let check_use v =
             match v with
             | Ir.Local l ->
-                if not (def_dominates_point l ~bi ~ii) then
+                if not (dominated l ~bi ~ii:!ii) then
                   add
                     (diag ~code:"S001" ~block where "use of %%%s is not dominated by its definition"
                        l)
             | Ir.Const _ -> ()
           in
-          List.iteri
-            (fun ii (i : Ir.instr) ->
-              match i with
+          List.iter
+            (fun (i : Ir.instr) ->
+              (match i with
               | Ir.Phi { incoming; _ } ->
                   List.iter
                     (fun (v, l) ->
                       match v with
                       | Ir.Local x -> (
-                          match Analysis.block_index cfg l with
-                          | Some p when List.mem p cfg.Analysis.preds.(bi) ->
-                              if not (def_dominates_block_end x ~bi:p) then
+                          match Hashtbl.find labels l with
+                          | p ->
+                              if List.mem p preds.(bi) && not (dominated x ~bi:p ~ii:max_int) then
                                 add
                                   (diag ~code:"S001" ~block where
                                      "phi source %%%s does not dominate the end of %%%s" x l)
-                          | Some _ | None -> () (* stray incoming: S007 below *))
+                          | exception Not_found -> () (* stray incoming: S007 below *))
                       | Ir.Const _ -> ())
                     incoming
-              | _ -> List.iter (check_use ~ii) (Analysis.instr_operands i))
+              | _ -> Analysis.iter_operands check_use i);
+              incr ii)
             b.Ir.instrs;
-          List.iter (check_use ~ii:max_int) (Analysis.term_operands b.Ir.term)
+          ii := max_int;
+          match b.Ir.term with
+          | Ir.Ret (Some (_, v)) | Ir.Cbr { cond = v; _ } -> check_use v
+          | Ir.Ret None | Ir.Br _ | Ir.Unreachable -> ()
         end;
         List.iter
           (fun (i : Ir.instr) ->
             match i with
-            | Ir.Binop { op; ty; lhs; rhs; _ } -> (
-                match ty with
-                | Ir.F64 ->
-                    (match op with
-                    | Ir.Add | Ir.Sub | Ir.Mul | Ir.Sdiv -> ()
-                    | Ir.Srem | Ir.And | Ir.Or | Ir.Xor | Ir.Shl | Ir.Lshr ->
-                        add (diag ~code:"S002" ~block where "bitwise/rem binop on f64"));
-                    expect ~code:"S002" ~block "binop lhs" Ir.F64 lhs;
-                    expect ~code:"S002" ~block "binop rhs" Ir.F64 rhs
-                | Ir.I1 | Ir.I8 | Ir.I32 | Ir.I64 ->
-                    expect ~code:"S002" ~block "binop lhs" ty lhs;
-                    expect ~code:"S002" ~block "binop rhs" ty rhs
-                | Ir.Ptr | Ir.Void ->
-                    add (diag ~code:"S002" ~block where "binop at type %s" (ty_name ty)))
+            | Ir.Binop { ty = (Ir.Ptr | Ir.Void) as ty; _ } ->
+                add (diag ~code:"S002" ~block where "binop at type %s" (ty_name ty))
+            | Ir.Binop { op; ty; lhs; rhs; _ } ->
+                (match (ty, op) with
+                | Ir.F64, (Ir.Srem | Ir.And | Ir.Or | Ir.Xor | Ir.Shl | Ir.Lshr) ->
+                    add (diag ~code:"S002" ~block where "bitwise/rem binop on f64")
+                | _ -> ());
+                expect ~code:"S002" ~block "binop lhs" ty lhs;
+                expect ~code:"S002" ~block "binop rhs" ty rhs
             | Ir.Icmp { ty; lhs; rhs; _ } ->
                 if ty = Ir.Void then add (diag ~code:"S003" ~block where "icmp at type void");
                 expect ~code:"S003" ~block "icmp lhs" ty lhs;
@@ -257,7 +280,13 @@ let check_func_strict (f : Ir.func) =
             | Ir.Phi { ty; incoming; _ } ->
                 if ty = Ir.Void then add (diag ~code:"S005" ~block where "phi at type void");
                 List.iter
-                  (fun (v, l) -> expect ~code:"S005" ~block (Printf.sprintf "phi incoming from %%%s" l) ty v)
+                  (fun (v, l) ->
+                    match wrong ty v with
+                    | Some got ->
+                        add
+                          (diag ~code:"S005" ~block where "phi incoming from %%%s must be %s, got %s"
+                             l (ty_name ty) (ty_name got))
+                    | None -> ())
                   incoming
             | Ir.Load { ty; ptr; _ } ->
                 if ty = Ir.Void then add (diag ~code:"S006" ~block where "load at type void");
@@ -273,9 +302,13 @@ let check_func_strict (f : Ir.func) =
             | Ir.Call { callee; args; _ } ->
                 List.iter
                   (fun (ty, v) ->
-                    expect ~code:"S009" ~block
-                      (Printf.sprintf "argument to @%s declared %s" callee (ty_name ty))
-                      ty v)
+                    match wrong ty v with
+                    | Some got ->
+                        add
+                          (diag ~code:"S009" ~block where
+                             "argument to @%s declared %s must be %s, got %s" callee (ty_name ty)
+                             (ty_name ty) (ty_name got))
+                    | None -> ())
                   args)
           b.Ir.instrs;
         (match b.Ir.term with
@@ -283,31 +316,30 @@ let check_func_strict (f : Ir.func) =
         | Ir.Ret _ | Ir.Br _ | Ir.Unreachable -> ()
         | Ir.Cbr { cond; _ } -> expect ~code:"S009" ~block "cbr condition" Ir.I1 cond);
         (* S007 / S008: phi placement agrees with the CFG. *)
-        let phis =
-          List.filter_map
-            (fun i -> match i with Ir.Phi { dst; incoming; _ } -> Some (dst, incoming) | _ -> None)
-            b.Ir.instrs
-        in
-        if bi = 0 then begin
-          match phis with
-          | (dst, _) :: _ ->
-              add (diag ~code:"S008" ~block where "phi %%%s in entry block" dst)
-          | [] -> ()
-        end
-        else if cfg.Analysis.reachable.(bi) then
+        if bi = 0 then
+          Option.iter
+            (fun dst -> add (diag ~code:"S008" ~block where "phi %%%s in entry block" dst))
+            (List.find_map (function Ir.Phi { dst; _ } -> Some dst | _ -> None) b.Ir.instrs)
+        else if reachable.(bi) && List.exists (function Ir.Phi _ -> true | _ -> false) b.Ir.instrs then begin
+          let pred_labels =
+            List.sort_uniq String.compare (List.map (fun p -> blocks.(p).Ir.label) preds.(bi))
+          in
           List.iter
-            (fun (dst, incoming) ->
-              let inc_labels = List.sort_uniq String.compare (List.map snd incoming) in
-              if inc_labels <> pred_labels then
-                add
-                  (diag ~code:"S007" ~block where
-                     "phi %%%s incomings {%s} disagree with predecessors {%s}" dst
-                     (String.concat ", " inc_labels)
-                     (String.concat ", " pred_labels)))
-            phis)
-      cfg.Analysis.blocks;
+            (function
+              | Ir.Phi { dst; incoming; _ } ->
+                  let inc_labels = List.sort_uniq String.compare (List.map snd incoming) in
+                  if inc_labels <> pred_labels then
+                    add
+                      (diag ~code:"S007" ~block where
+                         "phi %%%s incomings {%s} disagree with predecessors {%s}" dst
+                         (String.concat ", " inc_labels)
+                         (String.concat ", " pred_labels))
+              | _ -> ())
+            b.Ir.instrs
+        end)
+      blocks;
     (* W002: stores into slots that are never read. *)
-    let dead_slots = Analysis.write_only_slots f in
+    let dead_slots = if !has_alloca then Analysis.write_only_slots f else Analysis.SS.empty in
     if not (Analysis.SS.is_empty dead_slots) then
       Array.iter
         (fun (b : Ir.block) ->
@@ -320,9 +352,9 @@ let check_func_strict (f : Ir.func) =
                        "store to %%%s, a slot that is never read" p)
               | _ -> ())
             b.Ir.instrs)
-        cfg.Analysis.blocks;
-    List.rev !out
-  end
+        blocks
+  end;
+  List.rev !out
 
 (* --- Merge-interference analyzer --- *)
 
@@ -479,15 +511,15 @@ let incremental ~strict () =
       let probed = ref [] in
       let callee_sig name =
         probed := name :: !probed;
-        match Hashtbl.find_opt env.sigs name with
-        | Some s -> Some s
-        | None -> Intrinsics.signature name
+        match Hashtbl.find env.sigs name with
+        | s -> Some s
+        | exception Not_found -> Intrinsics.signature name
       in
       let bound name =
         probed := name :: !probed;
         Hashtbl.mem env.globals name || Hashtbl.mem env.sigs name
       in
-      let diags = check_func ~callee_sig ~bound f @ if strict then check_func_strict f else [] in
+      let diags = check_func ~strict ~callee_sig ~bound f in
       { m_func = f; m_probed = !probed; m_diags = diags }
     in
     let reusable e (f : Ir.func) =

@@ -1,36 +1,40 @@
 module Callgraph = Quilt_dag.Callgraph
 
+type edge_count = { mutable count : int; mutable asyncs : bool }
+
 let build (st : Trace.store) ~entry ?(window_start = neg_infinity) () =
-  let spans = Trace.spans st ~since:window_start () in
-  let n_invocations =
-    List.length (List.filter (fun (s : Trace.span) -> s.Trace.caller = None && s.Trace.callee = entry) spans)
+  (* One pass over the window: intern names in discovery order (entry
+     first), count entry invocations, and count edges under [src lsl 30 lor
+     dst]. *)
+  let index = Hashtbl.create 16 and names = ref [ entry ] in
+  Hashtbl.add index entry 0;
+  let id n =
+    match Hashtbl.find index n with
+    | i -> i
+    | exception Not_found ->
+        let i = Hashtbl.length index in
+        Hashtbl.add index n i;
+        names := n :: !names;
+        i
   in
-  if n_invocations = 0 then Error (Printf.sprintf "no invocations of %s in the window" entry)
+  let edges = Hashtbl.create 16 and n_invocations = ref 0 in
+  List.iter
+    (fun (s : Trace.span) ->
+      match s.Trace.caller with
+      | None ->
+          ignore (id s.Trace.callee);
+          if s.Trace.callee = entry then incr n_invocations
+      | Some c -> (
+          let src = id c in
+          let key = (src lsl 30) lor id s.Trace.callee and async = s.Trace.kind = Trace.Async in
+          match Hashtbl.find edges key with
+          | e ->
+              e.count <- e.count + 1;
+              e.asyncs <- e.asyncs || async
+          | exception Not_found -> Hashtbl.add edges key { count = 1; asyncs = async }))
+    (Trace.spans st ~since:window_start ());
+  if !n_invocations = 0 then Error (Printf.sprintf "no invocations of %s in the window" entry)
   else begin
-    (* Vertex discovery: entry first, then every function seen. *)
-    let names = ref [ entry ] in
-    let note n = if not (List.mem n !names) then names := !names @ [ n ] in
-    List.iter
-      (fun (s : Trace.span) ->
-        (match s.Trace.caller with Some c -> note c | None -> ());
-        note s.Trace.callee)
-      spans;
-    let names = !names in
-    let index = Hashtbl.create 16 in
-    List.iteri (fun i n -> Hashtbl.replace index n i) names;
-    (* Edge counting. *)
-    let edges = Hashtbl.create 16 in
-    List.iter
-      (fun (s : Trace.span) ->
-        match s.Trace.caller with
-        | None -> ()
-        | Some c ->
-            let key = (c, s.Trace.callee) in
-            let count, asyncs =
-              match Hashtbl.find_opt edges key with Some (n, a) -> (n, a) | None -> (0, false)
-            in
-            Hashtbl.replace edges key (count + 1, asyncs || s.Trace.kind = Trace.Async))
-      spans;
     (* Resources per function: average CPU per invocation, peak memory,
        aggregated across that function's containers (§3). *)
     let resources fn =
@@ -67,28 +71,23 @@ let build (st : Trace.store) ~entry ?(window_start = neg_infinity) () =
            (fun i name ->
              let cpu, mem = resources name in
              { Callgraph.id = i; name; mem_mb = mem; cpu; mergeable = true })
-           names)
+           (List.rev !names))
     in
+    (* Sorted by (src, dst), which is key order, for reproducibility. *)
     let edge_list =
-      Hashtbl.fold
-        (fun (c, d) (count, asyncs) acc ->
+      List.map
+        (fun (key, e) ->
           {
-            Callgraph.src = Hashtbl.find index c;
-            dst = Hashtbl.find index d;
-            weight = count;
-            kind = (if asyncs then Callgraph.Async else Callgraph.Sync);
-          }
-          :: acc)
-        edges []
+            Callgraph.src = key lsr 30;
+            dst = key land ((1 lsl 30) - 1);
+            weight = e.count;
+            kind = (if e.asyncs then Callgraph.Async else Callgraph.Sync);
+          })
+        (List.sort
+           (fun (a, _) (b, _) -> Int.compare a b)
+           (Hashtbl.fold (fun key e acc -> (key, e) :: acc) edges []))
     in
-    (* Deterministic order for reproducibility. *)
-    let edge_list =
-      List.sort (fun a b -> compare (a.Callgraph.src, a.Callgraph.dst) (b.Callgraph.src, b.Callgraph.dst)) edge_list
-    in
-    match
-      Callgraph.make ~nodes ~edges:edge_list ~root:(Hashtbl.find index entry)
-        ~invocations:n_invocations
-    with
+    match Callgraph.make ~nodes ~edges:edge_list ~root:0 ~invocations:!n_invocations with
     | g -> Ok g
     | exception Invalid_argument msg -> Error msg
   end

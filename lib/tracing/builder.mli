@@ -14,7 +14,12 @@ val build :
   (Quilt_dag.Callgraph.t, string) result
 (** [Error] when the window contains no invocation of [entry] or the
     observed edges do not form a connected rooted DAG (e.g. the window
-    mixes workflows). *)
+    mixes workflows).
+
+    Cost O(spans + samples), plus a sort of the distinct edges: one pass
+    over the window's spans interns names (entry first, then in order of
+    first appearance) and counts edges under integer keys; one pass over
+    each function's resource samples folds them per container. *)
 
 val known_calls :
   code_edges:(string * string * Quilt_dag.Callgraph.call_kind) list ->

@@ -31,6 +31,9 @@ let record_resource st r =
 let spans st ?(since = neg_infinity) () =
   List.rev (List.filter (fun s -> s.ts >= since) st.spans_rev)
 
+let count_spans st ?(since = neg_infinity) p =
+  List.fold_left (fun n s -> if s.ts >= since && p s then n + 1 else n) 0 st.spans_rev
+
 let resource_samples st ~fn =
   match Hashtbl.find_opt st.resources fn with
   | Some l -> List.rev !l

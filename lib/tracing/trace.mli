@@ -43,6 +43,10 @@ val record_resource : store -> resource_sample -> unit
 val spans : store -> ?since:float -> unit -> span list
 (** Chronological. *)
 
+val count_spans : store -> ?since:float -> (span -> bool) -> int
+(** The spans at or after [since] that satisfy the predicate, counted
+    without building a list. *)
+
 val resource_samples : store -> fn:string -> resource_sample list
 
 val span_count : store -> int

@@ -43,7 +43,7 @@ exit:
 
 let test_dominators () =
   let cfg = Analysis.cfg_of_func (func (parse loop_func_text) "f") in
-  let idx l = Option.get (Analysis.block_index cfg l) in
+  let idx l = Hashtbl.find cfg.Analysis.index l in
   let idom = Analysis.dominators cfg in
   let entry, head, body, exit_ = (idx "entry", idx "head", idx "body", idx "exit") in
   Alcotest.(check int) "idom entry = entry" entry idom.(entry);
@@ -57,7 +57,7 @@ let test_dominators () =
 
 let test_cfg_edges () =
   let cfg = Analysis.cfg_of_func (func (parse loop_func_text) "f") in
-  let idx l = Option.get (Analysis.block_index cfg l) in
+  let idx l = Hashtbl.find cfg.Analysis.index l in
   Alcotest.(check (list int)) "head preds" [ idx "entry"; idx "body" ]
     (List.sort compare cfg.Analysis.preds.(idx "head"));
   Alcotest.(check (list int)) "head succs" [ idx "body"; idx "exit" ]
@@ -86,7 +86,7 @@ done:
 
 let test_liveness () =
   let cfg = Analysis.cfg_of_func (func (parse diamond_text) "f") in
-  let idx l = Option.get (Analysis.block_index cfg l) in
+  let idx l = Hashtbl.find cfg.Analysis.index l in
   let lv = Analysis.liveness cfg in
   let mem name set = Analysis.SS.mem name set in
   (* %s is defined in entry and used in both arms. *)

@@ -10,6 +10,7 @@ let () =
        Test_cluster.suite;
        Test_ir.suite;
        Test_analysis.suite;
+       Test_differential.suite;
        Test_lang.suite;
        Test_merge.suite;
        Test_platform.suite;
