@@ -6,15 +6,12 @@
      the fig8 section; `fig8b` now delegates to this module);
    - the exact Phase-2 search ({!Closure.solve_exact}) on one in-cap
      instance of the n=200/seed-1200 rDAG;
-   - warm-start incremental re-decision vs a from-scratch solve after a
-     single-group drift;
    - bechamel micro rows for the decision algorithms (promoted from the
      micro section). *)
 
 open Common
 module Gen = Quilt_dag.Gen
 module Callgraph = Quilt_dag.Callgraph
-module Drift = Quilt_dag.Drift
 module Types = Quilt_cluster.Types
 module Decision = Quilt_cluster.Decision
 module Closure = Quilt_cluster.Closure
@@ -169,71 +166,6 @@ let run_exact () =
           ] );
     ]
 
-(* --- warm-start incremental re-decision --- *)
-
-let run_redecision () =
-  subsection "incremental re-decision: warm-start splice vs from-scratch";
-  let g, lim = graph_of 200 in
-  let prev =
-    match Decision.auto g lim with
-    | Some s -> s
-    | None -> failwith "decision bench: n=200 instance unexpectedly infeasible"
-  in
-  (* Drift one member of one multi-member group: scale its CPU demand past
-     the detector threshold.  Topology is untouched, so the incremental
-     path applies and everything outside that group splices through. *)
-  let victim =
-    let multi =
-      List.find
-        (fun (sg : Types.subgraph) ->
-          Array.fold_left (fun a b -> if b then a + 1 else a) 0 sg.Types.members >= 2)
-        prev.Types.subgraphs
-    in
-    let v = ref multi.Types.root in
-    Array.iteri (fun i b -> if b && i <> multi.Types.root then v := i) multi.Types.members;
-    !v
-  in
-  let g' =
-    let nodes =
-      Array.map
-        (fun (nd : Callgraph.node) ->
-          if nd.Callgraph.id = victim then { nd with Callgraph.cpu = nd.Callgraph.cpu *. 1.6 }
-          else nd)
-        g.Callgraph.nodes
-    in
-    Callgraph.make ~nodes ~edges:g.Callgraph.edges ~root:g.Callgraph.root
-      ~invocations:g.Callgraph.invocations
-  in
-  let report = Drift.detect ~threshold:0.3 g g' in
-  if Drift.topology_changed report then failwith "decision bench: drift report shows topology change";
-  Printf.printf "  drifted: %s\n" (String.concat ", " (Drift.touched_functions report));
-  let inc_ref = ref None in
-  let t_inc =
-    median_time ~reps:(max 3 (reps ())) (fun () ->
-        inc_ref :=
-          Decision.resolve_incremental ~prev_graph:g ~prev ~report g' lim)
-  in
-  (match !inc_ref with
-  | Some _ -> ()
-  | None -> failwith "decision bench: incremental re-decision unexpectedly declined");
-  let t_full =
-    median_time ~reps:(reps ()) (fun () -> ignore (Decision.auto g' lim))
-  in
-  Printf.printf "  from-scratch %8.4fs   incremental %8.4fs   speedup %6.1fx\n" t_full t_inc
-    (t_full /. t_inc);
-  record_timings ~key:"redecision"
-    [
-      ("note",
-       Json.str
-         "re-decision after a single-group resource drift on the n=200/seed-1200 rDAG: \
-          Decision.resolve_incremental (touched group only) vs from-scratch Decision.auto");
-      ("smoke", Json.Bool !smoke_flag);
-      ("drifted_group_members", Json.int 1);
-      ("from_scratch_s", Json.Float t_full);
-      ("incremental_s", Json.Float t_inc);
-      ("speedup", Json.Float (t_full /. t_inc));
-    ]
-
 (* --- bechamel micro rows (promoted from bench/micro.ml) --- *)
 
 let run_micro () =
@@ -278,8 +210,7 @@ let run_micro () =
     (List.rev_map (fun (name, us) -> (name, Json.Float us)) !recorded)
 
 let run () =
-  section "Decision time: sweep, exact search, incremental";
+  section "Decision time: sweep, exact search";
   sweep ();
   run_exact ();
-  run_redecision ();
   run_micro ()

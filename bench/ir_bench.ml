@@ -1,12 +1,12 @@
-(* Tree-walking interpreter vs the QVM compiled engine (writes BENCH_ir.json).
+(* The QVM compiled engine and the static-analysis framework (writes
+   BENCH_ir.json).
 
-   Two series per workload, minimum over several timed batches:
-   - the merged compose-post handler end to end.  Both engines share the
-     native runtime (JSON natives, string-ABI shims), so this ratio is
-     floored by work the compiled engine cannot remove;
+   Two execution workloads, each timed as the minimum over several batches
+   next to its deterministic step count:
+   - the merged compose-post handler end to end, native runtime (JSON
+     natives, string-ABI shims) included;
    - a native-free hot loop of the same handler-convention shape, which
-     isolates engine dispatch — the component the slot-resolved bytecode
-     actually replaces — and is where the >= 5x separation shows. *)
+     isolates engine dispatch. *)
 
 module Workflow = Quilt_apps.Workflow
 module Deathstar = Quilt_apps.Deathstar
@@ -22,8 +22,7 @@ let smoke_flag = ref false
 
 (* Minimum over [samples] batch timings: the standard uncontended-cost
    estimator for microbenchmarks — external load only ever adds time, so
-   the fastest batch is the best estimate of the code's own cost.  Applied
-   symmetrically to both engines. *)
+   the fastest batch is the best estimate of the code's own cost. *)
 let time_us_per_run ~iters ~samples f =
   for _ = 1 to max 1 (iters / 10) do
     ignore (f ())
@@ -103,27 +102,16 @@ let dispatch_loop_module n =
   }
 
 let steps_of ~host m ~fname ~req =
-  match Interp.run_handler ~host m ~fname ~req with
+  match Vm.run_handler ~host m ~fname ~req with
   | Ok (_, s) -> s.Interp.steps
   | Error e -> failwith (Printf.sprintf "ir bench workload traps: %s" e)
 
-(* Times one workload on both engines after checking they agree. *)
-let series ~iters ~samples ~host m ~fname ~req =
+let compiled_us ~iters ~samples ~host m ~fname ~req =
   let prog = Compile.compile m in
-  let tw = Interp.run_handler ~host m ~fname ~req in
-  let vm = Vm.run_handler_prog ~host prog ~fname ~req in
-  (match (tw, vm) with
-  | Ok (a, _), Ok (b, _) when a = b -> ()
-  | Ok _, Ok _ -> failwith "ir bench: engines disagree on the response"
-  | Error e, _ | _, Error e -> failwith (Printf.sprintf "ir bench workload traps: %s" e));
-  let tw_us = time_us_per_run ~iters ~samples (fun () -> Interp.run_handler ~host m ~fname ~req) in
-  let vm_us =
-    time_us_per_run ~iters ~samples (fun () -> Vm.run_handler_prog ~host prog ~fname ~req)
-  in
-  (tw_us, vm_us)
+  time_us_per_run ~iters ~samples (fun () -> Vm.run_handler_prog ~host prog ~fname ~req)
 
 let run () =
-  Common.section "ir: tree-walker vs QVM compiled engine";
+  Common.section "ir: QVM compiled engine and static analysis";
   let iters, samples = if !smoke_flag || !Common.fast then (150, 3) else (2000, 7) in
   let host = Interp.echo_host in
 
@@ -139,36 +127,30 @@ let run () =
   let fname = report.Pipeline.entry in
   let req = {|{"user":"alice","text":"hello world","media":"img.png"}|} in
   let cp_steps = steps_of ~host m ~fname ~req in
-  let cp_tw, cp_vm = series ~iters ~samples ~host m ~fname ~req in
+  let cp_vm = compiled_us ~iters ~samples ~host m ~fname ~req in
 
   (* Workload 2: the native-free dispatch loop. *)
   let dl = dispatch_loop_module 1200 in
   let dl_req = "{}" in
   let dl_steps = steps_of ~host dl ~fname:"dispatch-loop" ~req:dl_req in
-  let dl_tw, dl_vm = series ~iters ~samples ~host dl ~fname:"dispatch-loop" ~req:dl_req in
+  let dl_vm = compiled_us ~iters ~samples ~host dl ~fname:"dispatch-loop" ~req:dl_req in
 
-  let row name steps tw vm note =
-    Printf.printf "  %-24s %6d steps  treewalk %8.2f us/run  compiled %8.2f us/run  (%.2fx)\n%!"
-      name steps tw vm (tw /. vm);
+  let row name steps vm note =
+    Printf.printf "  %-24s %6d steps  compiled %8.2f us/run\n%!" name steps vm;
     Json.Obj
       [
         ("name", Json.String name);
         ("steps", Json.Int steps);
-        ("treewalk_us_per_run", Json.Float tw);
         ("compiled_us_per_run", Json.Float vm);
-        ("speedup", Json.Float (tw /. vm));
         ("note", Json.String note);
       ]
   in
   let cp_row =
-    row "compose-post-merged" cp_steps cp_tw cp_vm
-      "end to end; both engines share the native runtime (json + string shims), which floors \
-       the ratio"
+    row "compose-post-merged" cp_steps cp_vm
+      "end to end, native runtime (json + string shims) included"
   in
   let dl_row =
-    row "dispatch-loop" dl_steps dl_tw dl_vm
-      "native-free hot loop isolating engine dispatch, the component the bytecode engine \
-       replaces"
+    row "dispatch-loop" dl_steps dl_vm "native-free hot loop isolating engine dispatch"
   in
   let rows = [ cp_row; dl_row ] in
 

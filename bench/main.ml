@@ -11,7 +11,7 @@ let experiments =
     ("fig8b", Fig8.run_8b, "decision-time sweep only (alias for the decision bench's sweep)");
     ( "decision",
       Decision_bench.run,
-      "decision time: sweep, exact search, incremental (writes BENCH_decision.json)" );
+      "decision time: sweep, exact search, micro (writes BENCH_decision.json)" );
     ("fig9", Fig9.run, "decision quality on random rDAGs (Figure 9)");
     ("fig10", Fig10.run, "conditional invocations under fan-out (Figure 10)");
     ("table_e", Table_e.run, "binary sizes (Appendix E)");

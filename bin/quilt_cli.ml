@@ -105,11 +105,16 @@ let merge_cmd async dump_ir req name =
 let lint_cmd async strict json target =
   let modul =
     if Filename.check_suffix target ".qir" || Sys.file_exists target then begin
-      let text = In_channel.with_open_text target In_channel.input_all in
-      try Quilt_ir.Parser.parse_module text
-      with Failure e ->
-        Printf.eprintf "%s: parse error: %s\n" target e;
+      let fail msg =
+        prerr_endline msg;
         exit 1
+      in
+      match Quilt_ir.Parser.parse_module (In_channel.with_open_text target In_channel.input_all) with
+      | m -> m
+      | exception Sys_error e ->
+          fail (if String.starts_with ~prefix:target e then e else target ^ ": " ^ e)
+      | exception Quilt_ir.Parser.Error (line, e) ->
+          fail (Printf.sprintf "%s:%d: parse error: %s" target line e)
     end
     else begin
       let wf = find_workflow ~async target in
@@ -210,13 +215,10 @@ let with_engine_stats enabled f =
         (100.0 *. float_of_int hits /. float_of_int lookups)
   end
 
-let adapt_cmd (seed, smoke, engine_stats) no_controller incremental scenario =
+let adapt_cmd (seed, smoke, engine_stats) no_controller scenario =
   with_engine_stats engine_stats @@ fun () ->
   let run wc =
-    match
-      Quilt_control.Scenario.run ~smoke ~seed ~incremental_redecide:incremental
-        ~with_controller:wc scenario
-    with
+    match Quilt_control.Scenario.run ~smoke ~seed ~with_controller:wc scenario with
     | Ok o -> o
     | Error e ->
         Printf.eprintf "adapt failed: %s\n" e;
@@ -528,14 +530,6 @@ let adapt_t =
   let no_controller =
     Arg.(value & flag & info [ "no-controller" ] ~doc:"Run the phased workload without the controller.")
   in
-  let incremental =
-    Arg.(
-      value & flag
-      & info [ "incremental" ]
-          ~doc:
-            "Opt the controller into warm-start incremental re-decision on drift ticks \
-             (escalates to the full optimizer when the incremental path declines).")
-  in
   let scenario =
     Arg.(
       value
@@ -546,7 +540,7 @@ let adapt_t =
   in
   Cmd.v
     (Cmd.info "adapt" ~doc:"Run an adaptive scenario under the online control plane")
-    Term.(const adapt_cmd $ run_flags $ no_controller $ incremental $ scenario)
+    Term.(const adapt_cmd $ run_flags $ no_controller $ scenario)
 
 let chaos_t =
   let policy =

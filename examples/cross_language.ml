@@ -6,13 +6,15 @@
    into one process.  Each language has its own string ABI (C's char*,
    Rust's {ptr,len,cap}, Go's {ptr,len}, Swift's refcounted boxes); the
    pipeline bridges them with the caller2c/c2callee shims and the merged
-   module computes exactly what the distributed chain computes. *)
+   module computes exactly what the distributed chain computes (exits 1
+   when it traps or disagrees). *)
 
 module Ast = Quilt_lang.Ast
 module Eval = Quilt_lang.Eval
 module Pipeline = Quilt_merge.Pipeline
 module Sizes = Quilt_merge.Sizes
 module Interp = Quilt_ir.Interp
+module Vm = Quilt_ir.Vm
 module Ir = Quilt_ir.Ir
 module Special = Quilt_apps.Special
 module Workflow = Quilt_apps.Workflow
@@ -40,15 +42,20 @@ let () =
     (String.concat ", " report.Pipeline.languages)
     (List.length m.Ir.funcs) (Sizes.binary_size_mb m);
 
-  (match Interp.run_handler ~host:Interp.null_host m ~fname:(Pipeline.entry_handler wf.Workflow.entry) ~req with
-  | Ok (got, stats) ->
-      Printf.printf "\ndistributed chain : %s\n" expected;
-      Printf.printf "merged process    : %s\n" got;
-      Printf.printf "identical         : %b, with %d remote calls and HTTP stack loaded = %b\n"
-        (got = expected)
-        (List.length stats.Interp.remote_sync)
-        stats.Interp.curl_loaded
-  | Error e -> Printf.printf "trap: %s\n" e);
+  let agreed =
+    match Vm.run_handler ~host:Interp.null_host m ~fname:(Pipeline.entry_handler wf.Workflow.entry) ~req with
+    | Ok (got, stats) ->
+        Printf.printf "\ndistributed chain : %s\n" expected;
+        Printf.printf "merged process    : %s\n" got;
+        Printf.printf "identical         : %b, with %d remote calls and HTTP stack loaded = %b\n"
+          (got = expected)
+          (List.length stats.Interp.remote_sync)
+          stats.Interp.curl_loaded;
+        got = expected
+    | Error e ->
+        Printf.printf "trap: %s\n" e;
+        false
+  in
 
   (* The shims that bridge the ABIs. *)
   let shims =
@@ -62,4 +69,5 @@ let () =
   List.iter
     (fun (f : Ir.func) ->
       Printf.printf "  %s (lang %s)\n" f.Ir.fname (Option.value ~default:"?" f.Ir.lang))
-    shims
+    shims;
+  if not agreed then exit 1

@@ -5,14 +5,16 @@
 
    Walks the core API: define functions (Quilt_lang.Ast), compile them
    through a frontend, merge with the Figure-5 pipeline, and execute the
-   merged module in the QIR interpreter — checking it computes exactly what
-   the distributed workflow computes, without touching the network. *)
+   merged module on the QVM — checking it computes exactly what the
+   distributed workflow computes, without touching the network.  Exits 1
+   when the merged module traps or disagrees. *)
 
 module Ast = Quilt_lang.Ast
 module Eval = Quilt_lang.Eval
 module Pipeline = Quilt_merge.Pipeline
 module Sizes = Quilt_merge.Sizes
 module Interp = Quilt_ir.Interp
+module Vm = Quilt_ir.Vm
 module Pp = Quilt_ir.Pp
 module Ir = Quilt_ir.Ir
 
@@ -73,17 +75,21 @@ let () =
 
   (* 3. Run the merged binary.  null_host: any network call would fail the
      run — proving the invocation became a local call. *)
-  (match
-     Interp.run_handler ~host:Interp.null_host m ~fname:(Pipeline.entry_handler "greeter") ~req
-   with
-  | Ok (got, stats) ->
-      Printf.printf "merged binary answers       : %s\n" got;
-      Printf.printf "agreement                   : %b\n" (got = expected);
-      Printf.printf "remote invocations          : %d\n" (List.length stats.Interp.remote_sync);
-      Printf.printf "HTTP stack loaded           : %b (DelayHTTP kept it out)\n" stats.Interp.curl_loaded
-  | Error e -> Printf.printf "merged binary trapped: %s\n" e);
+  let agreed =
+    match Vm.run_handler ~host:Interp.null_host m ~fname:(Pipeline.entry_handler "greeter") ~req with
+    | Ok (got, stats) ->
+        Printf.printf "merged binary answers       : %s\n" got;
+        Printf.printf "agreement                   : %b\n" (got = expected);
+        Printf.printf "remote invocations          : %d\n" (List.length stats.Interp.remote_sync);
+        Printf.printf "HTTP stack loaded           : %b (DelayHTTP kept it out)\n" stats.Interp.curl_loaded;
+        got = expected
+    | Error e ->
+        Printf.printf "merged binary trapped: %s\n" e;
+        false
+  in
 
   (* 4. Peek at the generated shim, straight out of Appendix D. *)
-  match Ir.find_func m "c2callee_formatter" with
+  (match Ir.find_func m "c2callee_formatter" with
   | Some shim -> Printf.printf "\nthe cross-language shim:\n%s\n" (Pp.func_to_string shim)
-  | None -> ()
+  | None -> ());
+  if not agreed then exit 1

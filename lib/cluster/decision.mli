@@ -3,9 +3,8 @@
 
     There is one decision path and it is sequential: every algorithm runs
     in the calling domain, and the exact regime is one {!Optimal} sweep
-    over {!Closure.solve_exact}.  This module also holds the warm-start
-    incremental re-decision the control plane uses on drift ticks
-    ({!resolve_incremental}). *)
+    over {!Closure.solve_exact}.  A drift-triggered re-decision is a
+    fresh {!auto} call on the new graph. *)
 
 type algorithm =
   | Optimal  (** Exhaustive k-sweep (§4.2); small graphs only. *)
@@ -35,31 +34,3 @@ val auto :
     pick.  [domains] is unused and ignored; it is accepted only because the
     repository benchmark still passes it, and goes with the next change to
     that benchmark. *)
-
-val resolve_incremental :
-  ?seed:int ->
-  prev_graph:Quilt_dag.Callgraph.t ->
-  prev:Types.solution ->
-  report:Quilt_dag.Drift.report ->
-  Quilt_dag.Callgraph.t ->
-  Types.limits ->
-  Types.solution option
-(** Warm-start re-decision after drift: [prev] is the solution currently
-    deployed (decided on [prev_graph]), [report] the {!Quilt_dag.Drift}
-    report against the fresh graph [g].  Only groups containing a function
-    in {!Quilt_dag.Drift.touched_functions} are re-decided (each on its
-    induced sub-callgraph, with a keep-whole fast path for groups that
-    still fit their container); untouched groups are spliced through
-    unchanged, and the spliced assembly is re-validated against [g].
-
-    Returns [None] — meaning the caller must fall back to a from-scratch
-    solve — when the report shows topology drift, when a touched group's
-    local re-solve fails, or when the spliced assembly no longer validates
-    (e.g. a local split demoted a root that other groups still cut edges
-    to).  A returned solution always passes {!Metrics.solution_valid}.
-
-    Differential guarantee (pinned by qcheck): re-deciding only the touched
-    groups yields exactly the same solution as feeding
-    {!Quilt_dag.Drift.touch_all}'s everything-touched report through the
-    same path, because an untouched group's local re-solve provably returns
-    the group unchanged. *)

@@ -1,4 +1,5 @@
 module Histogram = Quilt_util.Histogram
+module Engine = Quilt_platform.Engine
 
 type config = {
   quantile : float;
@@ -18,6 +19,30 @@ let stats_of cfg samples =
   List.iter (fun (lat, ok) -> if ok then Histogram.record hist lat) samples;
   let tail = if Histogram.count hist = 0 then 0.0 else Histogram.quantile hist cfg.quantile in
   { n; fail_rate = (if n = 0 then 0.0 else float_of_int fails /. float_of_int n); tail_us = tail }
+
+type samples = { mutable rev : (float * float * bool) list }
+
+let samples () = { rev = [] }
+let prune s ~before = s.rev <- List.filter (fun (ts, _, _) -> ts >= before) s.rev
+
+let stats_between cfg s ~from_ ~to_ =
+  stats_of cfg
+    (List.filter_map
+       (fun (ts, lat, ok) -> if ts >= from_ && ts <= to_ then Some (lat, ok) else None)
+       s.rev)
+
+let supervise engine ?entry s ~tick_us ~until tick =
+  Engine.add_completion_hook engine (fun ~entry:e ~latency_us ~ok ->
+      if Option.fold ~none:true ~some:(String.equal e) entry then
+        s.rev <- (Engine.now engine, latency_us, ok) :: s.rev);
+  let rec loop () =
+    if Engine.now engine <= until then begin
+      tick ();
+      (* Stop rescheduling past [until] so Engine.drain terminates. *)
+      if Engine.now engine +. tick_us <= until then Engine.schedule engine tick_us loop
+    end
+  in
+  Engine.schedule engine tick_us loop
 
 type verdict = Pass | Regress of string | Inconclusive of string
 

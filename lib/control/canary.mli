@@ -25,6 +25,35 @@ val stats_of : config -> (float * bool) list -> stats
 (** From (latency_us, ok) samples; [tail_us] is over successes only and 0
     when there are none. *)
 
+(** {2 Latency stream}
+
+    The completion samples a supervising loop ({!Controller},
+    {!Rebalancer}) judges its switches by. *)
+
+type samples
+(** (timestamp, latency_us, ok) per completed request, newest first. *)
+
+val samples : unit -> samples
+
+val prune : samples -> before:float -> unit
+(** Drops samples timestamped before [before]. *)
+
+val stats_between : config -> samples -> from_:float -> to_:float -> stats
+(** {!stats_of} over the samples timestamped in [[from_, to_]]. *)
+
+val supervise :
+  Quilt_platform.Engine.t ->
+  ?entry:string ->
+  samples ->
+  tick_us:float ->
+  until:float ->
+  (unit -> unit) ->
+  unit
+(** Records every completed request (only those of [entry], when given)
+    into [samples] and runs the tick function every [tick_us] of virtual
+    time up to the absolute time [until]; no tick is scheduled past
+    [until], so {!Quilt_platform.Engine.drain} terminates. *)
+
 type verdict = Pass | Regress of string | Inconclusive of string
 
 val judge : config -> pre:stats -> post:stats -> verdict

@@ -16,7 +16,6 @@ type config = {
   canary : Canary.config;
   canary_warmup_us : float;
   canary_eval_us : float;
-  incremental_redecide : bool;
 }
 
 let default_config =
@@ -30,7 +29,6 @@ let default_config =
     canary = Canary.default;
     canary_warmup_us = 5_000_000.0;
     canary_eval_us = 6_000_000.0;
-    incremental_redecide = false;
   }
 
 type kind =
@@ -93,8 +91,7 @@ type t = {
   mutable state : phase_state;
   mutable events_rev : event list;
   mutable ticks : int;
-  (* Completion stream, newest first: (ts, latency_us, ok). *)
-  mutable samples_rev : (float * float * bool) list;
+  samples : Canary.samples;
   mutable holddown : string list;
   (* The plan displaced by the most recent switch, kept even after the
      canary passes: a regression that only materializes once the workload
@@ -150,7 +147,7 @@ let create engine ?(cfg = default_config) ?obs ~quilt_cfg ~workflows ~plan () =
     state = Stable;
     events_rev = [];
     ticks = 0;
-    samples_rev = [];
+    samples = Canary.samples ();
     holddown = [];
     fallback = None;
   }
@@ -187,18 +184,7 @@ let window_invocations t =
 let log t kind detail =
   t.events_rev <- { ev_ts = Engine.now t.engine; ev_kind = kind; ev_detail = detail } :: t.events_rev
 
-let prune_samples t =
-  (* Keep enough history for a canary's pre-window plus slack. *)
-  let horizon = Engine.now t.engine -. (3.0 *. t.cfg.window_us) in
-  t.samples_rev <- List.filter (fun (ts, _, _) -> ts >= horizon) t.samples_rev
-
-let stats_between t ~from_ ~to_ =
-  let in_range =
-    List.filter_map
-      (fun (ts, lat, ok) -> if ts >= from_ && ts <= to_ then Some (lat, ok) else None)
-      t.samples_rev
-  in
-  Canary.stats_of t.cfg.canary in_range
+let stats_between t ~from_ ~to_ = Canary.stats_between t.cfg.canary t.samples ~from_ ~to_
 
 (* Revert a canaried switch: merged entries of the bad plan go back to their
    baseline containers, then the previous plan's merged groups are rolled
@@ -248,23 +234,7 @@ let attempt_remerge t report =
       Detector.note_action t.detector ~now;
       log t Remerge_failed (Printf.sprintf "window graph: %s" e)
   | Ok wg -> (
-      (* Warm-start path (opt-in): patch only the drifted groups of the
-         deployed plan.  Escalate to the full optimizer when the
-         incremental solver declines (topology drift, local infeasibility)
-         — and also when its patch is a no-op grouping-wise: drift strong
-         enough to trigger a remerge but invisible to any single group is
-         exactly the cross-group case only a global solve can improve. *)
-      let proposal_result =
-        let full () = Quilt.optimize ~graph:wg t.quilt_cfg ~workflows:t.workflows wf in
-        if not t.cfg.incremental_redecide then full ()
-        else
-          match
-            Quilt.optimize_incremental ~graph:wg t.quilt_cfg ~prev:t.current ~report wf
-          with
-          | Ok proposal when fingerprint proposal <> fingerprint t.current -> Ok proposal
-          | Ok _ | Error _ -> full ()
-      in
-      match proposal_result with
+      match Quilt.optimize ~graph:wg t.quilt_cfg ~workflows:t.workflows wf with
       | Error e ->
           Detector.note_action t.detector ~now;
           log t Remerge_failed e
@@ -331,7 +301,8 @@ let watchdog t ~now =
 let tick t =
   t.ticks <- t.ticks + 1;
   Window.advance t.window;
-  prune_samples t;
+  (* Keep enough history for a canary's pre-window plus slack. *)
+  Canary.prune t.samples ~before:(Engine.now t.engine -. (3.0 *. t.cfg.window_us));
   let now = Engine.now t.engine in
   match t.state with
   | Canarying { prev; switched; pre } ->
@@ -359,19 +330,8 @@ let start t ~until =
   (* Observability mode profiles from the recorder's spans: the engine's
      ground-truth profiler (and its per-hop latency overhead) stays off. *)
   (match t.obs with None -> Engine.set_profiling t.engine true | Some _ -> ());
-  let entry = t.current.Quilt.workflow.Workflow.entry in
-  Engine.add_completion_hook t.engine (fun ~entry:e ~latency_us ~ok ->
-      if e = entry then
-        t.samples_rev <- (Engine.now t.engine, latency_us, ok) :: t.samples_rev);
-  let rec loop () =
-    if Engine.now t.engine <= until then begin
-      tick t;
-      (* Stop rescheduling past [until] so Engine.drain terminates. *)
-      if Engine.now t.engine +. t.cfg.tick_us <= until then
-        Engine.schedule t.engine t.cfg.tick_us loop
-    end
-  in
-  Engine.schedule t.engine t.cfg.tick_us loop
+  Canary.supervise t.engine ~entry:t.current.Quilt.workflow.Workflow.entry t.samples
+    ~tick_us:t.cfg.tick_us ~until (fun () -> tick t)
 
 let summary t =
   let z =
@@ -404,31 +364,10 @@ let summary t =
       | Skipped -> { s with s_skipped = s.s_skipped + 1 })
     z (events t)
 
-let events_json t =
-  Json.List
-    (List.map
-       (fun e ->
-         Json.Obj
-           [
-             ("t_s", Json.Float (e.ev_ts /. 1e6));
-             ("kind", Json.str (kind_name e.ev_kind));
-             ("detail", Json.str e.ev_detail);
-           ])
-       (events t))
-
-let summary_json t =
-  let s = summary t in
+let event_json e =
   Json.Obj
     [
-      ("ticks", Json.int s.s_ticks);
-      ("keeps", Json.int s.s_keeps);
-      ("suspects", Json.int s.s_suspects);
-      ("remerges", Json.int s.s_remerges);
-      ("rebaselines", Json.int s.s_rebaselines);
-      ("holds", Json.int s.s_holds);
-      ("remerge_failures", Json.int s.s_failures);
-      ("canary_passes", Json.int s.s_canary_passes);
-      ("canary_rollbacks", Json.int s.s_rollbacks);
-      ("watchdog_rollbacks", Json.int s.s_watchdogs);
-      ("skipped", Json.int s.s_skipped);
+      ("t_s", Json.Float (e.ev_ts /. 1e6));
+      ("kind", Json.str (kind_name e.ev_kind));
+      ("detail", Json.str e.ev_detail);
     ]

@@ -28,13 +28,6 @@ type config = {
           (default 5 s). *)
   canary_eval_us : float;
       (** Judged this long after the warm-up ends (default 6 s). *)
-  incremental_redecide : bool;
-      (** Opt-in warm-start re-decision (default [false]): on a remerge
-          trigger, first try {!Quilt_core.Quilt.optimize_incremental} —
-          re-deciding only the drifted groups of the deployed plan — and
-          escalate to the full optimizer only when the incremental solver
-          declines or its patch leaves the grouping unchanged.  Canary,
-          holddown and watchdog machinery are identical on both paths. *)
 }
 
 val default_config : config
@@ -114,5 +107,6 @@ val fingerprint : Quilt_core.Quilt.t -> string
     guard budgets of each merged deployment.  Two plans with equal
     fingerprints deploy identical containers. *)
 
-val events_json : t -> Quilt_util.Json.t
-val summary_json : t -> Quilt_util.Json.t
+val event_json : event -> Quilt_util.Json.t
+(** [{"t_s", "kind", "detail"}], the encoding {!Scenario.outcome_json}
+    uses for each logged event. *)

@@ -1,5 +1,4 @@
 module Engine = Quilt_platform.Engine
-module Json = Quilt_util.Json
 
 type config = {
   tick_us : float;
@@ -72,7 +71,7 @@ type t = {
   mutable last_action : float;
   mutable events_rev : event list;
   mutable ticks : int;
-  mutable samples_rev : (float * float * bool) list;  (* newest first *)
+  samples : Canary.samples;
   mutable holddown : (string * int) list;  (* reverted (service, target) pairs *)
 }
 
@@ -84,7 +83,7 @@ let create engine ?(cfg = default_config) () =
     last_action = neg_infinity;
     events_rev = [];
     ticks = 0;
-    samples_rev = [];
+    samples = Canary.samples ();
     holddown = [];
   }
 
@@ -94,15 +93,7 @@ let log t kind detail =
   t.events_rev <-
     { ev_ts = Engine.now t.engine; ev_kind = kind; ev_detail = detail } :: t.events_rev
 
-let prune_samples t =
-  let horizon = Engine.now t.engine -. (3.0 *. t.cfg.window_us) in
-  t.samples_rev <- List.filter (fun (ts, _, _) -> ts >= horizon) t.samples_rev
-
-let stats_between t ~from_ ~to_ =
-  Canary.stats_of t.cfg.canary
-    (List.filter_map
-       (fun (ts, lat, ok) -> if ts >= from_ && ts <= to_ then Some (lat, ok) else None)
-       t.samples_rev)
+let stats_between t ~from_ ~to_ = Canary.stats_between t.cfg.canary t.samples ~from_ ~to_
 
 (* Reserved-vCPU utilization per node; the hotspot/slack signal. *)
 let utilization (nl : Engine.node_load) =
@@ -182,7 +173,7 @@ let judge t (m : migration) =
 
 let tick t =
   t.ticks <- t.ticks + 1;
-  prune_samples t;
+  Canary.prune t.samples ~before:(Engine.now t.engine -. (3.0 *. t.cfg.window_us));
   let now = Engine.now t.engine in
   match t.state with
   | Some m ->
@@ -228,16 +219,7 @@ let tick t =
       end
 
 let start t ~until =
-  Engine.add_completion_hook t.engine (fun ~entry:_ ~latency_us ~ok ->
-      t.samples_rev <- (Engine.now t.engine, latency_us, ok) :: t.samples_rev);
-  let rec loop () =
-    if Engine.now t.engine <= until then begin
-      tick t;
-      if Engine.now t.engine +. t.cfg.tick_us <= until then
-        Engine.schedule t.engine t.cfg.tick_us loop
-    end
-  in
-  Engine.schedule t.engine t.cfg.tick_us loop
+  Canary.supervise t.engine t.samples ~tick_us:t.cfg.tick_us ~until (fun () -> tick t)
 
 let summary t =
   let z =
@@ -261,28 +243,3 @@ let summary t =
       | Held -> { s with s_holds = s.s_holds + 1 }
       | Skipped -> { s with s_skips = s.s_skips + 1 })
     z (events t)
-
-let events_json t =
-  Json.List
-    (List.map
-       (fun e ->
-         Json.Obj
-           [
-             ("t_s", Json.Float (e.ev_ts /. 1e6));
-             ("kind", Json.str (kind_name e.ev_kind));
-             ("detail", Json.str e.ev_detail);
-           ])
-       (events t))
-
-let summary_json t =
-  let s = summary t in
-  Json.Obj
-    [
-      ("ticks", Json.int s.s_ticks);
-      ("balanced", Json.int s.s_balanced);
-      ("migrations", Json.int s.s_migrations);
-      ("migration_passes", Json.int s.s_passes);
-      ("migration_reverts", Json.int s.s_reverts);
-      ("holds", Json.int s.s_holds);
-      ("skipped", Json.int s.s_skips);
-    ]

@@ -66,5 +66,3 @@ val tick : t -> unit
 
 val events : t -> event list
 val summary : t -> summary
-val events_json : t -> Quilt_util.Json.t
-val summary_json : t -> Quilt_util.Json.t

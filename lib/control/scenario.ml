@@ -190,15 +190,10 @@ let groups_of (plan : Quilt.t) =
     (fun (d : Deploy.merged_deployment) -> List.sort compare d.Deploy.members)
     plan.Quilt.deployments
 
-let run ?(smoke = false) ?(seed = 0) ?obs_sample ?(incremental_redecide = false) ~with_controller
-    name =
+let run ?(smoke = false) ?(seed = 0) ?obs_sample ~with_controller name =
   match spec_of ~smoke name with
   | Error e -> Error e
   | Ok sp -> (
-      let sp =
-        if not incremental_redecide then sp
-        else { sp with sp_ctl_cfg = { sp.sp_ctl_cfg with Controller.incremental_redecide = true } }
-      in
       let wf = sp.sp_workflow in
       let wf_profiled = { wf with Workflow.gen_req = sp.sp_profile_gen } in
       match Quilt.optimize sp.sp_offline_cfg ~workflows:[ wf_profiled ] wf_profiled with
@@ -321,17 +316,7 @@ let outcome_json o =
                    ("fails", Json.int b.b_fails);
                  ])
              o.o_buckets) );
-      ( "events",
-        Json.List
-          (List.map
-             (fun (e : Controller.event) ->
-               Json.Obj
-                 [
-                   ("t_s", Json.Float (e.Controller.ev_ts /. 1e6));
-                   ("kind", Json.str (Controller.kind_name e.Controller.ev_kind));
-                   ("detail", Json.str e.Controller.ev_detail);
-                 ])
-             o.o_events) );
+      ("events", Json.List (List.map Controller.event_json o.o_events));
       ( "summary",
         match o.o_summary with
         | None -> Json.Null

@@ -42,16 +42,12 @@ val run :
   ?smoke:bool ->
   ?seed:int ->
   ?obs_sample:int ->
-  ?incremental_redecide:bool ->
   with_controller:bool ->
   string ->
   (outcome, string) result
 (** [smoke] shrinks every phase and the offline profile to a few virtual
     seconds (single-digit wall seconds).  [seed] (default 0) perturbs the
     engine and workload RNG streams for reproducible-but-different runs.
-    [incremental_redecide] (default false) opts the controller into the
-    warm-start incremental re-decision path on drift ticks
-    ({!Controller.config.incremental_redecide}).
     [obs_sample] switches the run to observability mode: a span recorder
     with that head-sampling period is attached, the controller (if any)
     re-decides from the live profiler's reconstructed windows, and the

@@ -132,34 +132,6 @@ let optimize ?graph (cfg : Config.t) ~workflows (wf : Workflow.t) =
       | None -> Error "no feasible grouping under the resource constraints"
       | Some solution -> Ok (plan_of_solution cfg wf ~callgraph solution))
 
-(* Warm-start re-decision (tentpole layer 3): re-decide only the groups the
-   drift report touched, splicing the rest of [prev]'s solution through
-   unchanged.  Deliberately does {e not} fall back to a full solve on its
-   own: an [Error] tells the caller the incremental path does not apply
-   (topology drift, a failed local re-solve, a λ > 0 config whose global
-   penalty scoring a local patch cannot honour, or an explicitly chosen
-   algorithm that bypasses [auto]'s dispatch) so the caller can decide
-   whether escalating to {!optimize} is worth the full decision cost. *)
-let optimize_incremental ?graph (cfg : Config.t) ~(prev : t) ~report (wf : Workflow.t) =
-  if cfg.Config.reliability_lambda > 0.0 then
-    Error "reliability penalty is a global objective: incremental re-decision does not apply"
-  else if cfg.Config.algorithm <> None then
-    Error "explicit algorithm override bypasses incremental re-decision"
-  else
-    let graph_result =
-      match graph with Some g -> Ok g | None -> Error "incremental re-decision needs the window graph"
-    in
-    match graph_result with
-    | Error e -> Error e
-    | Ok callgraph -> (
-        let limits = Config.limits cfg in
-        match
-          Decision.resolve_incremental ~seed:cfg.Config.seed ~prev_graph:prev.callgraph
-            ~prev:prev.solution ~report callgraph limits
-        with
-        | None -> Error "incremental re-decision infeasible for this drift"
-        | Some solution -> Ok (plan_of_solution cfg wf ~callgraph solution))
-
 let apply engine (t : t) =
   (* §5.5: the previous functions keep serving until each merged container
      is up; then the route flips seamlessly. *)

@@ -39,29 +39,6 @@ val optimize :
 (** Full pipeline.  Pass [graph] to skip profiling (e.g. in tests).
     [Error] when profiling fails or no feasible grouping exists. *)
 
-val optimize_incremental :
-  ?graph:Quilt_dag.Callgraph.t ->
-  Config.t ->
-  prev:t ->
-  report:Quilt_dag.Drift.report ->
-  Quilt_apps.Workflow.t ->
-  (t, string) result
-(** Warm-start re-decision on drift ticks: feeds [prev]'s deployed solution
-    and the drift [report] through
-    {!Quilt_cluster.Decision.resolve_incremental}, re-deciding only the
-    groups the report touched and splicing the rest through unchanged, then
-    builds a fresh deployment plan from the spliced solution.  [graph] is
-    required in practice (the drift window's call graph — there is no point
-    re-profiling for an incremental patch).
-
-    [Error] when the incremental path does not apply — topology drift, a
-    failed local re-solve or re-validation, a [reliability_lambda > 0]
-    config (the blast-radius penalty is a global objective), or an explicit
-    [algorithm] override.  Unlike {!optimize} this never falls back to a
-    from-scratch solve itself; the caller (see
-    [Quilt_control.Controller]'s [incremental_redecide]) decides whether to
-    escalate. *)
-
 val apply : Quilt_platform.Engine.t -> t -> unit
 (** Deploys the merged functions and leaves every original function in
     place — cut edges and §5.6 overflow calls route to those (§5.5). *)

@@ -123,47 +123,6 @@ let detect ?(threshold = 0.3) (old_g : Callgraph.t) (new_g : Callgraph.t) =
 let topology_changed r =
   r.added_nodes <> [] || r.removed_nodes <> [] || r.added_edges <> [] || r.removed_edges <> []
 
-(* The functions a non-topological report implicates: endpoints of every
-   rate/α shift, every resource-shifted function and every opt-in flip.
-   This is the "touched" set the incremental re-decision layer re-solves
-   around; everything else may be spliced through unchanged. *)
-let touched_functions r =
-  let acc = ref [] in
-  List.iter (fun s -> acc := s.rs_src :: s.rs_dst :: !acc) r.rate_shifts;
-  List.iter (fun s -> acc := s.as_src :: s.as_dst :: !acc) r.alpha_shifts;
-  List.iter (fun s -> acc := s.fn :: !acc) r.resource_shifts;
-  List.iter (fun n -> acc := n :: !acc) r.optin_flips;
-  List.sort_uniq compare !acc
-
-(* A synthetic report that marks every function of [g] as resource-shifted:
-   the degenerate "everything drifted" input the differential tests compare
-   incremental re-decision against. *)
-let touch_all (g : Callgraph.t) =
-  let shifts =
-    Array.to_list g.Callgraph.nodes
-    |> List.map (fun (n : Callgraph.node) ->
-           {
-             fn = n.Callgraph.name;
-             cpu_old = n.Callgraph.cpu;
-             cpu_new = n.Callgraph.cpu;
-             mem_old = n.Callgraph.mem_mb;
-             mem_new = n.Callgraph.mem_mb;
-             rel_cpu = 1.0;
-             rel_mem = 1.0;
-           })
-  in
-  {
-    threshold = 0.0;
-    added_nodes = [];
-    removed_nodes = [];
-    added_edges = [];
-    removed_edges = [];
-    rate_shifts = [];
-    alpha_shifts = [];
-    resource_shifts = shifts;
-    optin_flips = [];
-  }
-
 let drifted r =
   topology_changed r || r.rate_shifts <> [] || r.alpha_shifts <> [] || r.resource_shifts <> []
   || r.optin_flips <> []

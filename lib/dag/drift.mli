@@ -59,19 +59,6 @@ val drifted : report -> bool
 
 val topology_changed : report -> bool
 
-val touched_functions : report -> string list
-(** Sorted, de-duplicated names of every function a (non-topological)
-    report implicates: endpoints of rate/α shifts, resource-shifted
-    functions, opt-in flips.  The incremental re-decision layer re-solves
-    only the previous solution's groups that intersect this set. *)
-
-val touch_all : Callgraph.t -> report
-(** A synthetic report whose {!touched_functions} is every function of the
-    graph (each marked as a degenerate resource shift).  Feeding it to the
-    incremental re-solver forces every group to be re-decided — the
-    reference the differential tests compare partial re-decisions
-    against. *)
-
 val describe : report -> string
 (** One line per finding; ["no drift"] when empty. *)
 

@@ -1,7 +1,7 @@
 (** Lowering QIR to the flat bytecode-like program {!Vm} executes.
 
     [compile] is a one-shot pass over a module that pre-resolves everything
-    the tree-walking interpreter re-resolves on every step: locals become
+    a tree-walking interpreter would re-resolve on every step: locals become
     integer slots into a per-activation value array, block labels become
     array indices, callees become a function index / interned intrinsic /
     static-unresolved marker, constants are pre-boxed, phis become per-edge
@@ -10,8 +10,9 @@
 
     The representation is deliberately transparent (all types concrete):
     {!Vm} is the only intended consumer, and the differential harness in
-    [test_fuzz.ml] holds the pair to exact observational equivalence with
-    {!Interp} — same responses, same trap messages, same stats. *)
+    [test_fuzz.ml] holds it to exact observational equivalence with the
+    tree-walking oracle in [test/treewalk.ml] — same responses, same trap
+    messages, same stats. *)
 
 type operand =
   | Oslot of int

@@ -1,9 +1,12 @@
-(** QIR interpreter.
+(** The QVM's shared native runtime.
 
-    Executes modules so tests can check that a merged workflow computes
-    byte-for-byte the same responses as the original one, that conditional
-    invocations fall back to remote calls at the right counts, and that
-    DelayHTTP really avoids loading the HTTP stack on local-only runs.
+    Everything executing QIR needs besides its control state (locals,
+    labels, fuel): the per-request runtime core {!rctx}, the intrinsic
+    implementations, the arithmetic and the trap vocabulary.  {!Compile}
+    interns intrinsics here, {!Vm} executes on this runtime, and
+    {!Pass_sccp} folds constants by the same arithmetic minus its trapping
+    cases.  The tree-walking oracle the QVM is differentially checked
+    against lives in [test/treewalk.ml] and runs on this same runtime.
 
     The embedder supplies a {!host} whose [invoke] implements what the
     serverless platform would do with a remote invocation (route it to some
@@ -27,8 +30,6 @@ type stats = {
           instrumentation (§8). *)
 }
 
-val new_stats : unit -> stats
-
 type host = { invoke : kind:[ `Sync | `Async ] -> name:string -> req:string -> string }
 
 val null_host : host
@@ -38,35 +39,6 @@ val null_host : host
 val echo_host : host
 (** Responds to any invocation with [{"echo":<callee>,"req":<req>}];
     handy in unit tests. *)
-
-val run_handler :
-  ?fuel:int ->
-  host:host ->
-  Ir.modul ->
-  fname:string ->
-  req:string ->
-  (string * stats, string) result
-(** Runs a handler-convention function ([void f()] that calls
-    [quilt_get_req] / [quilt_send_res]).  Returns the response sent, or an
-    error describing the trap.  [fuel] bounds executed instructions
-    (default 20 million). *)
-
-val run_local :
-  ?fuel:int ->
-  host:host ->
-  Ir.modul ->
-  fname:string ->
-  req:string ->
-  (string * stats, string) result
-(** Runs a merged local-convention function ([ptr f(ptr)] over C strings). *)
-
-(** {2 Engine internals}
-
-    Shared between this tree-walking engine and the compiled engine
-    ({!Compile} / {!Vm}) so the two cannot drift: one set of intrinsic
-    implementations, one arithmetic, one trap vocabulary.  The
-    differential harness in [test_fuzz.ml] checks the equivalence
-    end-to-end. *)
 
 type value = VInt of int64 | VFloat of float
 
@@ -104,7 +76,7 @@ type intrinsic =
 (** An interned intrinsic identity: language-agnostic platform natives
     ([Sh]), per-language runtime calls with their string ABI pre-resolved
     ([Ln]), and the two failure modes kept as data so that executing them
-    reproduces the tree-walker's trap messages exactly. *)
+    traps with the same message as resolving the name at call time. *)
 
 val intern_intrinsic : string -> intrinsic
 (** Total: never raises; unknown names intern to a trapping constructor. *)

@@ -1,8 +1,9 @@
 (* The slot-resolved executor for Compile.prog.
 
-   Exact observational equivalence with Interp is the contract; every
-   evaluation-order quirk of the tree-walker is reproduced here and
-   cross-checked by the differential harness in test_fuzz.ml:
+   Exact observational equivalence with the tree-walking oracle
+   (test/treewalk.ml) is the contract; every evaluation-order quirk of the
+   tree-walker is reproduced here and cross-checked by the differential
+   harness in test_fuzz.ml:
    - Binop/Icmp evaluate rhs before lhs (OCaml right-to-left application in
      the tree-walker);
    - Store evaluates the pointer before the value; Gep base before offset;

@@ -1,13 +1,14 @@
 (** The QVM: executes {!Compile.prog}, the slot-resolved form of a module.
 
-    Drop-in equivalent of {!Interp.run_handler} / {!Interp.run_local} with
-    the per-step name resolution paid once at compile time.  The contract
-    is exact observational equivalence with the tree-walker — same
-    responses, same trap messages (fuel, division by zero, wild pointers,
-    unbound locals, ...), same {!Interp.stats} — enforced by the
-    differential qcheck harness in [test_fuzz.ml] and the unit parity
-    suite in [test_vm.ml].  It is the only engine production code runs;
-    the tree-walker is the oracle those tests call directly. *)
+    The only QIR engine: merge validation, the CLI, the examples, the
+    benches and the tests' semantic checks all run on it.  It executes on
+    the native runtime in {!Interp}, with every name resolved once at
+    compile time.  The contract is exact observational equivalence with
+    the tree-walking oracle in [test/treewalk.ml] — same responses, same
+    trap messages (fuel, division by zero, wild pointers, unbound locals,
+    ...), same {!Interp.stats} — enforced by the differential qcheck
+    harness in [test_fuzz.ml] and the unit parity suite in
+    [test_vm.ml]. *)
 
 val run_handler :
   ?fuel:int ->
@@ -16,8 +17,10 @@ val run_handler :
   fname:string ->
   req:string ->
   (string * Interp.stats, string) result
-(** Compiles then runs a handler-convention function.  [fuel] defaults to
-    20 million instructions, as in {!Interp.run_handler}. *)
+(** Compiles then runs a handler-convention function ([void f()] that
+    calls [quilt_get_req] / [quilt_send_res]).  Returns the response sent,
+    or an error describing the trap.  [fuel] bounds executed instructions
+    (default 20 million). *)
 
 val run_local :
   ?fuel:int ->
@@ -26,6 +29,8 @@ val run_local :
   fname:string ->
   req:string ->
   (string * Interp.stats, string) result
+(** Compiles then runs a merged local-convention function ([ptr f(ptr)]
+    over C strings). *)
 
 val run_handler_prog :
   ?fuel:int ->

@@ -7,7 +7,6 @@
 
 module Callgraph = Quilt_dag.Callgraph
 module Gen = Quilt_dag.Gen
-module Drift = Quilt_dag.Drift
 module Types = Quilt_cluster.Types
 module Closure = Quilt_cluster.Closure
 module Encode = Quilt_cluster.Encode
@@ -811,43 +810,6 @@ let prop_incremental_greedy_matches_reference =
                a.Types.subgraphs b.Types.subgraphs
       | Some _, None | None, Some _ -> false)
 
-(* --- Warm-start incremental re-decision --- *)
-
-let resource_drifted_graph rng (g : Callgraph.t) =
-  let n = Callgraph.n_nodes g in
-  let victim = Rng.int_in rng 0 (n - 1) in
-  let nodes =
-    Array.map
-      (fun (nd : Callgraph.node) ->
-        if nd.Callgraph.id = victim then { nd with Callgraph.cpu = nd.Callgraph.cpu *. 1.6 }
-        else nd)
-      g.Callgraph.nodes
-  in
-  Callgraph.make ~nodes ~edges:g.Callgraph.edges ~root:g.Callgraph.root
-    ~invocations:g.Callgraph.invocations
-
-let prop_incremental_matches_touch_all =
-  QCheck.Test.make ~name:"incremental re-decision = everything-touched path" ~count:20
-    (QCheck.int_range 1 100_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let n = Rng.int_in rng 5 25 in
-      let g, lims = Gen.random_rdag rng ~n () in
-      let lim = { Types.max_cpu = lims.Gen.max_cpu; max_mem_mb = lims.Gen.max_mem_mb } in
-      match Decision.auto g lim with
-      | None -> true
-      | Some prev ->
-          let g' = resource_drifted_graph rng g in
-          let report = Drift.detect ~threshold:0.3 g g' in
-          let inc = Decision.resolve_incremental ~prev_graph:g ~prev ~report g' lim in
-          let all =
-            Decision.resolve_incremental ~prev_graph:g ~prev ~report:(Drift.touch_all g') g' lim
-          in
-          same_solution inc all
-          && (match inc with
-             | None -> true
-             | Some s -> Metrics.solution_valid g' lim s = Ok ()))
-
 let test_decision_names () =
   Alcotest.(check string) "optimal" "optimal" (Decision.algorithm_name Decision.Optimal);
   Alcotest.(check string) "dih" "downstream-impact" (Decision.algorithm_name Decision.Dih)
@@ -924,9 +886,5 @@ let suite =
         Alcotest.test_case "auto on small graph" `Quick test_decision_auto_small_graph;
         Alcotest.test_case "algorithm names" `Quick test_decision_names;
         Alcotest.test_case "combinations" `Quick test_combinations;
-      ] );
-    ( "cluster.parallel",
-      [
-        QCheck_alcotest.to_alcotest prop_incremental_matches_touch_all;
       ] );
   ]

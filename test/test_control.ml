@@ -253,7 +253,13 @@ let test_e2e_path_shift_adapts () =
   checkb "hot b-chain co-located with the entry" true
     (List.mem
        [ "route-b1"; "route-b2"; "route-split" ]
-       o.Scenario.o_final_groups)
+       o.Scenario.o_final_groups);
+  (* Equal seeds must give identical outcomes run to run. *)
+  let o2 = run_scenario "path-shift" in
+  checkb "equal seeds, identical final groups" true
+    (o.Scenario.o_final_groups = o2.Scenario.o_final_groups);
+  check Alcotest.int "equal seeds, identical remerge count" s.Controller.s_remerges
+    (summary_of o2).Controller.s_remerges
 
 let test_e2e_regress_rolls_back () =
   let o = run_scenario "regress" in
@@ -263,31 +269,6 @@ let test_e2e_regress_rolls_back () =
   checkb "bad grouping held down" true (s.Controller.s_holds >= 1);
   checkb "ends on the initial (guarded) plan" true
     (o.Scenario.o_initial_groups = o.Scenario.o_final_groups)
-
-let test_e2e_incremental_redecide () =
-  (* The warm-start re-decision path must adapt the same scenario the full
-     optimizer does, and — since it escalates whenever the incremental
-     solver declines or returns a grouping-identical patch — equal seeds
-     must give identical outcomes run to run. *)
-  let run () =
-    match
-      Scenario.run ~smoke:true ~incremental_redecide:true ~with_controller:true "path-shift"
-    with
-    | Ok o -> o
-    | Error e -> Alcotest.fail (Printf.sprintf "path-shift (incremental): %s" e)
-  in
-  let o1 = run () in
-  let s1 = summary_of o1 in
-  checkb "remerged at least once" true (s1.Controller.s_remerges >= 1);
-  check Alcotest.int "no rollbacks" 0 (s1.Controller.s_rollbacks + s1.Controller.s_watchdogs);
-  checkb "hot b-chain co-located with the entry" true
-    (List.mem [ "route-b1"; "route-b2"; "route-split" ] o1.Scenario.o_final_groups);
-  let o2 = run () in
-  let s2 = summary_of o2 in
-  checkb "equal seeds, identical final groups" true
-    (o1.Scenario.o_final_groups = o2.Scenario.o_final_groups);
-  check Alcotest.int "equal seeds, identical remerge count" s1.Controller.s_remerges
-    s2.Controller.s_remerges
 
 let test_e2e_late_regress_watchdog () =
   let o = run_scenario "late-regress" in
@@ -324,7 +305,5 @@ let suite =
           test_e2e_regress_rolls_back;
         Alcotest.test_case "e2e: watchdog catches a late regression" `Slow
           test_e2e_late_regress_watchdog;
-        Alcotest.test_case "e2e: incremental re-decision adapts deterministically" `Slow
-          test_e2e_incremental_redecide;
       ] );
   ]

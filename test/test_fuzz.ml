@@ -1,16 +1,16 @@
 (* Pipeline fuzzing: generate random well-typed workflows (random DAG shape,
    random languages, random bodies; see Quilt_lang.Astgen), merge them
-   fully, and check that the merged module — executed in the QIR
-   interpreter with a host that rejects network calls — computes exactly
-   what the reference evaluator computes for the distributed workflow.
+   fully, and check that the merged module — executed on the QVM with a
+   host that rejects network calls — computes exactly what the reference
+   evaluator computes for the distributed workflow.
 
    This is the repository's strongest soundness check: it exercises the
    frontends, RenameFunc, the linker's runtime deduplication, MergeFunc's
-   localization and shim generation, DelayHTTP, DCE, and the interpreter in
-   one property.
+   localization and shim generation, DelayHTTP, DCE, and the QVM in one
+   property.
 
-   The differential properties at the bottom hold the two execution engines
-   (tree-walker and QVM) to exact observational equivalence: same
+   The differential properties at the bottom hold the QVM to exact
+   observational equivalence with the tree-walking oracle (Treewalk): same
    responses, same trap messages, same stats — including under fuel
    starvation, where the engines must give out at the same instruction. *)
 
@@ -42,7 +42,7 @@ let prop_merged_equals_reference =
         Pipeline.merge_group ~lookup:(lookup_for fns) ~members:names ~root:(List.hd names) ()
       in
       match
-        Interp.run_handler ~host:Interp.null_host report.Pipeline.merged_module
+        Vm.run_handler ~host:Interp.null_host report.Pipeline.merged_module
           ~fname:(Pipeline.entry_handler (List.hd names))
           ~req
       with
@@ -67,7 +67,7 @@ let prop_partial_merge_equals_reference =
           in
           let host = { Interp.invoke = (fun ~kind:_ ~name ~req -> fst (reference fns name req)) } in
           (match
-             Interp.run_handler ~host report.Pipeline.merged_module
+             Vm.run_handler ~host report.Pipeline.merged_module
                ~fname:(Pipeline.entry_handler (List.hd names))
                ~req
            with
@@ -101,7 +101,7 @@ let prop_guarded_merge_equals_reference =
       (* Overflow calls go remote; the host evaluates them faithfully. *)
       let host = { Interp.invoke = (fun ~kind:_ ~name ~req -> fst (reference fns name req)) } in
       match
-        Interp.run_handler ~host report.Pipeline.merged_module
+        Vm.run_handler ~host report.Pipeline.merged_module
           ~fname:(Pipeline.entry_handler (List.hd names))
           ~req
       with
@@ -135,7 +135,7 @@ let prop_merged_module_text_roundtrip =
       Quilt_ir.Pp.to_string reparsed = printed
       &&
       match
-        Interp.run_handler ~host:Interp.null_host reparsed
+        Vm.run_handler ~host:Interp.null_host reparsed
           ~fname:(Pipeline.entry_handler (List.hd names))
           ~req
       with
@@ -160,7 +160,7 @@ let prop_optimize_differential =
       let r0 = merge false and r1 = merge true in
       let req = Printf.sprintf "{\"data\":\"o%d\",\"k\":%d}" (seed mod 50) (seed mod 17) in
       let run (r : Pipeline.report) =
-        Interp.run_handler ~host:Interp.null_host r.Pipeline.merged_module
+        Vm.run_handler ~host:Interp.null_host r.Pipeline.merged_module
           ~fname:r.Pipeline.entry ~req
       in
       match (run r0, run r1) with
@@ -236,7 +236,7 @@ let prop_vm_differential_merged =
       let m = report.Pipeline.merged_module in
       let fname = report.Pipeline.entry in
       let req = Printf.sprintf "{\"data\":\"v%d\",\"k\":%d}" (seed mod 50) (seed mod 17) in
-      let tw = outcome (Interp.run_handler ~host:Interp.null_host m ~fname ~req) in
+      let tw = outcome (Treewalk.run_handler ~host:Interp.null_host m ~fname ~req) in
       let vm = outcome (Vm.run_handler ~host:Interp.null_host m ~fname ~req) in
       same_outcome tw vm)
 
@@ -256,7 +256,7 @@ let prop_vm_differential_guarded =
       let fname = report.Pipeline.entry in
       let req = Printf.sprintf "{\"data\":\"w%d\"}" (seed mod 50) in
       let host = { Interp.invoke = (fun ~kind:_ ~name ~req -> fst (reference fns name req)) } in
-      let tw = outcome (Interp.run_handler ~host m ~fname ~req) in
+      let tw = outcome (Treewalk.run_handler ~host m ~fname ~req) in
       let vm = outcome (Vm.run_handler ~host m ~fname ~req) in
       same_outcome tw vm)
 
@@ -275,7 +275,7 @@ let prop_vm_differential_fuel =
       (* A fuel budget somewhere inside the run: both engines must either
          finish identically or run out at the same instruction count. *)
       let fuel = 1 + (seed mod 300) in
-      let tw = outcome (Interp.run_handler ~fuel ~host:Interp.null_host m ~fname ~req) in
+      let tw = outcome (Treewalk.run_handler ~fuel ~host:Interp.null_host m ~fname ~req) in
       let vm = outcome (Vm.run_handler ~fuel ~host:Interp.null_host m ~fname ~req) in
       same_outcome tw vm)
 
@@ -291,7 +291,7 @@ let prop_vm_differential_unmerged =
       let m = Quilt_lang.Frontend.compile fn in
       let fname = Ast.handler_symbol fn.Ast.fn_name in
       let req = Printf.sprintf "{\"data\":\"u%d\"}" (seed mod 50) in
-      let tw = outcome (Interp.run_handler ~host:Interp.echo_host m ~fname ~req) in
+      let tw = outcome (Treewalk.run_handler ~host:Interp.echo_host m ~fname ~req) in
       let vm = outcome (Vm.run_handler ~host:Interp.echo_host m ~fname ~req) in
       same_outcome tw vm)
 

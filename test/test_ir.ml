@@ -1,5 +1,5 @@
 (* Tests for quilt_ir: printer/parser round-trip, verifier, linker,
-   interpreter basics, and the individual passes. *)
+   execution basics on the QVM, and the individual passes. *)
 
 open Quilt_ir
 module Json = Quilt_util.Json
@@ -191,10 +191,10 @@ done:
 |}
   in
   let m = Parser.parse_module src in
-  (match Interp.run_handler ~host:Interp.null_host m ~fname:"main__handler" ~req:"20" with
+  (match Vm.run_handler ~host:Interp.null_host m ~fname:"main__handler" ~req:"20" with
   | Ok (res, _) -> Alcotest.(check string) "20*2" "40" res
   | Error e -> Alcotest.fail e);
-  match Interp.run_handler ~host:Interp.null_host m ~fname:"main__handler" ~req:"3" with
+  match Vm.run_handler ~host:Interp.null_host m ~fname:"main__handler" ~req:"3" with
   | Ok (res, _) -> Alcotest.(check string) "3+100" "103" res
   | Error e -> Alcotest.fail e
 
@@ -219,7 +219,7 @@ entry:
 |}
   in
   let m = Parser.parse_module src in
-  match Interp.run_handler ~host:Interp.null_host m ~fname:"main__handler" ~req:"x" with
+  match Vm.run_handler ~host:Interp.null_host m ~fname:"main__handler" ~req:"x" with
   | Ok (res, _) -> Alcotest.(check string) "memory" "778" res
   | Error e -> Alcotest.fail e
 
@@ -236,7 +236,7 @@ entry:
 |}
   in
   let m = Parser.parse_module src in
-  match Interp.run_handler ~host:Interp.null_host m ~fname:"main__handler" ~req:"x" with
+  match Vm.run_handler ~host:Interp.null_host m ~fname:"main__handler" ~req:"x" with
   | Ok _ -> Alcotest.fail "expected memory fault"
   | Error e -> Alcotest.(check bool) "memory fault" true (String.length e > 0)
 
@@ -250,7 +250,7 @@ let test_interp_infinite_loop_runs_out_of_fuel () =
     else src
   in
   let m = Parser.parse_module src in
-  match Interp.run_handler ~fuel:10_000 ~host:Interp.null_host m ~fname:"main__handler" ~req:"x" with
+  match Vm.run_handler ~fuel:10_000 ~host:Interp.null_host m ~fname:"main__handler" ~req:"x" with
   | Ok _ -> Alcotest.fail "expected fuel exhaustion"
   | Error e -> Alcotest.(check bool) "mentions fuel" true (e = "out of fuel")
 
@@ -270,7 +270,7 @@ entry:
 |}
   in
   let m = Parser.parse_module src in
-  match Interp.run_handler ~host:Interp.null_host m ~fname:"main__handler" ~req:"ok" with
+  match Vm.run_handler ~host:Interp.null_host m ~fname:"main__handler" ~req:"ok" with
   | Ok (res, stats) ->
       Alcotest.(check string) "echo" "ok" res;
       Alcotest.(check (float 1e-9)) "cpu" 1500.0 stats.Interp.cpu_us;
@@ -292,7 +292,7 @@ entry:
 |}
   in
   let m = Parser.parse_module src in
-  (match Interp.run_handler ~host:Interp.echo_host m ~fname:"main__handler" ~req:"{}" with
+  (match Vm.run_handler ~host:Interp.echo_host m ~fname:"main__handler" ~req:"{}" with
   | Ok _ -> Alcotest.fail "expected trap: HTTP stack not initialised"
   | Error e -> Alcotest.(check bool) "trap mentions init" true (String.length e > 0));
   (* With an eager init it works and the stats show it. *)
@@ -310,7 +310,7 @@ entry:
 |}
   in
   let m = Parser.parse_module src_ok in
-  match Interp.run_handler ~host:Interp.echo_host m ~fname:"main__handler" ~req:"{\"a\":1}" with
+  match Vm.run_handler ~host:Interp.echo_host m ~fname:"main__handler" ~req:"{\"a\":1}" with
   | Ok (res, stats) ->
       Alcotest.(check bool) "curl eager" true stats.Interp.curl_loaded_eagerly;
       Alcotest.(check int) "one remote call" 1 (List.length stats.Interp.remote_sync);
@@ -337,7 +337,7 @@ entry:
 |}
   in
   let m = Parser.parse_module src in
-  match Interp.run_handler ~host:Interp.null_host m ~fname:"main__handler" ~req:"x" with
+  match Vm.run_handler ~host:Interp.null_host m ~fname:"main__handler" ~req:"x" with
   | Ok (res, _) -> Alcotest.(check string) "3<<4>>2 = 12" "12" res
   | Error e -> Alcotest.fail e
 
@@ -345,7 +345,7 @@ let test_interp_division_by_zero_traps () =
   let src =
     "define void @main__handler() {\nentry:\n  %q = sdiv i64 10, 0\n  ret void\n}"
   in
-  match Interp.run_handler ~host:Interp.null_host (Parser.parse_module src) ~fname:"main__handler" ~req:"" with
+  match Vm.run_handler ~host:Interp.null_host (Parser.parse_module src) ~fname:"main__handler" ~req:"" with
   | Ok _ -> Alcotest.fail "expected trap"
   | Error e -> Alcotest.(check string) "division trap" "division by zero" e
 
@@ -363,7 +363,7 @@ entry:
 }
 |}
   in
-  match Interp.run_handler ~host:Interp.null_host (Parser.parse_module src) ~fname:"main__handler" ~req:"ok" with
+  match Vm.run_handler ~host:Interp.null_host (Parser.parse_module src) ~fname:"main__handler" ~req:"ok" with
   | Ok (_, stats) ->
       Alcotest.(check (option int)) "two ticks" (Some 2) (Hashtbl.find_opt stats.Interp.billing "alpha")
   | Error e -> Alcotest.fail e
@@ -479,7 +479,7 @@ entry:
       let instrs = List.concat_map (fun (b : Ir.block) -> b.Ir.instrs) f.Ir.blocks in
       Alcotest.(check int) "only calls remain" 3 (List.length instrs)
   | None -> Alcotest.fail "function missing");
-  match Interp.run_handler ~host:Interp.null_host m ~fname:"main__handler" ~req:"x" with
+  match Vm.run_handler ~host:Interp.null_host m ~fname:"main__handler" ~req:"x" with
   | Ok (res, _) -> Alcotest.(check string) "folded result" "20" res
   | Error e -> Alcotest.fail e
 
@@ -504,7 +504,7 @@ entry:
       in
       Alcotest.(check int) "gep eliminated" 0 (List.length geps)
   | None -> Alcotest.fail "function missing");
-  match Interp.run_handler ~host:Interp.null_host m ~fname:"main__handler" ~req:"echo" with
+  match Vm.run_handler ~host:Interp.null_host m ~fname:"main__handler" ~req:"echo" with
   | Ok (res, _) -> Alcotest.(check string) "still echoes" "echo" res
   | Error e -> Alcotest.fail e
 
@@ -544,7 +544,7 @@ entry:
   Alcotest.(check int) "no eager init after" 0 (Pass_delayhttp.eager_init_count m');
   (* Still runs — the inserted init_once satisfies the HTTP-stack check —
      and the load is recorded as lazy. *)
-  match Interp.run_handler ~host:Interp.echo_host m' ~fname:"f__handler" ~req:"{}" with
+  match Vm.run_handler ~host:Interp.echo_host m' ~fname:"f__handler" ~req:"{}" with
   | Ok (_, stats) ->
       Alcotest.(check bool) "loaded" true stats.Interp.curl_loaded;
       Alcotest.(check bool) "not eagerly" false stats.Interp.curl_loaded_eagerly

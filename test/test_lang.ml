@@ -1,10 +1,11 @@
 (* Tests for quilt_lang: type checking, the reference evaluator, and — the
    core soundness property — that compiling a function through a frontend
-   and running it in the QIR interpreter yields exactly the reference
+   and running it on the QVM yields exactly the reference
    evaluator's output, in every language. *)
 
 open Quilt_lang
 module Ir_interp = Quilt_ir.Interp
+module Ir_vm = Quilt_ir.Vm
 module Json = Quilt_util.Json
 
 (* --- Sample functions --- *)
@@ -197,7 +198,7 @@ let test_eval_division_by_zero () =
 
 let interp_of_fn ?(host = Ir_interp.null_host) fn req =
   let m = Frontend.compile fn in
-  match Ir_interp.run_handler ~host m ~fname:(Ast.handler_symbol fn.Ast.fn_name) ~req with
+  match Ir_vm.run_handler ~host m ~fname:(Ast.handler_symbol fn.Ast.fn_name) ~req with
   | Ok (res, stats) -> (res, stats)
   | Error e -> Alcotest.fail (Printf.sprintf "interp failed (%s): %s" fn.Ast.fn_name e)
 
@@ -266,7 +267,7 @@ let prop_equivalence_random_inputs =
       let req = Printf.sprintf "{\"n\":%d}" n in
       let expected, _ = Eval.run ~invoke:no_invoke fn ~req in
       let m = Frontend.compile fn in
-      match Ir_interp.run_handler ~host:Ir_interp.null_host m ~fname:(Ast.handler_symbol fn.Ast.fn_name) ~req with
+      match Ir_vm.run_handler ~host:Ir_interp.null_host m ~fname:(Ast.handler_symbol fn.Ast.fn_name) ~req with
       | Ok (got, _) -> got = expected
       | Error _ -> false)
 

@@ -11,6 +11,7 @@
 open Quilt_lang
 module Ir = Quilt_ir.Ir
 module Interp = Quilt_ir.Interp
+module Vm = Quilt_ir.Vm
 module Pipeline = Quilt_merge.Pipeline
 module Sizes = Quilt_merge.Sizes
 module Json = Quilt_util.Json
@@ -107,7 +108,7 @@ let merge fns ~members ~root ?edge_mode () =
 
 let run_merged report ~root ~req ~host =
   match
-    Interp.run_handler ~host report.Pipeline.merged_module ~fname:(Pipeline.entry_handler root) ~req
+    Vm.run_handler ~host report.Pipeline.merged_module ~fname:(Pipeline.entry_handler root) ~req
   with
   | Ok (res, stats) -> (res, stats)
   | Error e -> Alcotest.fail ("merged module failed: " ^ e)
@@ -369,7 +370,7 @@ let test_billing_counts_per_function () =
   let m = report.Pipeline.merged_module in
   Alcotest.(check (list string)) "billed functions" [ "front"; "leaf"; "middle" ]
     (List.sort compare (Quilt_ir.Pass_billing.billed_functions m));
-  match Interp.run_handler ~host:Interp.null_host m ~fname:(Pipeline.entry_handler "front") ~req:"{\"x\":3}" with
+  match Vm.run_handler ~host:Interp.null_host m ~fname:(Pipeline.entry_handler "front") ~req:"{\"x\":3}" with
   | Error e -> Alcotest.fail e
   | Ok (got, stats) ->
       let expected, _ = reference fns "front" "{\"x\":3}" in

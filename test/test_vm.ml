@@ -1,7 +1,7 @@
 (* Trap and stats parity between the two execution engines.
 
-   Each case runs the same module on the tree-walker (Interp) and the QVM
-   (Compile + Vm) and checks byte-identical outcomes: the exact Error
+   Each case runs the same module on the tree-walking oracle (Treewalk)
+   and the QVM (Compile + Vm) and checks byte-identical outcomes: the exact Error
    message the seed interpreter produced, and — via a full stats
    fingerprint — identical accounting on success.  The fuzz suite covers
    these paths statistically; these cases pin each documented trap. *)
@@ -28,17 +28,19 @@ let show_outcome = function
 
 (* Runs [src] on both engines and returns the tree-walker's outcome after
    asserting the QVM's is identical (response, trap message, stats). *)
-let run_both ?fuel ?(host = Interp.echo_host) ?(fname = "h") ?(req = "{}") src =
-  let m = Parser.parse_module src in
+let agree ?fuel ~host m ~fname ~req =
   let norm = function
     | Ok (res, stats) -> Ok (res, fingerprint stats)
     | Error e -> Error e
   in
-  let tw = norm (Interp.run_handler ?fuel ~host m ~fname ~req) in
+  let tw = norm (Treewalk.run_handler ?fuel ~host m ~fname ~req) in
   let vm = norm (Vm.run_handler ?fuel ~host m ~fname ~req) in
   Alcotest.(check string) "engines agree" (show_outcome tw) (show_outcome vm);
   if tw <> vm then Alcotest.fail "engines disagree on stats fingerprint";
   tw
+
+let run_both ?fuel ?(host = Interp.echo_host) ?(fname = "h") ?(req = "{}") src =
+  agree ?fuel ~host (Parser.parse_module src) ~fname ~req
 
 let check_trap ?fuel ?fname src expected =
   match run_both ?fuel ?fname src with
@@ -289,7 +291,7 @@ entry:
 |}
   in
   let m = Parser.parse_module src in
-  let tw = Interp.run_local ~host:Interp.null_host m ~fname:"local" ~req:"hello" in
+  let tw = Treewalk.run_local ~host:Interp.null_host m ~fname:"local" ~req:"hello" in
   let vm = Vm.run_local ~host:Interp.null_host m ~fname:"local" ~req:"hello" in
   (match tw with
   | Ok (res, _) -> Alcotest.(check string) "length as string" "5" res
@@ -299,6 +301,59 @@ entry:
       Alcotest.(check string) "same response" a b;
       if fingerprint sa <> fingerprint sb then Alcotest.fail "stats diverge"
   | _ -> Alcotest.fail "engines disagree on run_local"
+
+(* The two workloads the IR bench times: the merged compose-post handler,
+   native runtime included, and a native-free phi-carried loop. *)
+let test_merged_compose_post_parity () =
+  let wf =
+    List.find
+      (fun w -> w.Quilt_apps.Workflow.wf_name = "compose-post")
+      (Quilt_apps.Deathstar.all ~async:false ())
+  in
+  let report =
+    Quilt_merge.Pipeline.merge_group
+      ~lookup:(Quilt_apps.Workflow.lookup wf)
+      ~members:(Quilt_apps.Workflow.fn_names wf) ~root:wf.Quilt_apps.Workflow.entry ()
+  in
+  match
+    agree ~host:Interp.echo_host report.Quilt_merge.Pipeline.merged_module
+      ~fname:report.Quilt_merge.Pipeline.entry
+      ~req:{|{"user":"alice","text":"hello world","media":"img.png"}|}
+  with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e
+
+let test_dispatch_loop_parity () =
+  match
+    run_both
+      {|
+module "dispatch_loop"
+define void @h() {
+entry:
+  %req = call ptr @quilt_get_req()
+  br label %head
+head:
+  %i = phi i64 [ 0, %entry ], [ %i2, %body ]
+  %acc = phi i64 [ 1, %entry ], [ %acc2, %body ]
+  %c = icmp slt i64 %i, 1200
+  cbr i1 %c, label %body, label %done
+body:
+  %t0 = mul i64 %acc, 3
+  %t1 = add i64 %t0, %i
+  %t2 = xor i64 %t1, 85
+  %acc2 = and i64 %t2, 16777215
+  %i2 = add i64 %i, 1
+  br label %head
+done:
+  call void @quilt_send_res(ptr %req)
+  ret void
+}
+|}
+  with
+  | Ok (res, (steps, _, _, _, _, _, _, _, _, _)) ->
+      Alcotest.(check string) "echoes the request" "{}" res;
+      Alcotest.(check int) "steps" 9605 steps
+  | Error e -> Alcotest.fail e
 
 let suite =
   [
@@ -319,5 +374,7 @@ let suite =
         Alcotest.test_case "no such function" `Quick test_no_function;
         Alcotest.test_case "stats parity on success" `Quick test_stats_parity_on_success;
         Alcotest.test_case "run_local parity" `Quick test_run_local_parity;
+        Alcotest.test_case "merged compose-post parity" `Quick test_merged_compose_post_parity;
+        Alcotest.test_case "dispatch loop parity" `Quick test_dispatch_loop_parity;
       ] );
   ]
