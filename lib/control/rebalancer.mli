@@ -1,20 +1,16 @@
-(** Node-utilization rebalancer: the placement arm of the control plane.
+(** Node-utilization rebalancer: the placement arm of the control plane,
+    glue between the engine and the pure {!Loop}, keyed by
+    (service, node).
 
-    The {!Controller} watches the workload and reconsiders the {e merge};
-    this loop watches the cluster and reconsiders the {e placement}.  Each
-    tick it reads the engine's per-node reserved capacity; when one node
-    runs hot while another has slack, it re-homes the cheapest deployment
-    of the hot node ({!Quilt_platform.Engine.reassign}) and rolls it over
-    through the existing rolling-redeploy path — the prewarmed replacement
-    cold-starts on the new node and the route flips when it is ready, so
-    the migration is invisible to clients except for topology effects.
-
-    Every migration is judged by the same canary machinery that guards
-    re-merges: the pre-migration latency window is compared against the
-    post-migration one, and a regression moves the deployment back and
-    holds the (service, node) pair down so the loop does not ping-pong.
-    After the verdict the superseded version is decommissioned, releasing
-    its reservation on the old node.  No-op on a flat engine. *)
+    The {!Controller} reconsiders the {e merge}; this loop reconsiders the
+    {e placement}.  Each tick reads the per-node reserved capacity; when one
+    node runs hot while another has slack, it re-homes the hot node's
+    cheapest deployment ({!Quilt_platform.Engine.reassign}) and rolls it
+    over: the replacement cold-starts on the new node and the route flips
+    when it is ready.  The same canary as a re-merge judges the move, and a
+    regression moves the deployment back and holds the pair down.
+    Superseded versions are decommissioned once their service no longer
+    routes to them.  No-op on a flat engine. *)
 
 type config = {
   tick_us : float;
@@ -23,7 +19,7 @@ type config = {
       (** A node is a hotspot above this fraction of reserved vCPUs. *)
   slack_threshold : float;
       (** A migration target must sit below this fraction. *)
-  cooldown_us : float;  (** Minimum spacing between migrations. *)
+  cooldown_us : float;  (** Quiet period after a migration or its verdict. *)
   canary : Canary.config;
   warmup_us : float;  (** Post-migration warmup before judging. *)
   eval_us : float;  (** Judgement window after warmup. *)

@@ -1,5 +1,5 @@
 (* The online control plane: trace eviction vs windowed graphs, drift
-   detection, the hysteresis/cooldown detector, canary judgement, and
+   detection, the control loop's hysteresis and cooldown, canary judgement, and
    end-to-end smoke runs of the adaptive scenarios. *)
 
 module Engine = Quilt_platform.Engine
@@ -13,7 +13,7 @@ module Rng = Quilt_util.Rng
 module Workflow = Quilt_apps.Workflow
 module Special = Quilt_apps.Special
 module Quilt = Quilt_core.Quilt
-module Detector = Quilt_control.Detector
+module Loop = Quilt_control.Loop
 module Canary = Quilt_control.Canary
 module Controller = Quilt_control.Controller
 module Scenario = Quilt_control.Scenario
@@ -135,56 +135,63 @@ let qcheck_self_drift =
       let g, _ = Gen.random_rdag rng ~n:(2 + Rng.int rng 18) ~heavy_fraction:0.2 () in
       not (Drift.drifted (Drift.detect g g)))
 
-(* ---- hysteresis / cooldown detector ---- *)
+(* ---- hysteresis / cooldown of the control loop ---- *)
 
 let drifting_report =
   Drift.detect (chain ~wa:90 ~wb:10) (chain ~wa:10 ~wb:90)
 
 let quiet_report = Drift.detect (chain ~wa:50 ~wb:50) (chain ~wa:50 ~wb:50)
 
+let loop_cfg ~hysteresis ~cooldown_us =
+  { Loop.hysteresis; cooldown_us; noop_cooldown_us = cooldown_us; warmup_us = 5.0; eval_us = 6.0 }
+
+(* The controller's window observation: drifted or not. *)
+let window_of report = if Drift.drifted report then Loop.Drifted else Loop.Quiet
+
 let test_detector_hysteresis_and_cooldown () =
-  let d = Detector.create ~hysteresis:2 ~cooldown_us:10.0 () in
-  (match Detector.observe d ~now:1.0 drifting_report with
-  | Detector.Suspect 1 -> ()
-  | _ -> Alcotest.fail "expected Suspect 1");
-  (match Detector.observe d ~now:2.0 quiet_report with
-  | Detector.No_drift -> ()
-  | _ -> Alcotest.fail "quiet window must reset the streak");
-  (match Detector.observe d ~now:3.0 drifting_report with
-  | Detector.Suspect 1 -> ()
-  | _ -> Alcotest.fail "streak restarts at 1");
-  (match Detector.observe d ~now:4.0 drifting_report with
-  | Detector.Trigger -> ()
-  | _ -> Alcotest.fail "second consecutive drift must trigger");
-  Detector.note_action d ~now:4.0;
-  (match Detector.observe d ~now:5.0 drifting_report with
-  | Detector.Cooling -> ()
-  | _ -> Alcotest.fail "inside cooldown");
-  match Detector.observe d ~now:15.0 drifting_report with
-  | Detector.Suspect 1 -> ()
-  | _ -> Alcotest.fail "cooldown over, streak starts fresh"
+  let cfg = loop_cfg ~hysteresis:2 ~cooldown_us:10.0 in
+  let st = ref Loop.init in
+  let step ~now obs =
+    let st', actions = Loop.step cfg !st ~now obs in
+    st := st';
+    actions
+  in
+  let expect what want got = if got <> want then Alcotest.fail what in
+  expect "expected Suspect 1" [ Loop.Suspect 1 ] (step ~now:1.0 (window_of drifting_report));
+  expect "quiet window must reset the streak" [ Loop.Keep ] (step ~now:2.0 (window_of quiet_report));
+  expect "streak restarts at 1" [ Loop.Suspect 1 ] (step ~now:3.0 (window_of drifting_report));
+  expect "second consecutive drift must propose" [ Loop.Propose ]
+    (step ~now:4.0 (window_of drifting_report));
+  expect "the solver kept the plan" [ Loop.Rebaseline ]
+    (step ~now:4.0 (Loop.Proposed { from = "p"; to_ = "p" }));
+  expect "inside cooldown" [] (step ~now:5.0 (window_of drifting_report));
+  expect "cooldown over, streak starts fresh" [ Loop.Suspect 1 ]
+    (step ~now:15.0 (window_of drifting_report))
 
 let qcheck_detector_quiet =
   QCheck.Test.make ~name:"control: zero-drift reports never Trigger" ~count:60
     (QCheck.int_range 1 1_000_000) (fun seed ->
       let rng = Rng.create seed in
-      let d =
-        Detector.create ~hysteresis:(1 + Rng.int rng 3)
-          ~cooldown_us:(float_of_int (Rng.int rng 20)) ()
+      let cfg =
+        loop_cfg ~hysteresis:(1 + Rng.int rng 3) ~cooldown_us:(float_of_int (Rng.int rng 20))
       in
-      let ok = ref true in
+      let st = ref Loop.init and ok = ref true in
       for i = 1 to 30 do
+        let now = float_of_int i in
         let report =
           if Rng.chance rng 0.5 then quiet_report
           else
             (* Drifting windows may Suspect but a quiet one in between must
                keep resetting; only the final judgement matters here: a
-               quiet report itself can never Trigger. *)
+               quiet report itself can never propose. *)
             drifting_report
         in
-        let status = Detector.observe d ~now:(float_of_int i) report in
-        if (not (Drift.drifted report)) && status = Detector.Trigger then ok := false;
-        if status = Detector.Trigger then Detector.note_action d ~now:(float_of_int i)
+        let st', actions = Loop.step cfg !st ~now (window_of report) in
+        st := st';
+        if List.mem Loop.Propose actions then begin
+          if not (Drift.drifted report) then ok := false;
+          st := fst (Loop.step cfg !st ~now Loop.Unsolved)
+        end
       done;
       !ok)
 
@@ -278,6 +285,21 @@ let test_e2e_late_regress_watchdog () =
   checkb "ends on the initial (guarded) plan" true
     (o.Scenario.o_initial_groups = o.Scenario.o_final_groups)
 
+let test_e2e_json_counts_watchdogs () =
+  (* The JSON summary carries every Controller.summary field: late-regress's
+     watchdog count must match its logged watchdog rollbacks. *)
+  let module Json = Quilt_util.Json in
+  let j = Scenario.outcome_json (run_scenario "late-regress") in
+  let logged =
+    List.length
+      (List.filter
+         (fun e -> Json.member "kind" e = Json.str "watchdog_rollback")
+         (Json.to_list (Json.member "events" j)))
+  in
+  checkb "late-regress logs a watchdog rollback" true (logged >= 1);
+  check Alcotest.(option int) "summary.watchdogs" (Some logged)
+    (Json.to_int_opt (Json.member "watchdogs" (Json.member "summary" j)))
+
 let suite =
   [
     ( "control",
@@ -305,5 +327,7 @@ let suite =
           test_e2e_regress_rolls_back;
         Alcotest.test_case "e2e: watchdog catches a late regression" `Slow
           test_e2e_late_regress_watchdog;
+        Alcotest.test_case "e2e: JSON summary counts watchdog rollbacks" `Slow
+          test_e2e_json_counts_watchdogs;
       ] );
   ]

@@ -20,6 +20,7 @@ let () =
        Test_engine.suite;
        Test_apps.suite;
        Test_control.suite;
+       Test_loop.suite;
        Test_fault.suite;
        Test_place.suite;
        Test_obs.suite;

@@ -409,6 +409,46 @@ let test_rebalancer_migrates_off_hot_node () =
   Alcotest.(check bool) "rebalancing happened while balanced ticks exist too" true
     (s.Rebalancer.s_ticks > s.Rebalancer.s_migrations)
 
+let test_rebalancer_revert_keeps_serving_version () =
+  (* The same packed node, with 30% of the hops to the first migrated
+     service (route-a1, the cheapest on node 0) dropped until 10.5 s: the
+     canary sees the failure spike and moves it back at the 12 s verdict.
+     With a 1 s hop timeout every dropped hop has failed by 11.5 s, so no
+     request may fail after that: the move back must keep the version
+     that still serves traffic alive until the new pod is ready, and
+     decommission it afterwards, leaving no container outside the routed
+     versions. *)
+  let all = [ "route-split"; "route-a1"; "route-a2"; "route-b1"; "route-b2" ] in
+  let engine, wf =
+    routed_engine ~assign:(List.map (fun s -> (s, 0)) all) (Topology.example ()) ()
+  in
+  Engine.set_hop_timeout engine (Some 1_000_000.0);
+  let rng = Rng.create 11 in
+  Engine.set_network_fault engine
+    (Some
+       (fun ~caller:_ ~callee ->
+         if callee = "route-a1" && Engine.now engine < 10_500_000.0 && Rng.chance rng 0.3 then
+           Engine.Net_drop
+         else Engine.Net_ok));
+  let late_failures = ref 0 in
+  Engine.add_completion_hook engine (fun ~entry:_ ~latency_us:_ ~ok ->
+      if (not ok) && Engine.now engine >= 11_500_000.0 then incr late_failures);
+  let reb = Rebalancer.create engine () in
+  let until = 60_000_000.0 in
+  Rebalancer.start reb ~until;
+  let _ =
+    Loadgen.run_open_loop engine ~entry:wf.Workflow.entry ~gen_req:wf.Workflow.gen_req
+      ~rate_rps:25.0 ~duration_us:until ~warmup_us:5_000_000.0 ()
+  in
+  Alcotest.(check int) "the migration was reverted" 1 (Rebalancer.summary reb).Rebalancer.s_reverts;
+  Alcotest.(check int) "no failure after the fault cleared" 0 !late_failures;
+  let containers =
+    Array.fold_left (fun n nl -> n + nl.Engine.nl_containers) 0 (Engine.node_loads engine)
+  in
+  Alcotest.(check int) "only routed versions hold containers"
+    (List.fold_left (fun n s -> n + Engine.pool_size engine (Engine.route_of engine s)) 0 all)
+    containers
+
 let test_rebalancer_flat_engine_is_noop () =
   let wf = Special.routed () in
   let engine = Quilt.fresh_platform ~workflows:[ wf ] () in
@@ -458,6 +498,8 @@ let suite =
       [
         Alcotest.test_case "migrates off a hot node under canary" `Quick
           test_rebalancer_migrates_off_hot_node;
+        Alcotest.test_case "a revert keeps the serving version" `Quick
+          test_rebalancer_revert_keeps_serving_version;
         Alcotest.test_case "flat engine is a no-op" `Quick test_rebalancer_flat_engine_is_noop;
       ] );
   ]
