@@ -23,10 +23,10 @@ let run_workers d worker =
       Printexc.raise_with_backtrace e bt);
   List.iter Domain.join !spawned
 
-let mapi_array ?domains f items =
+let map_array ?domains f items =
   let n = Array.length items in
   let d = min n (match domains with Some d -> d | None -> Domain.recommended_domain_count ()) in
-  if d <= 1 || n <= 1 then Array.mapi f items
+  if d <= 1 || n <= 1 then Array.map f items
   else begin
     let results : ('b, exn * Printexc.raw_backtrace) result option array = Array.make n None in
     let next = Atomic.make 0 in
@@ -38,7 +38,7 @@ let mapi_array ?domains f items =
         else
           results.(i) <-
             Some
-              (match f i items.(i) with
+              (match f items.(i) with
               | v -> Ok v
               | exception e -> Error (e, Printexc.get_raw_backtrace ()))
       done
@@ -52,12 +52,4 @@ let mapi_array ?domains f items =
     Array.map (function Some (Ok v) -> v | Some (Error _) | None -> assert false) results
   end
 
-let map_array ?domains f items = mapi_array ?domains (fun _ x -> f x) items
-
-let mapi ?domains f items = Array.to_list (mapi_array ?domains f (Array.of_list items))
-
-let map ?domains f items = mapi ?domains (fun _ x -> f x) items
-
-let map_reduce ?domains ~map:f ~reduce init items =
-  let mapped = mapi_array ?domains (fun _ x -> f x) (Array.of_list items) in
-  Array.fold_left reduce init mapped
+let map ?domains f items = Array.to_list (map_array ?domains f (Array.of_list items))

@@ -20,26 +20,3 @@ val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
     domains.  Results are returned in input order.  If any application of
     [f] raises, the exception of the earliest-indexed failing item is
     re-raised in the caller after all domains have been joined. *)
-
-val mapi : ?domains:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** Like {!map}, passing each item's index. *)
-
-val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Array variant of {!map}. *)
-
-val mapi_array : ?domains:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
-(** Array variant of {!mapi}. *)
-
-val map_reduce :
-  ?domains:int -> map:('a -> 'b) -> reduce:('acc -> 'b -> 'acc) -> 'acc -> 'a list -> 'acc
-(** [map_reduce ~map ~reduce init items] applies [map] to every item (in
-    parallel, up to [domains] domains) and then folds the results with
-    [reduce] sequentially {e in input order} in the calling domain, starting
-    from [init].  Because the fold is an ordered left fold, [reduce] need
-    not be commutative or associative: the result is identical to
-    [List.fold_left reduce init (List.map map items)].
-
-    Exception safety: if any application of [map] raises, every domain that
-    was spawned is still joined (no orphaned domains) and the exception of
-    the earliest-indexed failing item is re-raised in the caller; [reduce]
-    is not applied in that case. *)

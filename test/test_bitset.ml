@@ -132,12 +132,7 @@ let test_pool_map_order () =
   let xs = List.init 100 (fun i -> i) in
   let f x = (x * x) + 1 in
   Alcotest.(check (list int)) "parallel = List.map" (List.map f xs) (Pool.map f xs);
-  Alcotest.(check (list int)) "domains:1 = List.map" (List.map f xs) (Pool.map ~domains:1 f xs);
-  Alcotest.(check (list int)) "mapi indices" xs (Pool.mapi (fun i _ -> i) xs)
-
-let test_pool_map_array () =
-  let xs = Array.init 50 (fun i -> i) in
-  Alcotest.(check bool) "array variant" true (Pool.map_array (fun x -> x * 2) xs = Array.map (fun x -> x * 2) xs)
+  Alcotest.(check (list int)) "domains:1 = List.map" (List.map f xs) (Pool.map ~domains:1 f xs)
 
 let test_pool_empty_and_single () =
   Alcotest.(check (list int)) "empty" [] (Pool.map (fun x -> x) []);
@@ -152,40 +147,13 @@ let test_pool_error_propagation () =
   (match Pool.map f (List.init 30 (fun i -> i)) with
   | _ -> Alcotest.fail "expected Boom"
   | exception Boom x -> Alcotest.(check int) "earliest failure wins" 2 x);
-  match Pool.map ~domains:1 f (List.init 30 (fun i -> i)) with
+  (match Pool.map ~domains:1 f (List.init 30 (fun i -> i)) with
   | _ -> Alcotest.fail "expected Boom"
-  | exception Boom x -> Alcotest.(check int) "sequential too" 2 x
-
-let test_pool_map_reduce () =
-  let xs = List.init 100 (fun i -> i + 1) in
-  Alcotest.(check int) "sum" 5050
-    (Pool.map_reduce ~map:(fun x -> x) ~reduce:( + ) 0 xs);
-  Alcotest.(check int) "sum, 4 domains" 5050
-    (Pool.map_reduce ~domains:4 ~map:(fun x -> x) ~reduce:( + ) 0 xs);
-  (* The fold is an ordered left fold, so a non-commutative reduce must see
-     mapped results exactly in input order. *)
-  let spec = List.fold_left (fun acc x -> (3 * acc) + x) 0 xs in
-  Alcotest.(check int) "non-commutative reduce in input order" spec
-    (Pool.map_reduce ~domains:4 ~map:(fun x -> x) ~reduce:(fun acc x -> (3 * acc) + x) 0 xs);
-  Alcotest.(check (list string)) "reduce sees input order" (List.map string_of_int xs)
-    (List.rev
-       (Pool.map_reduce ~domains:3 ~map:string_of_int ~reduce:(fun acc s -> s :: acc) [] xs));
-  Alcotest.(check int) "empty input yields init" 42
-    (Pool.map_reduce ~map:(fun x -> x) ~reduce:( + ) 42 [])
-
-let test_pool_map_reduce_errors () =
-  (* A failing map must surface the earliest-indexed exception, join every
-     spawned domain, and never run the reduce. *)
-  let reduced = ref 0 in
-  let f x = if x mod 5 = 3 then raise (Boom x) else x in
-  (match Pool.map_reduce ~map:f ~reduce:(fun acc x -> incr reduced; acc + x) 0 (List.init 40 (fun i -> i)) with
-  | _ -> Alcotest.fail "expected Boom"
-  | exception Boom x -> Alcotest.(check int) "earliest failure wins" 3 x);
-  Alcotest.(check int) "reduce never ran" 0 !reduced;
+  | exception Boom x -> Alcotest.(check int) "sequential too" 2 x);
   (* After the failure the pool must still be usable: no orphaned domains
      wedging the next spawn. *)
-  Alcotest.(check int) "pool alive after failure" 10
-    (Pool.map_reduce ~domains:4 ~map:(fun x -> x) ~reduce:( + ) 0 [ 1; 2; 3; 4 ])
+  Alcotest.(check (list int)) "pool alive after failure" [ 2; 3; 4; 5 ]
+    (Pool.map ~domains:4 (fun x -> x + 1) [ 1; 2; 3; 4 ])
 
 let prop_pool_matches_list_map =
   QCheck.Test.make ~name:"pool map = List.map for pure functions" ~count:30
@@ -212,11 +180,8 @@ let suite =
     ( "util.pool",
       [
         Alcotest.test_case "map order" `Quick test_pool_map_order;
-        Alcotest.test_case "map array" `Quick test_pool_map_array;
         Alcotest.test_case "empty and single" `Quick test_pool_empty_and_single;
         Alcotest.test_case "error propagation" `Quick test_pool_error_propagation;
-        Alcotest.test_case "map_reduce ordered fold" `Quick test_pool_map_reduce;
-        Alcotest.test_case "map_reduce exception safety" `Quick test_pool_map_reduce_errors;
         QCheck_alcotest.to_alcotest prop_pool_matches_list_map;
       ] );
   ]
