@@ -139,16 +139,16 @@ let match_site (m : Ir.modul) ~service (i : Ir.instr) =
       | Some _ | None -> None)
   | _ -> None
 
-let fresh_counter = ref 0
-
-let next_id () =
-  incr fresh_counter;
-  !fresh_counter
+(* [ids] is the caller's fresh-name counter: one per merge, so the names
+   a merge picks depend only on its inputs, not on earlier merges. *)
+let next_id ids =
+  incr ids;
+  !ids
 
 (* Local-call replacement instructions for one site.  [dst] keeps its
    original name so later uses still resolve. *)
-let local_call_instrs ~kind ~caller2c ~caller_lang ~dst ~req =
-  let id = next_id () in
+let local_call_instrs ~ids ~kind ~caller2c ~caller_lang ~dst ~req =
+  let id = next_id ids in
   match kind with
   | Sync -> [ Ir.Call { dst; ret = Ir.Ptr; callee = caller2c; args = [ (Ir.Ptr, req) ] } ]
   | Async ->
@@ -166,9 +166,9 @@ let local_call_instrs ~kind ~caller2c ~caller_lang ~dst ~req =
       ]
 
 (* Conditional rewriting requires splitting the block at the call site. *)
-let rewrite_block_conditional ~alpha ~counter ~caller2c ~caller_lang (b : Ir.block) ~site_instr
-    ~kind ~dst ~req ~before ~after =
-  let id = next_id () in
+let rewrite_block_conditional ~ids ~alpha ~counter ~caller2c ~caller_lang (b : Ir.block)
+    ~site_instr ~kind ~dst ~req ~before ~after =
+  let id = next_id ids in
   let l_local = Printf.sprintf "qc%d.local" id in
   let l_remote = Printf.sprintf "qc%d.remote" id in
   let l_join = Printf.sprintf "qc%d.join" id in
@@ -201,7 +201,7 @@ let rewrite_block_conditional ~alpha ~counter ~caller2c ~caller_lang (b : Ir.blo
         { dst = cnt1; op = Ir.Add; ty = Ir.I64; lhs = Ir.Local cnt; rhs = Ir.Const (Ir.Cint (Ir.I64, 1L)) };
       Ir.Store { ty = Ir.I64; src = Ir.Local cnt1; ptr = Ir.Const (Ir.Cglobal counter) };
     ]
-    @ local_call_instrs ~kind ~caller2c ~caller_lang ~dst:(Some rl) ~req
+    @ local_call_instrs ~ids ~kind ~caller2c ~caller_lang ~dst:(Some rl) ~req
   in
   let local_block = { Ir.label = l_local; instrs = local_instrs; term = Ir.Br l_join } in
   let rr = Printf.sprintf "qc%d.rr" id in
@@ -221,7 +221,7 @@ let rewrite_block_conditional ~alpha ~counter ~caller2c ~caller_lang (b : Ir.blo
   let join_block = { Ir.label = l_join; instrs = join_instrs; term = b.Ir.term } in
   [ head; local_block; remote_block; join_block ]
 
-let rewrite_function (m : Ir.modul) ~service ~caller2c_for ~mode (f : Ir.func) =
+let rewrite_function (m : Ir.modul) ~ids ~service ~caller2c_for ~mode (f : Ir.func) =
   if Ir.is_declaration f then (f, 0, [])
   else begin
     let count = ref 0 in
@@ -248,13 +248,13 @@ let rewrite_function (m : Ir.modul) ~service ~caller2c_for ~mode (f : Ir.func) =
           let caller2c = caller2c_for lang in
           match mode ~caller:f.Ir.fname with
           | Unconditional ->
-              let replacement = local_call_instrs ~kind ~caller2c ~caller_lang:lang ~dst ~req in
+              let replacement = local_call_instrs ~ids ~kind ~caller2c ~caller_lang:lang ~dst ~req in
               process_block (clean @ before @ replacement) { b with Ir.instrs = after }
           | Conditional alpha ->
               let counter = Printf.sprintf "qcnt_%s_%s" (mangle f.Ir.fname) (mangle service) in
               if not (List.mem counter !counters) then counters := counter :: !counters;
               let blocks =
-                rewrite_block_conditional ~alpha ~counter ~caller2c ~caller_lang:lang b ~site_instr
+                rewrite_block_conditional ~ids ~alpha ~counter ~caller2c ~caller_lang:lang b ~site_instr
                   ~kind ~dst ~req ~before:(clean @ before) ~after
               in
               (match blocks with
@@ -317,7 +317,7 @@ let insert_counter_reset (m : Ir.modul) ~handler counters =
       Ir.replace_func m { f with Ir.blocks = blocks }
   | Some _ | None -> m
 
-let rewrite_call_sites (m : Ir.modul) ~service ~local_name ~callee_lang ~mode ~reset_in =
+let rewrite_call_sites (m : Ir.modul) ~ids ~service ~local_name ~callee_lang ~mode ~reset_in =
   (* Pre-generate shims lazily per caller language. *)
   let module_ref = ref m in
   let caller2c_for lang =
@@ -332,7 +332,7 @@ let rewrite_call_sites (m : Ir.modul) ~service ~local_name ~callee_lang ~mode ~r
   let funcs =
     List.map
       (fun f ->
-        let f', n, counters = rewrite_function !module_ref ~service ~caller2c_for ~mode f in
+        let f', n, counters = rewrite_function !module_ref ~ids ~service ~caller2c_for ~mode f in
         total := !total + n;
         all_counters := counters @ !all_counters;
         f')

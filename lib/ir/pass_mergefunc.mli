@@ -32,6 +32,7 @@ val localize_handler : Ir.modul -> handler:string -> local_name:string -> Ir.mod
 
 val rewrite_call_sites :
   Ir.modul ->
+  ids:int ref ->
   service:string ->
   local_name:string ->
   callee_lang:string ->
@@ -39,7 +40,9 @@ val rewrite_call_sites :
   reset_in:string option ->
   Ir.modul * int
 (** Rewrites all matching call sites in every defined function; returns the
-    module and the number of sites rewritten.  [service] is the callee's
+    module and the number of sites rewritten.  [ids] numbers the fresh
+    locals and labels of the rewritten sites; give each merge its own
+    counter so its text does not depend on earlier merges.  [service] is the callee's
     platform handle (the string the caller passes to sync_inv).  [mode] is
     consulted per containing function, so different call-graph edges can
     carry different profiled α values.  [reset_in], when set, names the

@@ -87,6 +87,7 @@ let merge_group_uncached ?(on_stage = fun ~stage:_ _ -> ()) ~lookup ~members ~ro
       Hashtbl.replace service_of_symbol (Ast.local_symbol svc) svc)
     members;
   let root_handler = entry_handler root in
+  let ids = ref 0 in
   let merged = ref (checked ~stage:"frontend" (Frontend.compile (lookup root))) in
   let rounds = ref [] in
   List.iter
@@ -119,8 +120,8 @@ let merge_group_uncached ?(on_stage = fun ~stage:_ _ -> ()) ~lookup ~members ~ro
           | None -> Pass_mergefunc.Unconditional
         in
         let m', n =
-          Pass_mergefunc.rewrite_call_sites !merged ~service:callee ~local_name ~callee_lang ~mode
-            ~reset_in:(Some root_handler)
+          Pass_mergefunc.rewrite_call_sites !merged ~ids ~service:callee ~local_name ~callee_lang
+            ~mode ~reset_in:(Some root_handler)
         in
         merged := checked ~stage:("mergefunc:" ^ callee) m';
         rounds := (callee, n) :: !rounds
@@ -142,8 +143,8 @@ let merge_group_uncached ?(on_stage = fun ~stage:_ _ -> ()) ~lookup ~members ~ro
           | None -> Pass_mergefunc.Unconditional
         in
         let m', n =
-          Pass_mergefunc.rewrite_call_sites !merged ~service:callee ~local_name ~callee_lang ~mode
-            ~reset_in:(Some root_handler)
+          Pass_mergefunc.rewrite_call_sites !merged ~ids ~service:callee ~local_name ~callee_lang
+            ~mode ~reset_in:(Some root_handler)
         in
         merged := checked ~stage:("resweep:" ^ callee) m';
         if n > 0 then

@@ -459,6 +459,27 @@ let test_cache_keyed_by_edge_mode () =
   ignore (merge fns ~members:[ "middle"; "leaf" ] ~root:"middle" ~edge_mode:(guarded 2) ());
   Alcotest.(check (pair int int)) "same guard hits" (1, 3) (Pipeline.cache_stats ())
 
+(* A merge's text depends only on its inputs, not on what the process merged
+   before: two uncached compiles of async compose-post and a cache hit all
+   print the same module (fresh local names restart per merge). *)
+let test_merge_text_independent_of_history () =
+  let wf =
+    List.find
+      (fun w -> w.Quilt_apps.Workflow.wf_name = "compose-post")
+      (Quilt_apps.Deathstar.social_network ~async:true ())
+  in
+  let lookup = Quilt_apps.Workflow.lookup wf in
+  let members = Quilt_apps.Workflow.fn_names wf and root = wf.Quilt_apps.Workflow.entry in
+  let text r = Quilt_ir.Pp.to_string r.Pipeline.merged_module in
+  let first = text (Pipeline.merge_group_uncached ~lookup ~members ~root ()) in
+  let second = text (Pipeline.merge_group_uncached ~lookup ~members ~root ()) in
+  Alcotest.(check string) "uncached merges print identically" first second;
+  Pipeline.reset_cache ();
+  ignore (Pipeline.merge_group ~lookup ~members ~root ());
+  let cached = text (Pipeline.merge_group ~lookup ~members ~root ()) in
+  Alcotest.(check (pair int int)) "the last merge was a hit" (1, 1) (Pipeline.cache_stats ());
+  Alcotest.(check string) "a cache hit prints like a fresh compile" first cached
+
 let test_cache_disabled_bypasses () =
   Pipeline.reset_cache ();
   Pipeline.set_cache_enabled false;
@@ -510,6 +531,7 @@ let suite =
         Alcotest.test_case "miss on changed source" `Quick test_cache_miss_on_changed_source;
         Alcotest.test_case "keyed by edge mode" `Quick test_cache_keyed_by_edge_mode;
         Alcotest.test_case "disabled bypasses" `Quick test_cache_disabled_bypasses;
+        Alcotest.test_case "text independent of history" `Quick test_merge_text_independent_of_history;
       ] );
     ( "merge.sizes",
       [
