@@ -511,12 +511,29 @@ let run_flags =
     const (fun seed smoke engine_stats -> (seed, smoke, engine_stats))
     $ seed_flag $ smoke_flag $ engine_stats_flag)
 
+(* Numeric flags that size a run: zero or negative values are command-line
+   errors (exit 124), not runs that report zero latencies. *)
+let positive conv ok what =
+  let parse = Arg.conv_parser conv in
+  Arg.conv ~docv:(Arg.conv_docv conv)
+    ( (fun s ->
+        match parse s with
+        | Ok x when ok x -> Ok x
+        | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" what s))
+        | Error _ as e -> e),
+      Arg.conv_printer conv )
+
+let positive_float =
+  positive Arg.float (fun x -> x > 0.0 && Float.is_finite x) "a positive number"
+
+let positive_int = positive Arg.int (fun n -> n > 0) "a positive integer"
+
 let rate_flag default =
-  Arg.(value & opt float default & info [ "rate" ] ~docv:"RPS" ~doc:"Offered load.")
+  Arg.(value & opt positive_float default & info [ "rate" ] ~docv:"RPS" ~doc:"Offered load.")
 
 let duration_flag default =
   Arg.(
-    value & opt float default
+    value & opt positive_float default
     & info [ "duration" ] ~docv:"SECONDS" ~doc:"Measured window (simulated).")
 
 let bench_t =
@@ -585,7 +602,7 @@ let place_t =
 let obs_t =
   let sample =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "sample" ] ~docv:"N"
           ~doc:"Head-sample 1 in $(docv) root requests (deterministic per seed; 1 = all).")
   in
