@@ -35,21 +35,42 @@ type recorder = {
 let new_recorder () =
   { hist = Histogram.create (); succ = 0; succ_in_window = 0; fail = 0; sent = 0; in_flight = 0 }
 
-(* Throughput counts only completions inside the measurement window;
-   latencies of stragglers still count against the requests that were
-   issued in the window (wrk2's coordinated-omission-free accounting). *)
-let finish sim rec_ ~duration_us =
-  Engine.run_until sim (Engine.now sim +. 30_000_000.0);
-  let throughput = float_of_int rec_.succ_in_window /. (duration_us /. 1e6) in
+(* One measured request has left the client. *)
+let record_sent rec_ =
+  rec_.sent <- rec_.sent + 1;
+  rec_.in_flight <- rec_.in_flight + 1
+
+(* One measured request has completed.  Throughput counts only completions
+   inside the measurement window (up to [t_close]); latencies of stragglers
+   still count against the requests that were issued in the window (wrk2's
+   coordinated-omission-free accounting). *)
+let record_done sim rec_ ~t_close ~latency_us ~ok =
+  rec_.in_flight <- rec_.in_flight - 1;
+  if ok then begin
+    rec_.succ <- rec_.succ + 1;
+    if Engine.now sim <= t_close then rec_.succ_in_window <- rec_.succ_in_window + 1;
+    Histogram.record rec_.hist latency_us
+  end
+  else rec_.fail <- rec_.fail + 1
+
+(* Requests still in flight after the grace period count as failures. *)
+let result_of rec_ ~duration_us ~counters =
   {
     latencies = rec_.hist;
     successes = rec_.succ;
     failures = rec_.fail + rec_.in_flight;
     offered = rec_.sent;
     duration_us;
-    throughput_rps = throughput;
-    counters = Engine.counters sim;
+    throughput_rps = float_of_int rec_.succ_in_window /. (duration_us /. 1e6);
+    counters;
   }
+
+(* Grace period for stragglers. *)
+let drain sim = Engine.run_until sim (Engine.now sim +. 30_000_000.0)
+
+let finish sim rec_ ~duration_us =
+  drain sim;
+  result_of rec_ ~duration_us ~counters:(Engine.counters sim)
 
 (* Progress callbacks fire every [progress_stride] offered requests (a
    power of two so the check is a mask), not per completion — million-
@@ -75,20 +96,11 @@ let run_closed_loop sim ~entry ~gen_req ~connections ~duration_us ?warmup_us ?(t
       let req = gen_req rng in
       let sent_in_window = Engine.now sim >= t_open in
       if sent_in_window then begin
-        rec_.sent <- rec_.sent + 1;
-        rec_.in_flight <- rec_.in_flight + 1;
+        record_sent rec_;
         report_progress progress rec_
       end;
       Engine.submit sim ~entry ~req ~on_done:(fun ~latency_us ~ok ->
-          if sent_in_window then begin
-            rec_.in_flight <- rec_.in_flight - 1;
-            if ok then begin
-              rec_.succ <- rec_.succ + 1;
-              if Engine.now sim <= t_close then rec_.succ_in_window <- rec_.succ_in_window + 1;
-              Histogram.record rec_.hist latency_us
-            end
-            else rec_.fail <- rec_.fail + 1
-          end;
+          if sent_in_window then record_done sim rec_ ~t_close ~latency_us ~ok;
           if think_us > 0.0 then Engine.schedule sim think_us connection_loop else connection_loop ())
     end
   in
@@ -124,17 +136,10 @@ let run_phased sim ~entry ~phases ?(on_sample = fun ~ts:_ ~latency_us:_ ~ok:_ ~p
         let rec arrival () =
           if Engine.now sim < t_close then begin
             let req = ph.ph_gen_req rng in
-            rec_.sent <- rec_.sent + 1;
-            rec_.in_flight <- rec_.in_flight + 1;
+            record_sent rec_;
             Engine.submit sim ~entry ~req ~on_done:(fun ~latency_us ~ok ->
-                rec_.in_flight <- rec_.in_flight - 1;
                 on_sample ~ts:(Engine.now sim) ~latency_us ~ok ~phase:ph.ph_name;
-                if ok then begin
-                  rec_.succ <- rec_.succ + 1;
-                  if Engine.now sim <= t_close then rec_.succ_in_window <- rec_.succ_in_window + 1;
-                  Histogram.record rec_.hist latency_us
-                end
-                else rec_.fail <- rec_.fail + 1);
+                record_done sim rec_ ~t_close ~latency_us ~ok);
             Engine.schedule sim (Rng.exponential arrival_rng mean_gap) arrival
           end
         in
@@ -143,21 +148,13 @@ let run_phased sim ~entry ~phases ?(on_sample = fun ~ts:_ ~latency_us:_ ~ok:_ ~p
         run_phase (i + 1) rest
   in
   run_phase 0 recs;
-  (* Grace period for stragglers of the final phase. *)
-  Engine.run_until sim (Engine.now sim +. 30_000_000.0);
+  drain sim;
   let counters = Engine.counters sim in
-  let result_of (ph, rec_) =
-    {
-      latencies = rec_.hist;
-      successes = rec_.succ;
-      failures = rec_.fail + rec_.in_flight;
-      offered = rec_.sent;
-      duration_us = ph.ph_duration_us;
-      throughput_rps = float_of_int rec_.succ_in_window /. (ph.ph_duration_us /. 1e6);
-      counters;
-    }
+  let per_phase =
+    List.map
+      (fun (ph, rec_) -> (ph.ph_name, result_of rec_ ~duration_us:ph.ph_duration_us ~counters))
+      recs
   in
-  let per_phase = List.map (fun (ph, rec_) -> (ph.ph_name, result_of (ph, rec_))) recs in
   let total_us = List.fold_left (fun a ph -> a +. ph.ph_duration_us) 0.0 phases in
   let all = Histogram.create () in
   List.iter (fun (_, r) -> Histogram.merge_into ~dst:all r.latencies) per_phase;
@@ -197,20 +194,11 @@ let run_open_loop sim ~entry ~gen_req ~rate_rps ~duration_us ?warmup_us ?(seed =
       let req = gen_req rng in
       let in_window = Engine.now sim >= t_open in
       if in_window then begin
-        rec_.sent <- rec_.sent + 1;
-        rec_.in_flight <- rec_.in_flight + 1;
+        record_sent rec_;
         report_progress progress rec_
       end;
       submit ~entry ~req ~on_done:(fun ~latency_us ~ok ->
-          if in_window then begin
-            rec_.in_flight <- rec_.in_flight - 1;
-            if ok then begin
-              rec_.succ <- rec_.succ + 1;
-              if Engine.now sim <= t_close then rec_.succ_in_window <- rec_.succ_in_window + 1;
-              Histogram.record rec_.hist latency_us
-            end
-            else rec_.fail <- rec_.fail + 1
-          end);
+          if in_window then record_done sim rec_ ~t_close ~latency_us ~ok);
       Engine.schedule sim (Rng.exponential arrival_rng mean_gap) arrival
     end
   in
