@@ -1,5 +1,5 @@
 (* Fault benchmark: deterministic chaos over the three deployment arms.
-   Every scenario of Quilt_fault.Scenario runs against baseline /
+   Every chaos cell of Quilt_control.Scenario runs against baseline /
    container-merge / quilt under the default retry policy, plus a pinned
    policy comparison (none vs retry on the crash storm) showing retries
    buying availability at a bounded replayed-work cost, and the
@@ -8,9 +8,7 @@
    (or --fast) shrinks each run to ~12 virtual seconds. *)
 
 open Common
-module Fs = Quilt_fault.Scenario
-module Policy = Quilt_fault.Policy
-module Special = Quilt_apps.Special
+module Scenario = Quilt_control.Scenario
 module Metrics = Quilt_cluster.Metrics
 module Types = Quilt_cluster.Types
 
@@ -18,25 +16,22 @@ let json_file = "BENCH_fault.json"
 let smoke_flag = ref false
 let seed_ref = ref 0
 
-let run_matrix_or_fail ~smoke ~seed ?scenario_filter ~policy ~policy_name () =
-  match Fs.run_matrix ~smoke ~seed ?scenario_filter ~policy ~policy_name () with
+let run_matrix_or_fail ~smoke ~seed ~policy names =
+  match Scenario.run_matrix ~smoke ~seed ~policy names with
   | Ok os -> os
-  | Error e -> failwith (Printf.sprintf "fault matrix (%s): %s" policy_name e)
+  | Error e -> failwith (Printf.sprintf "fault matrix (%s): %s" policy e)
 
 (* The quilt grouping's blast radius, with and without the reliability
    penalty: λ large enough makes the optimizer prefer smaller fault
    domains (ultimately the unmerged baseline) over cut-cost savings. *)
 let penalty_sweep ~smoke ~seed =
-  let wf = Special.routed () in
-  let wf = { wf with Quilt_apps.Workflow.gen_req = Special.routed_req ~b_share:0.3 } in
-  let base_cfg =
-    {
-      Config.default with
-      Config.cpu_budget_ms = 6.5;
-      profile_duration_us = (if smoke then 8_000_000.0 else 20_000_000.0);
-      seed = 1 + seed;
-    }
+  let sp =
+    match Scenario.spec ~smoke ~seed "crashstorm" with
+    | Ok sp -> sp
+    | Error e -> failwith e
   in
+  let wf = { sp.Scenario.sp_workflow with Quilt_apps.Workflow.gen_req = sp.Scenario.sp_profile_gen } in
+  let base_cfg = sp.Scenario.sp_offline_cfg in
   let graph =
     match Quilt.profile base_cfg ~workflows:[ wf ] wf with
     | Ok g -> g
@@ -78,25 +73,23 @@ let run () =
   let smoke = !fast || !smoke_flag in
   let seed = !seed_ref in
   subsection "scenario x arm matrix (retry policy)";
-  let matrix =
-    run_matrix_or_fail ~smoke ~seed ~policy:Policy.default_retry ~policy_name:"retry" ()
-  in
-  List.iter Fs.print_outcome matrix;
+  let matrix = run_matrix_or_fail ~smoke ~seed ~policy:"retry" Scenario.chaos_names in
+  List.iter Scenario.print_outcome matrix;
   subsection "pinned: crashstorm with vs without retries";
-  let no_retry =
-    run_matrix_or_fail ~smoke ~seed ~scenario_filter:(Some "crashstorm") ~policy:Policy.none
-      ~policy_name:"none" ()
-  in
-  List.iter Fs.print_outcome no_retry;
-  let avail arm outcomes =
-    match List.find_opt (fun (o : Fs.outcome) -> o.Fs.f_arm = arm) outcomes with
-    | Some o -> Quilt_platform.Loadgen.availability o.Fs.f_result
+  let no_retry = run_matrix_or_fail ~smoke ~seed ~policy:"none" [ "crashstorm" ] in
+  List.iter Scenario.print_outcome no_retry;
+  let avail outcomes =
+    match
+      List.find_opt
+        (fun (o : Scenario.outcome) ->
+          o.Scenario.o_scenario = "crashstorm" && o.Scenario.o_arm = Scenario.Quilt_merged)
+        outcomes
+    with
+    | Some o -> Quilt_platform.Loadgen.availability o.Scenario.o_phased.Quilt_platform.Loadgen.overall
     | None -> nan
   in
-  let crash_retry = List.filter (fun (o : Fs.outcome) -> o.Fs.f_scenario = "crashstorm") matrix in
   Printf.printf "  quilt crashstorm availability: %.1f%% no-retry -> %.1f%% with retries\n"
-    (100.0 *. avail "quilt" no_retry)
-    (100.0 *. avail "quilt" crash_retry);
+    (100.0 *. avail no_retry) (100.0 *. avail matrix);
   subsection "reliability penalty sweep (lambda)";
   let sweep = penalty_sweep ~smoke ~seed in
   let json =
@@ -104,8 +97,8 @@ let run () =
       [
         ("smoke", Json.Bool smoke);
         ("seed", Json.int seed);
-        ("matrix", Json.List (List.map Fs.outcome_json matrix));
-        ("crashstorm_no_retry", Json.List (List.map Fs.outcome_json no_retry));
+        ("matrix", Json.List (List.map Scenario.outcome_json matrix));
+        ("crashstorm_no_retry", Json.List (List.map Scenario.outcome_json no_retry));
         ( "penalty_sweep",
           Json.List (List.map snd sweep) );
       ]

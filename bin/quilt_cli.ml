@@ -215,7 +215,17 @@ let with_engine_stats enabled f =
         (100.0 *. float_of_int hits /. float_of_int lookups)
   end
 
+(* [adapt] runs the adaptive scenarios and [chaos] the chaos cells; both
+   families live in one runner, so each command checks its own names. *)
+let check_scenario cmd known name =
+  if not (List.mem name known) then begin
+    Printf.eprintf "%s failed: unknown scenario %S (known: %s)\n" cmd name
+      (String.concat ", " known);
+    exit 1
+  end
+
 let adapt_cmd (seed, smoke, engine_stats) no_controller scenario =
+  check_scenario "adapt" Quilt_control.Scenario.names scenario;
   with_engine_stats engine_stats @@ fun () ->
   let run wc =
     match Quilt_control.Scenario.run ~smoke ~seed ~with_controller:wc scenario with
@@ -240,28 +250,19 @@ let adapt_cmd (seed, smoke, engine_stats) no_controller scenario =
     | _ -> ()
   end
 
-let chaos_cmd (seed, smoke, engine_stats) policy_name scenario =
+let chaos_cmd (seed, smoke, engine_stats) policy scenario =
   with_engine_stats engine_stats @@ fun () ->
-  let module Fs = Quilt_fault.Scenario in
-  let module Policy = Quilt_fault.Policy in
-  let policy, policy_name =
-    match policy_name with
-    | "none" -> (Policy.none, "none")
-    | "retry" -> (Policy.default_retry, "retry")
-    | "hedged" -> (Policy.hedged, "hedged")
-    | other ->
-        Printf.eprintf "unknown policy %s (none|retry|hedged)\n" other;
-        exit 1
-  in
-  let scenario_filter = if scenario = "all" then None else Some scenario in
-  match Fs.run_matrix ~smoke ~seed ~scenario_filter ~policy ~policy_name () with
+  let module Scenario = Quilt_control.Scenario in
+  let names = if scenario = "all" then Scenario.chaos_names else [ scenario ] in
+  List.iter (check_scenario "chaos" Scenario.chaos_names) names;
+  match Scenario.run_matrix ~smoke ~seed ~policy names with
   | Error e ->
       Printf.eprintf "chaos failed: %s\n" e;
       exit 1
   | Ok outcomes ->
-      Printf.printf "fault matrix (%s policy, seed %d%s):\n" policy_name seed
+      Printf.printf "fault matrix (%s policy, seed %d%s):\n" policy seed
         (if smoke then ", smoke" else "");
-      List.iter Fs.print_outcome outcomes
+      List.iter Scenario.print_outcome outcomes
 
 let place_cmd async policy_name rate duration (seed, smoke, engine_stats) rebalance name =
   with_engine_stats engine_stats @@ fun () ->
@@ -572,7 +573,7 @@ let chaos_t =
       & info [] ~docv:"SCENARIO"
           ~doc:
             (Printf.sprintf "One of: %s; or all."
-               (String.concat ", " Quilt_fault.Scenario.scenario_names)))
+               (String.concat ", " Quilt_control.Scenario.chaos_names)))
   in
   Cmd.v
     (Cmd.info "chaos"

@@ -199,4 +199,3 @@ let submit g ~entry ~req ~on_done =
           end)
   | _ -> ()
 
-let submit_fn g = fun ~entry ~req ~on_done -> submit g ~entry ~req ~on_done

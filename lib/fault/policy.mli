@@ -79,12 +79,4 @@ val submit :
 (** Calls [on_done] exactly once, with the end-to-end latency (backoff
     included) of the delivered attempt. *)
 
-val submit_fn :
-  gateway ->
-  entry:string ->
-  req:string ->
-  on_done:(latency_us:float -> ok:bool -> unit) ->
-  unit
-(** {!submit} partially applied — shaped for [Loadgen.run_open_loop ~via]. *)
-
 val stats : gateway -> stats

@@ -9,7 +9,7 @@ module Engine = Quilt_platform.Engine
 module Loadgen = Quilt_platform.Loadgen
 module Plan = Quilt_fault.Plan
 module Policy = Quilt_fault.Policy
-module Fs = Quilt_fault.Scenario
+module Scenario = Quilt_control.Scenario
 module Metrics = Quilt_cluster.Metrics
 module Types = Quilt_cluster.Types
 module Callgraph = Quilt_dag.Callgraph
@@ -288,25 +288,25 @@ let prop_plan_determinism =
     (QCheck.int_range 0 1000)
     (fun seed -> chaos_signature seed = chaos_signature seed)
 
-let cell_signature seed =
-  match
-    Fs.run_one ~smoke:true ~seed ~scenario:"crashstorm" ~arm:Fs.Cm ~policy:Policy.default_retry
-      ~policy_name:"retry" ()
-  with
+(* A chaos cell's overall result and gateway statistics. *)
+let cell ?seed ~arm ~policy name =
+  match Scenario.run ~smoke:true ?seed ~arm ~policy ~with_controller:false name with
   | Error e -> Alcotest.fail e
-  | Ok o ->
-      let r = o.Fs.f_result in
-      let s = o.Fs.f_gateway in
-      ( o.Fs.f_trace,
-        (r.Loadgen.successes, r.Loadgen.failures, r.Loadgen.offered, r.Loadgen.counters),
-        (s.Policy.attempts, s.Policy.retries, s.Policy.timeouts, s.Policy.wasted_work_us),
-        Loadgen.availability r )
+  | Ok ({ Scenario.o_gateway = Some (_, s); _ } as o) -> (o, o.Scenario.o_phased.Loadgen.overall, s)
+  | Ok _ -> Alcotest.fail "a chaos cell runs behind the gateway"
+
+let cell_signature seed =
+  let o, r, s = cell ~seed ~arm:Scenario.Cm ~policy:"retry" "crashstorm" in
+  ( o.Scenario.o_faults,
+    (r.Loadgen.successes, r.Loadgen.failures, r.Loadgen.offered, r.Loadgen.counters),
+    (s.Policy.attempts, s.Policy.retries, s.Policy.timeouts, s.Policy.wasted_work_us),
+    Loadgen.availability r )
 
 let test_scenario_determinism () =
   Alcotest.(check bool) "a whole scenario cell is reproducible" true (cell_signature 0 = cell_signature 0)
 
 let test_unknown_scenario_is_error () =
-  match Fs.run_one ~smoke:true ~scenario:"nope" ~arm:Fs.Baseline ~policy:Policy.none ~policy_name:"none" () with
+  match Scenario.run ~smoke:true ~arm:Scenario.Baseline ~policy:"none" ~with_controller:false "nope" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown scenario should be rejected"
 
@@ -437,17 +437,13 @@ let test_penalty_prefers_small_domains () =
 (* --- end to end: scenarios and the control plane --- *)
 
 let test_retry_buys_availability () =
-  let run policy policy_name =
-    match Fs.run_one ~smoke:true ~scenario:"crashstorm" ~arm:Fs.Quilt_merged ~policy ~policy_name () with
-    | Ok o -> o
-    | Error e -> Alcotest.fail e
-  in
-  let bare = run Policy.none "none" in
-  let retried = run Policy.default_retry "retry" in
-  let av (o : Fs.outcome) = Loadgen.availability o.Fs.f_result in
+  let run policy = cell ~arm:Scenario.Quilt_merged ~policy "crashstorm" in
+  let bare = run "none" in
+  let retried = run "retry" in
+  let av (_, r, _) = Loadgen.availability r in
   Alcotest.(check bool) "the storm hurts without retries" true (av bare < 1.0);
   Alcotest.(check bool) "retries recover availability" true (av retried > av bare);
-  let s = retried.Fs.f_gateway in
+  let _, _, s = retried in
   Alcotest.(check bool) "at a measured replay cost" true
     (s.Policy.replayed_chains > 0 && s.Policy.wasted_work_us > 0.0);
   (* Bounded: the budget caps replays well below the offered load. *)
@@ -457,12 +453,12 @@ let test_retry_buys_availability () =
        +. Policy.default_retry.Policy.retry_burst)
 
 let test_crashy_scenario_triggers_rollback () =
-  match Quilt_control.Scenario.run ~smoke:true ~with_controller:true "crashy" with
+  match Scenario.run ~smoke:true ~with_controller:true "crashy" with
   | Error e -> Alcotest.fail e
   | Ok o ->
-      let c = o.Quilt_control.Scenario.o_phased.Loadgen.overall.Loadgen.counters in
+      let c = o.Scenario.o_phased.Loadgen.overall.Loadgen.counters in
       Alcotest.(check bool) "the storm really killed containers" true (c.Engine.crash_kills > 0);
-      (match o.Quilt_control.Scenario.o_summary with
+      (match o.Scenario.o_summary with
       | None -> Alcotest.fail "controller summary missing"
       | Some s ->
           Alcotest.(check bool) "the controller rolled the poisoned merge back" true
