@@ -30,7 +30,7 @@ let penalty_sweep ~smoke ~seed =
     | Ok sp -> sp
     | Error e -> failwith e
   in
-  let wf = { sp.Scenario.sp_workflow with Quilt_apps.Workflow.gen_req = sp.Scenario.sp_profile_gen } in
+  let wf = { sp.Scenario.sp_workflow with Workflow.gen_req = sp.Scenario.sp_profile_gen } in
   let base_cfg = sp.Scenario.sp_offline_cfg in
   let graph =
     match Quilt.profile base_cfg ~workflows:[ wf ] wf with
@@ -85,7 +85,7 @@ let run () =
           o.Scenario.o_scenario = "crashstorm" && o.Scenario.o_arm = Scenario.Quilt_merged)
         outcomes
     with
-    | Some o -> Quilt_platform.Loadgen.availability o.Scenario.o_phased.Quilt_platform.Loadgen.overall
+    | Some o -> Loadgen.availability o.Scenario.o_phased.Loadgen.overall
     | None -> nan
   in
   Printf.printf "  quilt crashstorm availability: %.1f%% no-retry -> %.1f%% with retries\n"

@@ -254,7 +254,7 @@ let chaos_cmd (seed, smoke, engine_stats) policy scenario =
   with_engine_stats engine_stats @@ fun () ->
   let module Scenario = Quilt_control.Scenario in
   let names = if scenario = "all" then Scenario.chaos_names else [ scenario ] in
-  List.iter (check_scenario "chaos" Scenario.chaos_names) names;
+  if scenario <> "all" then check_scenario "chaos" Scenario.chaos_names scenario;
   match Scenario.run_matrix ~smoke ~seed ~policy names with
   | Error e ->
       Printf.eprintf "chaos failed: %s\n" e;
