@@ -2,8 +2,8 @@
    in one subcommand (`bench/main.exe decision`, `--smoke` for CI sizing).
 
    Sections, each writing its own key into BENCH_decision.json:
-   - the Figure-8b decision-time sweep vs graph size (promoted here from
-     the fig8 section; `fig8b` now delegates to this module);
+   - the Figure-8b decision-time sweep vs graph size (the fig8 section
+     runs it too);
    - the exact Phase-2 search ({!Closure.solve_exact}) on one in-cap
      instance of the n=200/seed-1200 rDAG;
    - bechamel micro rows for the decision algorithms (promoted from the
@@ -19,9 +19,7 @@ module Dih = Quilt_cluster.Dih
 module Optimal = Quilt_cluster.Optimal
 module Rng = Quilt_util.Rng
 
-let smoke_flag = ref false
-
-let reps () = if !fast || !smoke_flag then 1 else 3
+let reps () = if !smoke then 1 else 3
 
 let graph_of n =
   let rng = Rng.create (1000 + n) in
@@ -31,12 +29,12 @@ let graph_of n =
 (* --- Figure 8b sweep (promoted from bench/fig8.ml) --- *)
 
 let decision_time algorithm g lim =
-  median_time ~reps:(if !fast then 1 else 3) (fun () -> ignore (Decision.solve algorithm g lim))
+  median_time ~reps:(reps ()) (fun () -> ignore (Decision.solve algorithm g lim))
 
 let sweep () =
   subsection "Figure 8b: time to find the grouping vs graph size";
   Printf.printf "  %-8s %14s %18s %18s\n" "|V|" "optimal" "weighted-degree" "downstream-impact";
-  let sizes = if !fast then [ 6; 10; 25; 100 ] else [ 4; 6; 8; 10; 12; 25; 50; 100; 200; 400; 800 ] in
+  let sizes = if !smoke then [ 6; 10; 25; 100 ] else [ 4; 6; 8; 10; 12; 25; 50; 100; 200; 400; 800 ] in
   (* Every size is an independent (seeded) instance, so the sweep fans out
      across domains; rows come back in input order and are printed after the
      join.  Solver outputs stay bit-identical to a sequential run — only the
@@ -133,7 +131,7 @@ let full_enumeration_s = 0.171579122543
 let run_exact () =
   subsection "exact search: pruned preparation + branch-and-bound";
   let g, lim0 = graph_of 200 in
-  let k = if !smoke_flag then 10 else 14 in
+  let k = if !smoke then 10 else 14 in
   let roots, lim = exact_instance g lim0 ~k in
   Printf.printf "  n=200 rDAG (seed 1200), %d roots, limits %.0f vCPU·ms / %.0f MB\n"
     (List.length roots) lim.Types.max_cpu lim.Types.max_mem_mb;
@@ -151,7 +149,6 @@ let run_exact () =
        Json.str
          "Closure.solve_exact (pruned preparation + branch-and-bound) on an in-cap root set of \
           the n=200/seed-1200 rDAG");
-      ("smoke", Json.Bool !smoke_flag);
       ("roots", Json.int (List.length roots));
       ("s", Json.Float t);
       ("cost", Json.int cost);
@@ -170,44 +167,16 @@ let run_exact () =
 
 let run_micro () =
   let open Bechamel in
-  let open Toolkit in
   subsection "micro (bechamel): decision algorithms";
   let g10, lim10 = graph_of 10 in
   let g50, lim50 = graph_of 50 in
-  let tests =
+  bechamel ~key:"micro_decision_us_per_run"
     [
       Test.make ~name:"decision: optimal, 10 vertices"
         (Staged.stage (fun () -> Optimal.solve g10 lim10));
       Test.make ~name:"decision: DIH, 10 vertices" (Staged.stage (fun () -> Dih.solve g10 lim10));
       Test.make ~name:"decision: DIH, 50 vertices" (Staged.stage (fun () -> Dih.solve g50 lim50));
     ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second (if !fast || !smoke_flag then 0.25 else 1.0)) ()
-  in
-  let recorded = ref [] in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg instances (Test.make_grouped ~name:"g" ~fmt:"%s %s" [ test ])
-      in
-      let results =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] ->
-              Printf.printf "  %-42s %12.2f us/run\n%!" name (est /. 1000.0);
-              recorded := (name, est /. 1000.0) :: !recorded
-          | Some _ | None -> Printf.printf "  %-42s (no estimate)\n%!" name)
-        results)
-    tests;
-  record_timings ~key:"micro_decision_us_per_run"
-    (List.rev_map (fun (name, us) -> (name, Json.Float us)) !recorded)
 
 let run () =
   section "Decision time: sweep, exact search";

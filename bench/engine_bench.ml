@@ -25,8 +25,6 @@ module Pipeline = Quilt_merge.Pipeline
 module Scenario = Quilt_control.Scenario
 module Json = Quilt_util.Json
 
-let smoke_flag = ref false
-
 (* --- Scenario A: open-loop throughput --- *)
 
 (* A single configurable function: the request selects the work.  A CPU
@@ -140,13 +138,13 @@ let run_arm ?(setup = fun (_ : Engine.t) -> ()) ~rate_rps ~duration_us () =
         Loadgen.run_open_loop engine ~entry:"dial" ~gen_req ~rate_rps ~duration_us
           ~warmup_us:0.0
           ~progress:(fun ~sent ~completed ->
-            if not !Common.fast then
+            if not !Common.smoke then
               Printf.printf "    %dk sent, %dk done\r%!" (sent / 1000) (completed / 1000))
           ())
   in
   let minor_words = Gc.minor_words () -. minor0 in
   let events = Engine.events_processed engine in
-  if not !Common.fast then print_newline ();
+  if not !Common.smoke then print_newline ();
   {
     a_wall_s = wall_s;
     a_events = events;
@@ -210,7 +208,7 @@ let seed_heap_history =
     ]
 
 let run_throughput () =
-  let smoke = !smoke_flag || !Common.fast in
+  let smoke = !Common.smoke in
   (* 30k req/s for 34 virtual seconds = one million offered requests; with
      16 I/O waits of 0.3-0.9s per request, ~290k timers are outstanding at
      steady state.  Smoke keeps the same shape over a 2.5s window. *)
@@ -234,8 +232,7 @@ let run_throughput () =
 (* --- Scenario B: merge-cache hit rate under drift-triggered re-merges --- *)
 
 let run_merge_cache () =
-  let smoke = !smoke_flag || !Common.fast in
-  let seeds = if smoke then [ 0; 1 ] else List.init 12 (fun i -> i) in
+  let seeds = if !Common.smoke then [ 0; 1 ] else List.init 12 (fun i -> i) in
   Common.subsection
     (Printf.sprintf "merge cache: path-shift drift scenario x %d seeds" (List.length seeds));
   Pipeline.reset_cache ();
@@ -272,7 +269,6 @@ let run () =
     ];
   Common.record_timings ~file:"BENCH_engine.json" ~key:"engine"
     [
-      ("scale", Json.String (if !smoke_flag || !Common.fast then "smoke" else "full"));
       ("wheel", arm_json wheel);
       ("fingerprint_pinned", Json.Bool true);
       ("history", Json.Obj [ ("seed_heap", seed_heap_history) ]);

@@ -5,28 +5,26 @@
    buying availability at a bounded replayed-work cost, and the
    reliability-penalty sweep showing λ shrinking the chosen fault domains.
    Writes everything to BENCH_fault.json.  `bench/main.exe fault --smoke`
-   (or --fast) shrinks each run to ~12 virtual seconds. *)
+   shrinks each run to ~12 virtual seconds. *)
 
 open Common
 module Scenario = Quilt_control.Scenario
 module Metrics = Quilt_cluster.Metrics
 module Types = Quilt_cluster.Types
 
-let json_file = "BENCH_fault.json"
-let smoke_flag = ref false
 let seed_ref = ref 0
 
-let run_matrix_or_fail ~smoke ~seed ~policy names =
-  match Scenario.run_matrix ~smoke ~seed ~policy names with
+let run_matrix_or_fail ~seed ~policy names =
+  match Scenario.run_matrix ~smoke:!smoke ~seed ~policy names with
   | Ok os -> os
   | Error e -> failwith (Printf.sprintf "fault matrix (%s): %s" policy e)
 
 (* The quilt grouping's blast radius, with and without the reliability
    penalty: λ large enough makes the optimizer prefer smaller fault
    domains (ultimately the unmerged baseline) over cut-cost savings. *)
-let penalty_sweep ~smoke ~seed =
+let penalty_sweep ~seed =
   let sp =
-    match Scenario.spec ~smoke ~seed "crashstorm" with
+    match Scenario.spec ~smoke:!smoke ~seed "crashstorm" with
     | Ok sp -> sp
     | Error e -> failwith e
   in
@@ -70,13 +68,12 @@ let run () =
       "crash destroys (and an at-least-once retry replays) every member's";
       "in-flight work.  Deterministic fault plans make that measurable.";
     ];
-  let smoke = !fast || !smoke_flag in
   let seed = !seed_ref in
   subsection "scenario x arm matrix (retry policy)";
-  let matrix = run_matrix_or_fail ~smoke ~seed ~policy:"retry" Scenario.chaos_names in
+  let matrix = run_matrix_or_fail ~seed ~policy:"retry" Scenario.chaos_names in
   List.iter Scenario.print_outcome matrix;
   subsection "pinned: crashstorm with vs without retries";
-  let no_retry = run_matrix_or_fail ~smoke ~seed ~policy:"none" [ "crashstorm" ] in
+  let no_retry = run_matrix_or_fail ~seed ~policy:"none" [ "crashstorm" ] in
   List.iter Scenario.print_outcome no_retry;
   let avail outcomes =
     match
@@ -91,20 +88,12 @@ let run () =
   Printf.printf "  quilt crashstorm availability: %.1f%% no-retry -> %.1f%% with retries\n"
     (100.0 *. avail no_retry) (100.0 *. avail matrix);
   subsection "reliability penalty sweep (lambda)";
-  let sweep = penalty_sweep ~smoke ~seed in
-  let json =
-    Json.Obj
-      [
-        ("smoke", Json.Bool smoke);
-        ("seed", Json.int seed);
-        ("matrix", Json.List (List.map Scenario.outcome_json matrix));
-        ("crashstorm_no_retry", Json.List (List.map Scenario.outcome_json no_retry));
-        ( "penalty_sweep",
-          Json.List (List.map snd sweep) );
-      ]
-  in
-  let oc = open_out_bin json_file in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  [outcomes recorded in %s]\n%!" json_file
+  let sweep = penalty_sweep ~seed in
+  write_json "BENCH_fault.json"
+    (Json.Obj
+       [
+         ("seed", Json.int seed);
+         ("matrix", Json.List (List.map Scenario.outcome_json matrix));
+         ("crashstorm_no_retry", Json.List (List.map Scenario.outcome_json no_retry));
+         ("penalty_sweep", Json.List (List.map snd sweep));
+       ])

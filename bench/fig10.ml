@@ -50,9 +50,9 @@ let measure engine ~num ~samples =
 let run () =
   section "Figure 10: data-dependent fan-out with and without conditional invocations";
   let wf = Special.fan_out ~callee_mem_mb () in
-  let samples = if !fast then 6 else 25 in
+  let samples = if !smoke then 6 else 25 in
   Printf.printf "  %-5s %16s %22s %20s\n" "num" "baseline(mean)" "quilt-unconditional" "quilt-conditional";
-  let nums = if !fast then [ 2; 8; 12 ] else [ 1; 2; 4; 6; 8; 9; 10; 12; 14; 15 ] in
+  let nums = if !smoke then [ 2; 8; 12 ] else [ 1; 2; 4; 6; 8; 9; 10; 12; 14; 15 ] in
   List.iter
     (fun num ->
       let b_engine = make_engine wf Baseline in

@@ -13,7 +13,7 @@ module Engine = Quilt_platform.Engine
 module Types = Quilt_cluster.Types
 module Callgraph = Quilt_dag.Callgraph
 
-let rates () = if !fast then [ 100.0; 1600.0; 12800.0 ] else [ 50.0; 100.0; 200.0; 400.0; 800.0; 1600.0; 3200.0; 6400.0; 12800.0; 25600.0 ]
+let rates () = if !smoke then [ 100.0; 1600.0; 12800.0 ] else [ 50.0; 100.0; 200.0; 400.0; 800.0; 1600.0; 3200.0; 6400.0; 12800.0; 25600.0 ]
 
 (* Warm every function's containers with a gentle closed loop before the
    measured open loop, as the paper does ("we warm up the system prior to
@@ -137,7 +137,7 @@ let run_7c () =
     Quilt.apply e split;
     e
   in
-  let rates7c = if !fast then [ 10.0; 200.0; 1600.0 ] else [ 10.0; 25.0; 50.0; 100.0; 200.0; 400.0; 800.0; 1600.0; 3200.0 ] in
+  let rates7c = if !smoke then [ 10.0; 200.0; 1600.0 ] else [ 10.0; 25.0; 50.0; 100.0; 200.0; 400.0; 800.0; 1600.0; 3200.0 ] in
   let sweep7c make =
     Pool.map
       (fun rate ->

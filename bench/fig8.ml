@@ -21,7 +21,7 @@ module Rng = Quilt_util.Rng
 let run_8a () =
   subsection "Figure 8a: cost of profiling (no-op function)";
   let wf = Special.noop () in
-  let rates = if !fast then [ 1.0; 10.0; 400.0 ] else [ 1.0; 2.0; 5.0; 10.0; 25.0; 50.0; 100.0; 200.0; 400.0; 800.0 ] in
+  let rates = if !smoke then [ 1.0; 10.0; 400.0 ] else [ 1.0; 2.0; 5.0; 10.0; 25.0; 50.0; 100.0; 200.0; 400.0; 800.0 ] in
   (* One independent engine per load point: the simulator is deterministic
      per engine, so fanning the points out across domains (Pool.map keeps
      input order) returns exactly the sequential results. *)
@@ -59,13 +59,6 @@ let run_8a () =
       "tracing/profiling has minimal impact (the nginx hop is collocated with the gateway).";
     ]
 
-(* --- 8b --- *)
-
-(* The decision-time sweep lives in the decision bench now (alongside the
-   parallel-decision rows); this keeps `fig8`/`fig8b` producing the same
-   table and JSON key as before. *)
-let run_8b () = Decision_bench.sweep ()
-
 (* --- 8c --- *)
 
 (* The paper's absolute numbers are dominated by rustc compiling each
@@ -86,12 +79,12 @@ let run_8c () =
     (fun wf ->
       let fns = wf.Workflow.functions in
       let compile_t =
-        median_time ~reps:(if !fast then 1 else 3) (fun () ->
+        median_time ~reps:(if !smoke then 1 else 3) (fun () ->
             List.iter (fun f -> ignore (Frontend.compile f)) fns)
       in
       let members = Workflow.fn_names wf in
       let merge_t =
-        median_time ~reps:(if !fast then 1 else 3) (fun () ->
+        median_time ~reps:(if !smoke then 1 else 3) (fun () ->
             ignore
               (Pipeline.merge_group
                  ~lookup:(fun svc -> Workflow.lookup wf svc)
@@ -110,5 +103,6 @@ let run_8c () =
 let run () =
   section "Figure 8: profiling, decision, and merging costs";
   run_8a ();
-  run_8b ();
+  (* 8b: the decision-time sweep lives in the decision bench. *)
+  Decision_bench.sweep ();
   run_8c ()

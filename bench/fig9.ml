@@ -20,7 +20,7 @@ let cost_of = function Some (s : Types.solution) -> Some s.Types.cost | None -> 
 
 let run () =
   section "Figure 9: quality of merging decisions (random rDAGs, |E| = 1.2|V|, 10% async, skewed weights)";
-  let sizes_reps = if !fast then [ (5, 10); (8, 10); (12, 5); (20, 5) ] else [ (5, 100); (8, 100); (10, 60); (12, 30); (15, 30); (20, 30); (25, 30) ] in
+  let sizes_reps = if !smoke then [ (5, 10); (8, 10); (12, 5); (20, 5) ] else [ (5, 100); (8, 100); (10, 60); (12, 30); (15, 30); (20, 30); (25, 30) ] in
   Printf.printf "  %-5s %6s %16s %16s %20s\n" "|V|" "reps" "gap(DIH)" "gap(w-degree)" "non-local ratio wd/dih";
   List.iter
     (fun (n, reps) ->

@@ -18,8 +18,6 @@ module Qir = Quilt_ir.Ir
 module Verify = Quilt_ir.Verify
 module Json = Quilt_util.Json
 
-let smoke_flag = ref false
-
 (* Minimum over [samples] batch timings: the standard uncontended-cost
    estimator for microbenchmarks — external load only ever adds time, so
    the fastest batch is the best estimate of the code's own cost. *)
@@ -112,7 +110,7 @@ let compiled_us ~iters ~samples ~host m ~fname ~req =
 
 let run () =
   Common.section "ir: QVM compiled engine and static analysis";
-  let iters, samples = if !smoke_flag || !Common.fast then (150, 3) else (2000, 7) in
+  let iters, samples = if !Common.smoke then (150, 3) else (2000, 7) in
   let host = Interp.echo_host in
 
   (* Workload 1: the merged compose-post handler, end to end. *)

@@ -1,14 +1,13 @@
 (* Benchmark harness: one section per table/figure of the paper's
    evaluation.  Run everything with `dune exec bench/main.exe`, or a single
-   experiment with e.g. `dune exec bench/main.exe -- fig7`.  Pass --fast
-   for a quick pass. *)
+   experiment with e.g. `dune exec bench/main.exe -- fig7`.  Pass --smoke
+   for a quick pass that writes no BENCH file. *)
 
 let experiments =
   [
     ("fig6", Fig6.run, "workflow latency, baseline vs Quilt (Figure 6)");
     ("fig7", Fig7.run, "latency/throughput vs load, incl. CM and 7c (Figure 7)");
     ("fig8", Fig8.run, "profiling, decision and merging costs (Figure 8)");
-    ("fig8b", Fig8.run_8b, "decision-time sweep only (alias for the decision bench's sweep)");
     ( "decision",
       Decision_bench.run,
       "decision time: sweep, exact search, micro (writes BENCH_decision.json)" );
@@ -26,35 +25,14 @@ let experiments =
   ]
 
 let usage () =
-  print_endline "usage: bench/main.exe [--fast] [--smoke] [--seed N] [experiment...]";
+  print_endline "usage: bench/main.exe [--smoke] [--seed N] [experiment...]";
   print_endline "experiments:";
   List.iter (fun (name, _, descr) -> Printf.printf "  %-8s %s\n" name descr) experiments
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let args =
-    (* --fast shrinks every section; --smoke shrinks only the sections that
-       have a smoke scale, without flipping the whole harness into fast
-       mode. *)
-    List.filter
-      (fun a ->
-        if a = "--fast" then begin
-          Common.fast := true;
-          false
-        end
-        else if a = "--smoke" then begin
-          Adaptive.smoke_flag := true;
-          Fault.smoke_flag := true;
-          Ir_bench.smoke_flag := true;
-          Engine_bench.smoke_flag := true;
-          Place.smoke_flag := true;
-          Obs_bench.smoke_flag := true;
-          Decision_bench.smoke_flag := true;
-          false
-        end
-        else true)
-      args
-  in
+  Common.smoke := List.mem "--smoke" args;
+  let args = List.filter (( <> ) "--smoke") args in
   (* --seed N: reproducible-but-different fault/chaos runs. *)
   let rec strip_seed = function
     | "--seed" :: n :: rest ->
@@ -72,7 +50,7 @@ let () =
   | [ "--help" ] | [ "help" ] -> usage ()
   | [] ->
       Printf.printf "Quilt benchmark harness (all experiments%s)\n"
-        (if !Common.fast then ", fast mode" else "");
+        (if !Common.smoke then ", smoke scale" else "");
       List.iter (fun (_, run, _) -> run ()) experiments
   | names ->
       List.iter

@@ -7,7 +7,6 @@
    calibrate. *)
 
 open Bechamel
-open Toolkit
 module Pipeline = Quilt_merge.Pipeline
 module Calltree = Quilt_platform.Calltree
 module Deathstar = Quilt_apps.Deathstar
@@ -29,53 +28,23 @@ let lp_instance () =
     ~constraints:[ { Lp.coeffs; op = Lp.Le; rhs = 100.0 } ]
     ~lower:(Array.make n 0.0) ~upper:(Array.make n 1.0)
 
-(* [(uncached, test)]: an uncached row runs with the merge cache disabled,
-   so it times compiles rather than content-addressed cache hits. *)
-let tests =
+let run () =
+  Common.section "Micro-benchmarks (bechamel): core algorithm costs";
   let compose = compose_post () in
   let reg = Workflow.registry [ compose ] in
   let lp = lp_instance () in
-  [
-    ( true,
-      Test.make ~name:"merge pipeline: compose-post (11 fn)"
-        (Staged.stage (fun () ->
-             Pipeline.merge_group
-               ~lookup:(fun svc -> Workflow.lookup compose svc)
-               ~members:(Workflow.fn_names compose) ~root:"compose-post" ())) );
-    ( false,
+  Common.bechamel ~key:"micro_us_per_run"
+    ~uncached:
+      [
+        Test.make ~name:"merge pipeline: compose-post (11 fn)"
+          (Staged.stage (fun () ->
+               Pipeline.merge_group
+                 ~lookup:(fun svc -> Workflow.lookup compose svc)
+                 ~members:(Workflow.fn_names compose) ~root:"compose-post" ()));
+      ]
+    [
       Test.make ~name:"calltree: compose-post request"
-        (Staged.stage (fun () -> Calltree.build reg ~entry:"compose-post" ~req:"{\"data\":\"m1\"}"))
-    );
-    (false, Test.make ~name:"simplex: 20-var LP" (Staged.stage (fun () -> Simplex.solve lp)));
-  ]
-
-let run () =
-  Common.section "Micro-benchmarks (bechamel): core algorithm costs";
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second (if !Common.fast then 0.25 else 1.0)) () in
-  let recorded = ref [] in
-  List.iter
-    (fun (uncached, test) ->
-      let results =
-        let measure () =
-          Benchmark.all cfg instances (Test.make_grouped ~name:"g" ~fmt:"%s %s" [ test ])
-        in
-        if uncached then begin
-          Pipeline.set_cache_enabled false;
-          Fun.protect ~finally:(fun () -> Pipeline.set_cache_enabled true) measure
-        end
-        else measure ()
-      in
-      let results = Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]) Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] ->
-              Printf.printf "  %-42s %12.2f us/run\n%!" name (est /. 1000.0);
-              recorded := (name, est /. 1000.0) :: !recorded
-          | Some _ | None -> Printf.printf "  %-42s (no estimate)\n%!" name)
-        results)
-    tests;
-  Common.record_timings ~key:"micro_us_per_run"
-    (List.rev_map (fun (name, us) -> (name, Common.Json.Float us)) !recorded);
+        (Staged.stage (fun () -> Calltree.build reg ~entry:"compose-post" ~req:"{\"data\":\"m1\"}"));
+      Test.make ~name:"simplex: 20-var LP" (Staged.stage (fun () -> Simplex.solve lp));
+    ];
   Common.paper_note [ "not in the paper: per-operation costs of this reproduction's own algorithms." ]

@@ -27,12 +27,10 @@ module Recorder = Quilt_obs.Recorder
 module Profiler = Quilt_obs.Profiler
 module Json = Quilt_util.Json
 
-let smoke_flag = ref false
-
 (* --- Scenario A: recorder overhead on the engine bench workload --- *)
 
 let run_overhead () =
-  let smoke = !smoke_flag || !Common.fast in
+  let smoke = !Common.smoke in
   let rate_rps = if smoke then 20_000.0 else 30_000.0 in
   let duration_us = if smoke then 2.5e6 else 34.0e6 in
   let period = 16 in
@@ -113,7 +111,7 @@ let agreement_run ~wf ~seed ~period ~rate_rps ~duration_us =
           (agree, Recorder.sampled_roots r, Recorder.seen_roots r))
 
 let run_agreement () =
-  let smoke = !smoke_flag || !Common.fast in
+  let smoke = !Common.smoke in
   let seeds = if smoke then [ 0 ] else [ 0; 1; 2 ] in
   let periods = if smoke then [ 1; 4 ] else [ 1; 4; 16 ] in
   let duration_us = if smoke then 6.0e6 else 20.0e6 in
@@ -177,7 +175,6 @@ let run () =
     ];
   Common.record_timings ~file:"BENCH_obs.json" ~key:"obs"
     [
-      ("scale", Json.String (if !smoke_flag || !Common.fast then "smoke" else "full"));
       ( "overhead",
         Json.Obj
           [

@@ -22,8 +22,6 @@ module Types = Quilt_cluster.Types
 module Callgraph = Quilt_dag.Callgraph
 module Ast = Quilt_lang.Ast
 
-let json_file = "BENCH_place.json"
-let smoke_flag = ref false
 
 (* --- workloads --- *)
 
@@ -162,13 +160,13 @@ let roots_sig (g : Callgraph.t) (sol : Types.solution) =
   List.sort compare
     (List.map (fun r -> (Callgraph.node g r).Callgraph.name) sol.Types.roots)
 
-let joint_decision ~smoke ~seed =
+let joint_decision ~seed =
   let wf = routed () in
   let cfg =
     {
       Config.default with
       Config.cpu_budget_ms = 6.5;
-      profile_duration_us = (if smoke then 8_000_000.0 else 20_000_000.0);
+      profile_duration_us = (if !smoke then 8_000_000.0 else 20_000_000.0);
       seed = 1 + seed;
     }
   in
@@ -265,9 +263,8 @@ let run () =
       "lands changes what its cut edges cost (Costless) and what a node";
       "failure takes down.";
     ];
-  let smoke = !fast || !smoke_flag in
   let seed = 0 in
-  let duration_us = if smoke then 12_000_000.0 else 40_000_000.0 in
+  let duration_us = if !smoke then 12_000_000.0 else 40_000_000.0 in
   (* Busy but not saturated: pools stay small enough that the example
      cluster's capacity is real pressure, not a brick wall. *)
   let rate_of (wf : Workflow.t) =
@@ -373,32 +370,25 @@ let run () =
 
   (* 4. Joint decision. *)
   subsection "joint decision: cut edges priced by topology distance";
-  let joint = joint_decision ~smoke ~seed in
+  let joint = joint_decision ~seed in
 
-  let json =
-    Json.Obj
-      [
-        ("smoke", Json.Bool smoke);
-        ("seed", Json.int seed);
-        ("topology", Json.str (Topology.describe topo));
-        ("flat_parity_bit_identical", Json.Bool parity);
-        ("compose_post", Json.List (List.map (fun (_, _, _, j) -> j) rows_c));
-        ("routed", Json.List (List.map (fun (_, _, _, j) -> j) rows_r));
-        ( "locality_beats_oblivious",
-          Json.Obj
-            [
-              ("compose_post_cross_rack", Json.Bool hops_win_c);
-              ("compose_post_node_kill_availability", Json.Bool avail_win_c);
-              ("routed_cross_rack", Json.Bool hops_win_r);
-              ("routed_node_kill_availability", Json.Bool avail_win_r);
-              ("overall_cross_rack", Json.Bool overall_hops);
-              ("overall_node_kill_availability", Json.Bool overall_avail);
-            ] );
-        ("joint_decision", joint);
-      ]
-  in
-  let oc = open_out_bin json_file in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  [outcomes recorded in %s]\n%!" json_file
+  write_json "BENCH_place.json"
+    (Json.Obj
+       [
+         ("seed", Json.int seed);
+         ("topology", Json.str (Topology.describe topo));
+         ("flat_parity_bit_identical", Json.Bool parity);
+         ("compose_post", Json.List (List.map (fun (_, _, _, j) -> j) rows_c));
+         ("routed", Json.List (List.map (fun (_, _, _, j) -> j) rows_r));
+         ( "locality_beats_oblivious",
+           Json.Obj
+             [
+               ("compose_post_cross_rack", Json.Bool hops_win_c);
+               ("compose_post_node_kill_availability", Json.Bool avail_win_c);
+               ("routed_cross_rack", Json.Bool hops_win_r);
+               ("routed_node_kill_availability", Json.Bool avail_win_r);
+               ("overall_cross_rack", Json.Bool overall_hops);
+               ("overall_node_kill_availability", Json.Bool overall_avail);
+             ] );
+         ("joint_decision", joint);
+       ])

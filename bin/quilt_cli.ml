@@ -299,7 +299,7 @@ let place_cmd async policy_name rate duration (seed, smoke, engine_stats) rebala
   Engine.set_topology ~assign:placement.Placement.placed engine topo;
   let reb =
     if rebalance then begin
-      let r = Quilt_control.Rebalancer.create engine () in
+      let r = Quilt_control.Rebalancer.create engine in
       Quilt_control.Rebalancer.start r ~until:(duration *. 1e6);
       Some r
     end

@@ -154,9 +154,9 @@ let encode (g : Callgraph.t) (lim : Types.limits) ~roots =
   let problem = Lp.make ~n_vars ~objective ~constraints:(List.rev !constraints) () in
   { problem; roots; x_index; y_index }
 
-let solve_ilp ?(mip_gap = 0.0) (g : Callgraph.t) (lim : Types.limits) ~roots =
+let solve_ilp (g : Callgraph.t) (lim : Types.limits) ~roots =
   let enc = encode g lim ~roots in
-  let out = Bb.solve ~mip_gap enc.problem in
+  let out = Bb.solve enc.problem in
   match out.Bb.status with
   | `Infeasible | `NodeLimit -> None
   | `Optimal | `Feasible ->

@@ -21,7 +21,6 @@ val encode :
     contain the graph root first, like {!Closure.solve_exact}. *)
 
 val solve_ilp :
-  ?mip_gap:float ->
   Quilt_dag.Callgraph.t ->
   Types.limits ->
   roots:int list ->

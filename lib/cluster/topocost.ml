@@ -44,10 +44,10 @@ let cut_affinities (g : Callgraph.t) (sol : Types.solution) =
     acc []
   |> List.sort compare
 
-let place ?seed ?(policy = Placement.Locality) ~vcpus ~mem_mb topo g sol =
+let place ?seed ~vcpus ~mem_mb topo g sol =
   let demands = group_demands ~vcpus ~mem_mb g sol in
   let affinities = cut_affinities g sol in
-  Placement.plan ?seed ~affinities topo policy demands
+  Placement.plan ?seed ~affinities topo Placement.Locality demands
 
 let priced_cost_us ~default_rtt_us topo placement (g : Callgraph.t) sol =
   let worst_rtt =
@@ -67,11 +67,11 @@ let priced_cost_us ~default_rtt_us topo placement (g : Callgraph.t) sol =
       acc +. (a.Placement.a_weight *. rtt))
     0.0 (cut_affinities g sol)
 
-let select ?seed ?policy ~default_rtt_us ~vcpus ~mem_mb topo g candidates =
+let select ?seed ~default_rtt_us ~vcpus ~mem_mb topo g candidates =
   let scored =
     List.map
       (fun sol ->
-        let placement = place ?seed ?policy ~vcpus ~mem_mb topo g sol in
+        let placement = place ?seed ~vcpus ~mem_mb topo g sol in
         let cost = priced_cost_us ~default_rtt_us topo placement g sol in
         (sol, placement, cost))
       candidates

@@ -8,8 +8,8 @@
     observation that fusion and placement must be optimized jointly).
 
     This module re-prices a solution's cut edges under a concrete
-    {!Quilt_place.Topology.t} and the placement a
-    {!Quilt_place.Placement.policy} would choose for its groups, and
+    {!Quilt_place.Topology.t} and the placement the [Locality] policy
+    would choose for its groups, and
     {!select} takes the argmin over candidate solutions — mirroring the
     reliability-aware candidate scoring of [Quilt.solve_with_penalty], with
     network-µs per workflow invocation as the objective.  A merge that
@@ -36,15 +36,14 @@ val cut_affinities :
 
 val place :
   ?seed:int ->
-  ?policy:Quilt_place.Placement.policy ->
   vcpus:float ->
   mem_mb:float ->
   Quilt_place.Topology.t ->
   Quilt_dag.Callgraph.t ->
   Types.solution ->
   Quilt_place.Placement.t
-(** Placement of the solution's groups under the policy (default
-    [Locality], fed the cut affinities). *)
+(** Placement of the solution's groups under the [Locality] policy, fed
+    the cut affinities. *)
 
 val priced_cost_us :
   default_rtt_us:float ->
@@ -61,7 +60,6 @@ val priced_cost_us :
 
 val select :
   ?seed:int ->
-  ?policy:Quilt_place.Placement.policy ->
   default_rtt_us:float ->
   vcpus:float ->
   mem_mb:float ->

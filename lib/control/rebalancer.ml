@@ -1,24 +1,20 @@
 module Engine = Quilt_platform.Engine
 
-type config = {
-  tick_us : float;
-  window_us : float;
-  hot_threshold : float;
-  slack_threshold : float;
-  cooldown_us : float;
-  canary : Canary.config;
-  warmup_us : float;
-  eval_us : float;
-}
+let tick_us = 2_000_000.0
 
-let default_config =
+(* Pre/post latency window fed to the canary. *)
+let window_us = 6_000_000.0
+
+(* A node is a hotspot above this fraction of its reserved vCPUs; a
+   migration target must sit below the slack fraction. *)
+let hot_threshold = 0.75
+let slack_threshold = 0.55
+
+let loop_config =
   {
-    tick_us = 2_000_000.0;
-    window_us = 6_000_000.0;
-    hot_threshold = 0.75;
-    slack_threshold = 0.55;
+    Loop.hysteresis = 1;
     cooldown_us = 8_000_000.0;
-    canary = Canary.default;
+    noop_cooldown_us = 0.0;
     warmup_us = 4_000_000.0;
     eval_us = 6_000_000.0;
   }
@@ -53,8 +49,6 @@ let kind_name = function
 
 type t = {
   engine : Engine.t;
-  cfg : config;
-  loop_cfg : Loop.config;
   mutable loop : (string * int) Loop.state;
   mutable old_dep : string;  (* routed before the move in flight *)
   mutable pre : Canary.stats;  (* latency window before that move *)
@@ -64,23 +58,12 @@ type t = {
   samples : Canary.samples;
 }
 
-let create engine ?(cfg = default_config) () =
+let create engine =
   {
     engine;
-    cfg;
-    loop_cfg =
-      {
-        (* A hotspot acts at once, and a refused candidate does not delay
-           the next look. *)
-        Loop.hysteresis = 1;
-        cooldown_us = cfg.cooldown_us;
-        noop_cooldown_us = 0.0;
-        warmup_us = cfg.warmup_us;
-        eval_us = cfg.eval_us;
-      };
     loop = Loop.init;
     old_dep = "";
-    pre = Canary.stats_of cfg.canary [];
+    pre = Canary.stats_of Canary.default [];
     retiring = [];
     events_rev = [];
     ticks = 0;
@@ -93,10 +76,10 @@ let log t kind detail =
   t.events_rev <-
     { ev_ts = Engine.now t.engine; ev_kind = kind; ev_detail = detail } :: t.events_rev
 
-let stats_between t ~from_ ~to_ = Canary.stats_between t.cfg.canary t.samples ~from_ ~to_
+let stats_between t ~from_ ~to_ = Canary.stats_between Canary.default t.samples ~from_ ~to_
 
 let feed t ~now obs apply =
-  let st, actions = Loop.step t.loop_cfg t.loop ~now obs in
+  let st, actions = Loop.step loop_config t.loop ~now obs in
   t.loop <- st;
   List.iter apply actions
 
@@ -161,7 +144,7 @@ let candidate_on t ~node ~(target : Engine.node_load) =
    answer the loop's proposal with the (service, node) move. *)
 let propose t ~now loads ~hot ~hot_u =
   let skip detail = feed t ~now Loop.Unsolved (fun _ -> log t Skipped detail) in
-  match extreme loads ~cmp:( < ) ~bound:t.cfg.slack_threshold ~except:hot () with
+  match extreme loads ~cmp:( < ) ~bound:slack_threshold ~except:hot () with
   | None -> skip (Printf.sprintf "node %d hot (%.0f%%) but no slack target" hot (100.0 *. hot_u))
   | Some (target, _) -> (
       match candidate_on t ~node:hot ~target:loads.(target) with
@@ -177,7 +160,7 @@ let propose t ~now loads ~hot ~hot_u =
                   log t Held (Printf.sprintf "%s -> node %d previously reverted" service target)
               | Loop.Switch _ ->
                   t.old_dep <- Engine.route_of t.engine service;
-                  t.pre <- stats_between t ~from_:(now -. t.cfg.window_us) ~to_:now;
+                  t.pre <- stats_between t ~from_:(now -. window_us) ~to_:now;
                   ignore (Engine.reassign t.engine ~service ~node:target);
                   Engine.deploy_rolling t.engine spec;
                   log t Migrated (Printf.sprintf "%s: node %d -> node %d" service hot target)
@@ -185,18 +168,18 @@ let propose t ~now loads ~hot ~hot_u =
 
 let tick t =
   t.ticks <- t.ticks + 1;
-  Canary.prune t.samples ~before:(Engine.now t.engine -. (3.0 *. t.cfg.window_us));
+  Canary.prune t.samples ~before:(Engine.now t.engine -. (3.0 *. window_us));
   let now = Engine.now t.engine in
   retire t [];
   match t.loop.Loop.phase with
   | Loop.Flight { from = service, from_; to_ = _, to_; switched } ->
-      let post = stats_between t ~from_:(switched +. t.cfg.warmup_us) ~to_:now in
-      let verdict = Canary.judge t.cfg.canary ~pre:t.pre ~post in
+      let post = stats_between t ~from_:(switched +. loop_config.Loop.warmup_us) ~to_:now in
+      let verdict = Canary.judge Canary.default ~pre:t.pre ~post in
       let detail =
         match verdict with
         | Canary.Pass ->
             Printf.sprintf "%s on node %d: post p%.0f %.1f ms (pre %.1f ms)" service to_
-              (100.0 *. t.cfg.canary.Canary.quantile)
+              (100.0 *. Canary.default.Canary.quantile)
               (post.Canary.tail_us /. 1000.0)
               (t.pre.Canary.tail_us /. 1000.0)
         | Canary.Regress reason -> Printf.sprintf "%s back to node %d: %s" service from_ reason
@@ -221,7 +204,7 @@ let tick t =
   | Loop.Stable | Loop.Proposing -> (
       let loads = Engine.node_loads t.engine in
       if Array.length loads > 0 then
-        match extreme loads ~cmp:( > ) ~bound:t.cfg.hot_threshold () with
+        match extreme loads ~cmp:( > ) ~bound:hot_threshold () with
         | None -> feed t ~now Loop.Quiet (fun _ -> log t Balanced "")
         | Some (hot, hot_u) ->
             feed t ~now Loop.Drifted (function
@@ -229,7 +212,7 @@ let tick t =
               | _ -> ()))
 
 let start t ~until =
-  Canary.supervise t.engine t.samples ~tick_us:t.cfg.tick_us ~until (fun () -> tick t)
+  Canary.supervise t.engine t.samples ~tick_us ~until (fun () -> tick t)
 
 let summary t =
   let count k = List.length (List.filter (fun e -> e.ev_kind = k) t.events_rev) in

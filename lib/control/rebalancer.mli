@@ -4,7 +4,8 @@
 
     The {!Controller} reconsiders the {e merge}; this loop reconsiders the
     {e placement}.  Each tick reads the per-node reserved capacity; when one
-    node runs hot while another has slack, it re-homes the hot node's
+    node runs hot (above 75% of its vCPUs reserved) while another has slack
+    (below 55%), it re-homes the hot node's
     cheapest deployment ({!Quilt_platform.Engine.reassign}) and rolls it
     over: the replacement cold-starts on the new node and the route flips
     when it is ready.  The same canary as a re-merge judges the move, and a
@@ -12,20 +13,13 @@
     Superseded versions are decommissioned once their service no longer
     routes to them.  No-op on a flat engine. *)
 
-type config = {
-  tick_us : float;
-  window_us : float;  (** Pre/post stats window fed to the canary. *)
-  hot_threshold : float;
-      (** A node is a hotspot above this fraction of reserved vCPUs. *)
-  slack_threshold : float;
-      (** A migration target must sit below this fraction. *)
-  cooldown_us : float;  (** Quiet period after a migration or its verdict. *)
-  canary : Canary.config;
-  warmup_us : float;  (** Post-migration warmup before judging. *)
-  eval_us : float;  (** Judgement window after warmup. *)
-}
+val tick_us : float
+(** Period of the tick loop. *)
 
-val default_config : config
+val loop_config : Loop.config
+(** The loop's timing: a hotspot acts at once, a refused candidate does not
+    delay the next look, and a migration is judged one evaluation window
+    after its warm-up. *)
 
 type kind =
   | Balanced  (** No hotspot this tick. *)
@@ -51,7 +45,7 @@ val kind_name : kind -> string
 
 type t
 
-val create : Quilt_platform.Engine.t -> ?cfg:config -> unit -> t
+val create : Quilt_platform.Engine.t -> t
 
 val start : t -> until:float -> unit
 (** Installs the completion-stream hook and schedules the tick loop up to

@@ -25,7 +25,7 @@ let validate p =
     p.constraints;
   p
 
-let make ~n_vars ~objective ~constraints ?(integral_objective = true) () =
+let make ~n_vars ~objective ~constraints () =
   validate
     {
       n_vars;
@@ -34,7 +34,7 @@ let make ~n_vars ~objective ~constraints ?(integral_objective = true) () =
       lower = Array.make n_vars 0.0;
       upper = Array.make n_vars 1.0;
       integer = Array.make n_vars true;
-      integral_objective;
+      integral_objective = true;
     }
 
 let make_lp ~n_vars ~objective ~constraints ~lower ~upper =

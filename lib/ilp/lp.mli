@@ -29,11 +29,10 @@ val make :
   n_vars:int ->
   objective:float array ->
   constraints:constr list ->
-  ?integral_objective:bool ->
   unit ->
   problem
-(** Builds a pure 0/1 problem: every variable is binary and integral.
-    Raises [Invalid_argument] on dimension mismatch. *)
+(** Builds a pure 0/1 problem: every variable is binary and integral, and
+    so is the objective.  Raises [Invalid_argument] on dimension mismatch. *)
 
 val make_lp :
   n_vars:int ->

@@ -8,7 +8,6 @@ type value = Counter of int ref | Gauge of float ref | Hist of Histogram.t
 type instrument = {
   i_name : string;
   i_labels : (string * string) list;
-  i_help : string;
   i_value : value;
 }
 
@@ -40,7 +39,7 @@ let key name labels =
 
 let kind_name = function Counter _ -> "counter" | Gauge _ -> "gauge" | Hist _ -> "histogram"
 
-let register t ~help ~labels name fresh =
+let register t ~labels name fresh =
   let labels = canonical_labels labels in
   let k = key name labels in
   match Hashtbl.find_opt t.tbl k with
@@ -50,29 +49,29 @@ let register t ~help ~labels name fresh =
           (Printf.sprintf "Metrics: %s already registered as a %s" name (kind_name i.i_value));
       i.i_value
   | None ->
-      let i = { i_name = name; i_labels = labels; i_help = help; i_value = fresh () } in
+      let i = { i_name = name; i_labels = labels; i_value = fresh () } in
       Hashtbl.add t.tbl k i;
       t.order <- k :: t.order;
       i.i_value
 
-let counter t ?(help = "") ?(labels = []) name =
-  match register t ~help ~labels name (fun () -> Counter (ref 0)) with
+let counter t ?(labels = []) name =
+  match register t ~labels name (fun () -> Counter (ref 0)) with
   | Counter r -> r
   | _ -> assert false
 
 let inc c by = c := !c + by
 let counter_value c = !c
 
-let gauge t ?(help = "") ?(labels = []) name =
-  match register t ~help ~labels name (fun () -> Gauge (ref 0.0)) with
+let gauge t ?(labels = []) name =
+  match register t ~labels name (fun () -> Gauge (ref 0.0)) with
   | Gauge r -> r
   | _ -> assert false
 
 let set g v = g := v
 let gauge_value g = !g
 
-let histogram t ?(help = "") ?(labels = []) name =
-  match register t ~help ~labels name (fun () -> Hist (Histogram.create ())) with
+let histogram t ?(labels = []) name =
+  match register t ~labels name (fun () -> Hist (Histogram.create ())) with
   | Hist h -> h
   | _ -> assert false
 

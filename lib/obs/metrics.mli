@@ -21,15 +21,15 @@ type counter
 type gauge
 type histogram
 
-val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> counter
+val counter : t -> ?labels:(string * string) list -> string -> counter
 val inc : counter -> int -> unit
 val counter_value : counter -> int
 
-val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
+val gauge : t -> ?labels:(string * string) list -> string -> gauge
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
 
-val histogram : t -> ?help:string -> ?labels:(string * string) list -> string -> histogram
+val histogram : t -> ?labels:(string * string) list -> string -> histogram
 val observe : histogram -> float -> unit
 
 val hist : histogram -> Quilt_util.Histogram.t

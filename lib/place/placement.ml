@@ -31,16 +31,6 @@ let demand ~service ~vcpus ~mem_mb =
 
 let node_of t service = List.assoc_opt service t.placed
 
-let affinities_of_graph (g : Quilt_dag.Callgraph.t) =
-  List.map
-    (fun (e : Quilt_dag.Callgraph.edge) ->
-      {
-        a_src = g.nodes.(e.src).name;
-        a_dst = g.nodes.(e.dst).name;
-        a_weight = float_of_int (Quilt_dag.Callgraph.alpha g e);
-      })
-    g.edges
-
 (* Mutable per-node accounting during a single plan run. *)
 type slot = { node : Topology.node; mutable free_vcpus : float; mutable free_mem : float }
 

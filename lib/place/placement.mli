@@ -62,10 +62,6 @@ val plan :
 
 val node_of : t -> string -> int option
 
-val affinities_of_graph : Quilt_dag.Callgraph.t -> affinity list
-(** Edge affinities from a profiled call graph: one entry per edge, weighted
-    by α (calls per workflow invocation). *)
-
 val cross_rack_weight : Topology.t -> t -> affinity list -> float
 (** Σ of affinity weight over pairs placed in different racks — the static
     "how much traffic crosses the spine" score of a placement. *)

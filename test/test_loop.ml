@@ -205,23 +205,13 @@ let controller_defaults =
     eval_us = c.Controller.canary_eval_us;
   }
 
-let rebalancer_defaults =
-  let c = Rebalancer.default_config in
-  {
-    Loop.hysteresis = 1;
-    cooldown_us = c.Rebalancer.cooldown_us;
-    noop_cooldown_us = 0.0;
-    warmup_us = c.Rebalancer.warmup_us;
-    eval_us = c.Rebalancer.eval_us;
-  }
-
 let test_exhaustive () =
   let runs =
     [
       check_all ~tick:1.0 compact_rebalancer;
       check_all ~tick:1.0 compact_controller;
       check_all ~tick:Controller.default_config.Controller.tick_us controller_defaults;
-      check_all ~tick:Rebalancer.default_config.Rebalancer.tick_us rebalancer_defaults;
+      check_all ~tick:Rebalancer.tick_us Rebalancer.loop_config;
     ]
   in
   (* Not vacuous: every action of the loop occurs somewhere. *)

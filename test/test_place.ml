@@ -392,7 +392,7 @@ let test_rebalancer_migrates_off_hot_node () =
   let engine, wf =
     routed_engine ~assign:(List.map (fun s -> (s, 0)) all) (Topology.example ()) ()
   in
-  let reb = Rebalancer.create engine () in
+  let reb = Rebalancer.create engine in
   let until = 60_000_000.0 in
   Rebalancer.start reb ~until;
   let res =
@@ -433,7 +433,7 @@ let test_rebalancer_revert_keeps_serving_version () =
   let late_failures = ref 0 in
   Engine.add_completion_hook engine (fun ~entry:_ ~latency_us:_ ~ok ->
       if (not ok) && Engine.now engine >= 11_500_000.0 then incr late_failures);
-  let reb = Rebalancer.create engine () in
+  let reb = Rebalancer.create engine in
   let until = 60_000_000.0 in
   Rebalancer.start reb ~until;
   let _ =
@@ -452,7 +452,7 @@ let test_rebalancer_revert_keeps_serving_version () =
 let test_rebalancer_flat_engine_is_noop () =
   let wf = Special.routed () in
   let engine = Quilt.fresh_platform ~workflows:[ wf ] () in
-  let reb = Rebalancer.create engine () in
+  let reb = Rebalancer.create engine in
   Rebalancer.tick reb;
   Rebalancer.tick reb;
   let s = Rebalancer.summary reb in
