@@ -25,15 +25,6 @@ let paper_note lines =
   List.iter (fun l -> Printf.printf "  paper: %s\n" l) lines;
   flush stdout
 
-let time_it f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let median_time ?(reps = 3) f =
-  let times = List.init reps (fun _ -> snd (time_it f)) in
-  Quilt_util.Stats.median times
-
 (* Latency run of one deployment setup: a single connection at low load,
    as Figure 6 — requests arrive with gaps, so idle containers pay
    Fission's re-specialization, which is part of what merging removes. *)
@@ -54,55 +45,78 @@ let write_json file json =
     Printf.printf "  [recorded in %s]\n%!" file
   end
 
-(* Machine-readable timing log: one top-level JSON object per file, keyed
-   by section; re-running a section replaces only its own key.  A file that
-   exists but is not a JSON object is an error, not an empty log: rewriting
-   it would drop every other section's key. *)
-let record_timings ?(file = "BENCH_decision.json") ~key entries =
-  let existing =
-    if not (Sys.file_exists file) then []
-    else
-      match Json.of_string (In_channel.with_open_bin file In_channel.input_all) with
-      | Json.Obj kvs -> kvs
-      | _ -> failwith (file ^ ": not a JSON object")
-      | exception (Sys_error e | Json.Parse_error e) -> failwith (Printf.sprintf "%s: %s" file e)
-  in
-  let others = List.filter (fun (k, _) -> k <> key) existing in
-  write_json file (Json.Obj (others @ [ (key, Json.Obj entries) ]))
+(* --- The timing sections' one measurement path --- *)
 
-(* Bechamel's OLS estimate of each test's cost per run, printed as a row
-   and recorded under [key] in BENCH_decision.json, in input order.  The
-   [uncached] tests run first, with the merge cache disabled, so they time
-   compiles rather than content-addressed cache hits. *)
-let bechamel ~key ?(uncached = []) tests =
-  let open Bechamel in
-  let open Toolkit in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second (if !smoke then 0.25 else 1.0)) () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let row test =
-    let raw =
-      Benchmark.all cfg Instance.[ monotonic_clock ]
-        (Test.make_grouped ~name:"g" ~fmt:"%s %s" [ test ])
-    in
-    Hashtbl.fold
-      (fun name est rows ->
-        match Analyze.OLS.estimates est with
-        | Some [ ns ] ->
-            Printf.printf "  %-42s %12.2f us/run\n%!" name (ns /. 1000.0);
-            (name, Json.Float (ns /. 1000.0)) :: rows
-        | Some _ | None ->
-            Printf.printf "  %-42s (no estimate)\n%!" name;
-            rows)
-      (Analyze.all ols Instance.monotonic_clock raw)
-      []
+(* Wall time of one operation in seconds, over [reps] timed runs. *)
+type wall = { reps : int; median : float; min : float; max : float }
+
+(* The one timer.  [f] runs once untimed as a warm-up, then [reps] times in
+   sequence, each from a freshly collected heap: a full run has 3 reps (the
+   least a BENCH row may carry), a smoke run 1.  A caller timing
+   sub-millisecond work passes [batch], the calls of [f] per rep, and gets
+   seconds per call.  Returns the last call's result with the wall. *)
+let measure ?(batch = 1) f =
+  let reps = if !smoke then 1 else 3 in
+  let run () =
+    for _ = 2 to batch do
+      ignore (f ())
+    done;
+    f ()
   in
-  let uncached_rows =
-    Quilt_merge.Pipeline.set_cache_enabled false;
-    Fun.protect
-      ~finally:(fun () -> Quilt_merge.Pipeline.set_cache_enabled true)
-      (fun () -> List.concat_map row uncached)
+  let now = Unix.gettimeofday in
+  let last = ref (run ()) in
+  let secs =
+    List.init reps (fun _ ->
+        Gc.full_major ();
+        let t0 = now () in
+        last := run ();
+        (now () -. t0) /. float_of_int batch)
   in
-  record_timings ~key (uncached_rows @ List.concat_map row tests)
+  let open Quilt_util.Stats in
+  (!last, { reps; median = median secs; min = minimum secs; max = maximum secs })
+
+let pp_secs s =
+  if s >= 1.0 then Printf.sprintf "%.3f s" s
+  else if s >= 1e-3 then Printf.sprintf "%.3f ms" (s *. 1e3)
+  else Printf.sprintf "%.2f us" (s *. 1e6)
+
+(* A timed row, the one shape every timing section records:
+   {row, reps, wall {median, min, max}, counters}, where [counters] is the
+   deterministic work behind the time (steps, instrs, events, cost, ...). *)
+let row name w counters =
+  Printf.printf "  %-34s %11s (%s .. %s)  %s\n%!" name (pp_secs w.median) (pp_secs w.min)
+    (pp_secs w.max)
+    (String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ Json.to_string v) counters));
+  Json.Obj
+    [
+      ("row", Json.String name);
+      ("reps", Json.Int w.reps);
+      ( "wall",
+        Json.Obj
+          [ ("median", Json.Float w.median); ("min", Json.Float w.min); ("max", Json.Float w.max) ]
+      );
+      ("counters", Json.Obj counters);
+    ]
+
+(* Each timing section writes its BENCH_<section>.json whole, through this
+   one writer: its timed rows, its untimed results in [extra], and the
+   machine they ran on. *)
+let write_section section ?(extra = []) rows =
+  write_json
+    ("BENCH_" ^ section ^ ".json")
+    (Json.Obj
+       ([
+          ("section", Json.String section);
+          ( "env",
+            Json.Obj
+              [
+                ("ocaml", Json.String Sys.ocaml_version);
+                ("recommended_domains", Json.Int (Domain.recommended_domain_count ()));
+              ] );
+          ("wall_unit", Json.String "s");
+          ("rows", Json.List rows);
+        ]
+       @ extra))
 
 let optimize_or_fail cfg wf =
   match Quilt.optimize cfg ~workflows:[ wf ] wf with

@@ -1,13 +1,10 @@
 (* The decision-time benchmark: everything about *how fast* Quilt decides,
    in one subcommand (`bench/main.exe decision`, `--smoke` for CI sizing).
-
-   Sections, each writing its own key into BENCH_decision.json:
-   - the Figure-8b decision-time sweep vs graph size (the fig8 section
-     runs it too);
-   - the exact Phase-2 search ({!Closure.solve_exact}) on one in-cap
-     instance of the n=200/seed-1200 rDAG;
-   - bechamel micro rows for the decision algorithms (promoted from the
-     micro section). *)
+   It writes BENCH_decision.json whole: one timed row per solver and size
+   of the Figure-8b sweep (the fig8 section runs the sweep too, and writes
+   nothing), the exact Phase-2 search ({!Closure.solve_exact}) on one
+   in-cap instance of the n=200/seed-1200 rDAG, and micro rows for the
+   decision algorithms, each with the solution's cost as its counter. *)
 
 open Common
 module Gen = Quilt_dag.Gen
@@ -19,61 +16,45 @@ module Dih = Quilt_cluster.Dih
 module Optimal = Quilt_cluster.Optimal
 module Rng = Quilt_util.Rng
 
-let reps () = if !smoke then 1 else 3
-
 let graph_of n =
   let rng = Rng.create (1000 + n) in
   let g, lims = Gen.random_rdag rng ~n ~heavy_fraction:0.15 () in
   (g, { Types.max_cpu = lims.Gen.max_cpu; max_mem_mb = lims.Gen.max_mem_mb })
 
-(* --- Figure 8b sweep (promoted from bench/fig8.ml) --- *)
+let cost = function Some s -> Json.Int s.Types.cost | None -> Json.Null
 
-let decision_time algorithm g lim =
-  median_time ~reps:(reps ()) (fun () -> ignore (Decision.solve algorithm g lim))
+(* --- Figure 8b sweep --- *)
 
 let sweep () =
   subsection "Figure 8b: time to find the grouping vs graph size";
-  Printf.printf "  %-8s %14s %18s %18s\n" "|V|" "optimal" "weighted-degree" "downstream-impact";
   let sizes = if !smoke then [ 6; 10; 25; 100 ] else [ 4; 6; 8; 10; 12; 25; 50; 100; 200; 400; 800 ] in
-  (* Every size is an independent (seeded) instance, so the sweep fans out
-     across domains; rows come back in input order and are printed after the
-     join.  Solver outputs stay bit-identical to a sequential run — only the
-     wall-clock medians carry scheduling noise. *)
   let rows =
-    Pool.map
+    List.concat_map
       (fun n ->
         let g, lim = graph_of n in
-        let opt = if n <= 12 then Some (decision_time Decision.Optimal g lim) else None in
-        let wd = if n <= 200 then Some (decision_time Decision.Weighted_degree g lim) else None in
         (* The Downstream Impact algorithm switches to its GRASP large-graph
            mode (Appendix C.4) beyond the pool-sweep scale. *)
-        let dih_name = if n <= 50 then "dih" else "grasp" in
-        let dih_alg = if n <= 50 then Decision.Dih else Decision.Grasp in
-        (n, opt, wd, (dih_name, decision_time dih_alg g lim)))
+        let algorithms =
+          (if n <= 12 then [ Decision.Optimal ] else [])
+          @ (if n <= 200 then [ Decision.Weighted_degree ] else [])
+          @ [ (if n <= 50 then Decision.Dih else Decision.Grasp) ]
+        in
+        List.map
+          (fun alg ->
+            let sol, wall = measure (fun () -> Decision.solve alg g lim) in
+            row
+              (Printf.sprintf "fig8b %s n=%d" (Decision.algorithm_name alg) n)
+              wall
+              [ ("vertices", Json.Int n); ("cost", cost sol) ])
+          algorithms)
       sizes
   in
-  List.iter
-    (fun (n, opt, wd, (_, dih_time)) ->
-      let opt_time =
-        match opt with Some t -> Printf.sprintf "%10.4fs" t | None -> "         - "
-      in
-      let wd_time =
-        match wd with Some t -> Printf.sprintf "%14.4fs" t | None -> "             - "
-      in
-      Printf.printf "  %-8d %s %s %14.4fs\n" n opt_time wd_time dih_time)
-    rows;
-  record_timings ~key:"fig8b"
-    (List.map
-       (fun (n, opt, wd, (dih_name, dih_time)) ->
-         let field name = function Some t -> [ (name, Json.Float t) ] | None -> [] in
-         ( string_of_int n,
-           Json.Obj (field "optimal" opt @ field "weighted_degree" wd @ [ (dih_name, Json.Float dih_time) ]) ))
-       rows);
   paper_note
     [
       "optimal is practical below ~20 functions and explodes beyond;";
       "Downstream Impact takes <0.27s (median) up to 200 nodes and ~3.1s at 800 nodes.";
-    ]
+    ];
+  rows
 
 (* --- exact Phase-2 search --- *)
 
@@ -122,11 +103,32 @@ let exact_instance g lim ~k =
   in
   (roots, scaled (feasible_scale 1.0))
 
-(* The median of the full 2^(k-1) absorb-mask enumeration on the same
-   full-scale instance, as last measured while it was a production path; it
-   is not re-measured, since the enumeration now lives only in the test
-   suite. *)
-let full_enumeration_s = 0.171579122543
+(* Decision times measured before the bitset/adjacency/incremental-greedy
+   kernels replaced the original ones, on the n=200/seed-1200 rDAG, and the
+   full 2^(k-1) absorb-mask enumeration on the exact row's instance, last
+   measured while it was a production path.  Neither old path exists any
+   more, so these are never re-measured. *)
+let history =
+  let before_after before after =
+    Json.Obj
+      [
+        ("before", Json.Float before);
+        ("after", Json.Float after);
+        ("speedup", Json.Float (Float.round (before /. after *. 10.0) /. 10.0));
+      ]
+  in
+  Json.Obj
+    [
+      ( "n200_seed1200_before_after_s",
+        Json.Obj
+          [
+            ("weighted_degree", before_after 21.7761 0.3669);
+            ("grasp", before_after 0.8004 0.0071);
+            ("solve_greedy_50_roots", before_after 0.3223 0.0047);
+            ("dih", before_after 0.9358 0.0308);
+          ] );
+      ("exact_full_enumeration_s", Json.Float 0.171579122543);
+    ]
 
 let run_exact () =
   subsection "exact search: pruned preparation + branch-and-bound";
@@ -135,51 +137,26 @@ let run_exact () =
   let roots, lim = exact_instance g lim0 ~k in
   Printf.printf "  n=200 rDAG (seed 1200), %d roots, limits %.0f vCPU·ms / %.0f MB\n"
     (List.length roots) lim.Types.max_cpu lim.Types.max_mem_mb;
-  let r = ref None in
-  let t = median_time ~reps:(reps ()) (fun () -> r := Closure.solve_exact g lim ~roots) in
-  let cost =
-    match !r with
-    | Some s -> s.Types.cost
-    | None -> failwith "decision bench: the exact instance is unexpectedly infeasible"
-  in
-  Printf.printf "  %-12s %10.4fs   cost %d\n" "solve_exact" t cost;
-  record_timings ~key:"exact"
-    [
-      ("note",
-       Json.str
-         "Closure.solve_exact (pruned preparation + branch-and-bound) on an in-cap root set of \
-          the n=200/seed-1200 rDAG");
-      ("roots", Json.int (List.length roots));
-      ("s", Json.Float t);
-      ("cost", Json.int cost);
-      ( "history",
-        Json.Obj
-          [
-            ( "note",
-              Json.str
-                "full 2^(k-1) absorb-mask enumeration on the same instance, last measured \
-                 before it left lib/; not re-measured" );
-            ("full_enumeration_s", Json.Float full_enumeration_s);
-          ] );
-    ]
+  let sol, wall = measure (fun () -> Closure.solve_exact g lim ~roots) in
+  if sol = None then failwith "decision bench: the exact instance is unexpectedly infeasible";
+  row "exact solve_exact" wall [ ("roots", Json.Int (List.length roots)); ("cost", cost sol) ]
 
-(* --- bechamel micro rows (promoted from bench/micro.ml) --- *)
+(* --- micro rows: the decision algorithms on small graphs --- *)
 
 let run_micro () =
-  let open Bechamel in
-  subsection "micro (bechamel): decision algorithms";
-  let g10, lim10 = graph_of 10 in
-  let g50, lim50 = graph_of 50 in
-  bechamel ~key:"micro_decision_us_per_run"
-    [
-      Test.make ~name:"decision: optimal, 10 vertices"
-        (Staged.stage (fun () -> Optimal.solve g10 lim10));
-      Test.make ~name:"decision: DIH, 10 vertices" (Staged.stage (fun () -> Dih.solve g10 lim10));
-      Test.make ~name:"decision: DIH, 50 vertices" (Staged.stage (fun () -> Dih.solve g50 lim50));
-    ]
+  subsection "micro: decision algorithms";
+  let micro name ~batch solve n =
+    let g, lim = graph_of n in
+    let sol, wall = measure ~batch (fun () -> solve g lim) in
+    row (Printf.sprintf "micro %s n=%d" name n) wall [ ("vertices", Json.Int n); ("cost", cost sol) ]
+  in
+  let optimal10 = micro "optimal" ~batch:8 Optimal.solve 10 in
+  let dih10 = micro "dih" ~batch:100 Dih.solve 10 in
+  [ optimal10; dih10; micro "dih" ~batch:30 Dih.solve 50 ]
 
 let run () =
-  section "Decision time: sweep, exact search";
-  sweep ();
-  run_exact ();
-  run_micro ()
+  section "Decision time: sweep, exact search, micro";
+  let fig8b = sweep () in
+  let exact = run_exact () in
+  let micro = run_micro () in
+  write_section "decision" (fig8b @ (exact :: micro)) ~extra:[ ("history", history) ]

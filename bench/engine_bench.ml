@@ -3,7 +3,7 @@
    under drift-triggered re-merges.
 
    Scenario A replays a million-request open-loop workload (a 50k-request
-   one at smoke scale) and checks the result against a fingerprint pinned
+   one at smoke scale) and checks every run against a fingerprint pinned
    for each scale: outcomes, the exact latency distribution, counters,
    events and peak queue depth.  The pins were recorded when the seed's
    binary-heap scheduler still ran beside the wheel and both produced
@@ -87,16 +87,6 @@ let deploy_dial engine =
       mode = Engine.Plain;
     }
 
-type arm = {
-  a_wall_s : float;
-  a_events : int;
-  a_events_per_s : float;
-  a_peak_depth : int;
-  a_minor_words : float;
-  a_words_per_req : float;
-  a_result : Loadgen.result;
-}
-
 (* The equivalence fingerprint: everything the load generator and the
    engine counters observe. *)
 let fingerprint (r : Loadgen.result) =
@@ -122,54 +112,6 @@ let no_faults =
 let bench_params =
   { Quilt_platform.Params.default with Quilt_platform.Params.max_tasks_per_container = 512 }
 
-(* [setup] runs after deployment and before the clock starts — the obs
-   bench uses it to attach a span recorder to an otherwise identical arm. *)
-let run_arm ?(setup = fun (_ : Engine.t) -> ()) ~rate_rps ~duration_us () =
-  let engine =
-    Engine.create ~seed:11 ~params:bench_params ~registry:(Workflow.registry [ dial_wf ]) ()
-  in
-  deploy_dial engine;
-  setup engine;
-  Engine.reset_global_stats ();
-  Gc.full_major ();
-  let minor0 = Gc.minor_words () in
-  let result, wall_s =
-    Common.time_it (fun () ->
-        Loadgen.run_open_loop engine ~entry:"dial" ~gen_req ~rate_rps ~duration_us
-          ~warmup_us:0.0
-          ~progress:(fun ~sent ~completed ->
-            if not !Common.smoke then
-              Printf.printf "    %dk sent, %dk done\r%!" (sent / 1000) (completed / 1000))
-          ())
-  in
-  let minor_words = Gc.minor_words () -. minor0 in
-  let events = Engine.events_processed engine in
-  if not !Common.smoke then print_newline ();
-  {
-    a_wall_s = wall_s;
-    a_events = events;
-    a_events_per_s = float_of_int events /. wall_s;
-    a_peak_depth = Engine.peak_queue_depth engine;
-    a_minor_words = minor_words;
-    a_words_per_req = minor_words /. float_of_int (max 1 result.Loadgen.offered);
-    a_result = result;
-  }
-
-let arm_json a =
-  Json.Obj
-    [
-      ("wall_s", Json.Float a.a_wall_s);
-      ("events", Json.Int ( a.a_events));
-      ("events_per_sec", Json.Float a.a_events_per_s);
-      ("peak_queue_depth", Json.Int ( a.a_peak_depth));
-      ("minor_words", Json.Float a.a_minor_words);
-      ("minor_words_per_request", Json.Float a.a_words_per_req);
-      ("offered", Json.Int ( a.a_result.Loadgen.offered));
-      ("successes", Json.Int ( a.a_result.Loadgen.successes));
-      ("median_ms", Json.Float (Loadgen.median_ms a.a_result));
-      ("p99_ms", Json.Float (Loadgen.p99_ms a.a_result));
-    ]
-
 (* Fingerprints of the scenario-A run at each scale: [fingerprint] plus
    events processed and peak queue depth. *)
 let pinned_smoke =
@@ -185,6 +127,52 @@ let pinned_full =
       { no_faults with Engine.cold_starts = 768; completed = 1019954 } ),
     21442711,
     288723 )
+
+(* Scenario A's load at the current scale: 30k req/s for 34 virtual
+   seconds = one million offered requests; with 16 I/O waits of 0.3-0.9s
+   per request, ~290k timers are outstanding at steady state.  Smoke keeps
+   the same shape over a 2.5s window. *)
+let load () = if !Common.smoke then (20_000.0, 2.5e6) else (30_000.0, 34.0e6)
+
+(* One run of scenario A, aborting unless it equals the fingerprint pinned
+   for its scale; returns the run's deterministic counters.  [setup] runs
+   after deployment and before the load starts — the obs bench uses it to
+   attach a span recorder to an otherwise identical arm. *)
+let run_arm ?(setup = fun (_ : Engine.t) -> ()) () =
+  let rate_rps, duration_us = load () in
+  let engine =
+    Engine.create ~seed:11 ~params:bench_params ~registry:(Workflow.registry [ dial_wf ]) ()
+  in
+  deploy_dial engine;
+  setup engine;
+  Engine.reset_global_stats ();
+  let minor0 = Gc.minor_words () in
+  let r =
+    Loadgen.run_open_loop engine ~entry:"dial" ~gen_req ~rate_rps ~duration_us ~warmup_us:0.0
+      ~progress:(fun ~sent ~completed ->
+        if not !Common.smoke then
+          Printf.printf "    %dk sent, %dk done\r%!" (sent / 1000) (completed / 1000))
+      ()
+  in
+  let minor_words = Gc.minor_words () -. minor0 in
+  if not !Common.smoke then print_newline ();
+  let events = Engine.events_processed engine in
+  let depth = Engine.peak_queue_depth engine in
+  let pinned = if !Common.smoke then pinned_smoke else pinned_full in
+  if (fingerprint r, events, depth) <> pinned then begin
+    Printf.printf "  DIVERGENCE: the simulation differs from the pinned fingerprint!\n";
+    failwith "engine bench: result differs from the pinned fingerprint"
+  end;
+  [
+    ("offered", Json.Int r.Loadgen.offered);
+    ("successes", Json.Int r.Loadgen.successes);
+    ("events", Json.Int events);
+    ("peak_queue_depth", Json.Int depth);
+    ("minor_words", Json.Float minor_words);
+    ("minor_words_per_request", Json.Float (minor_words /. float_of_int (max 1 r.Loadgen.offered)));
+    ("median_ms", Json.Float (Loadgen.median_ms r));
+    ("p99_ms", Json.Float (Loadgen.p99_ms r));
+  ]
 
 (* The seed binary-heap scheduler's full-scale run of scenario A, kept for
    comparison with the wheel run it was measured beside ([wheel_wall_s]).
@@ -208,26 +196,14 @@ let seed_heap_history =
     ]
 
 let run_throughput () =
-  let smoke = !Common.smoke in
-  (* 30k req/s for 34 virtual seconds = one million offered requests; with
-     16 I/O waits of 0.3-0.9s per request, ~290k timers are outstanding at
-     steady state.  Smoke keeps the same shape over a 2.5s window. *)
-  let rate_rps = if smoke then 20_000.0 else 30_000.0 in
-  let duration_us = if smoke then 2.5e6 else 34.0e6 in
+  let rate_rps, duration_us = load () in
   Common.subsection
     (Printf.sprintf "open loop: %.0f req/s for %.0fs virtual (%s)" rate_rps
        (duration_us /. 1e6)
-       (if smoke then "smoke" else "full"));
-  let wheel = run_arm ~rate_rps ~duration_us () in
-  let pinned = if smoke then pinned_smoke else pinned_full in
-  if (fingerprint wheel.a_result, wheel.a_events, wheel.a_peak_depth) <> pinned then begin
-    Printf.printf "  DIVERGENCE: the simulation differs from the pinned fingerprint!\n";
-    failwith "engine bench: result differs from the pinned fingerprint"
-  end;
-  Printf.printf "  wheel %7.2fs wall  %9.0f events/s  depth %6d  %7.1f minor words/req\n"
-    wheel.a_wall_s wheel.a_events_per_s wheel.a_peak_depth wheel.a_words_per_req;
-  Printf.printf "  fingerprint = pinned (%s): yes\n" (if smoke then "smoke" else "full");
-  wheel
+       (if !Common.smoke then "smoke" else "full"));
+  let counters, wall = Common.measure run_arm in
+  Printf.printf "  fingerprint = pinned (%s): yes\n" (if !Common.smoke then "smoke" else "full");
+  Common.row "wheel" wall counters
 
 (* --- Scenario B: merge-cache hit rate under drift-triggered re-merges --- *)
 
@@ -267,17 +243,16 @@ let run () =
       "near-future timers, freelist event records instead of per-event";
       "closures, and scratch-buffer container picking.";
     ];
-  Common.record_timings ~file:"BENCH_engine.json" ~key:"engine"
-    [
-      ("wheel", arm_json wheel);
-      ("fingerprint_pinned", Json.Bool true);
-      ("history", Json.Obj [ ("seed_heap", seed_heap_history) ]);
-      ( "merge_cache",
-        Json.Obj
-          [
-            ("hits", Json.Int hits);
-            ("misses", Json.Int misses);
-            ("hit_rate", Json.Float hit_rate);
-            ("controller_remerges", Json.Int remerges);
-          ] );
-    ]
+  Common.write_section "engine" [ wheel ]
+    ~extra:
+      [
+        ("history", Json.Obj [ ("seed_heap", seed_heap_history) ]);
+        ( "merge_cache",
+          Json.Obj
+            [
+              ("hits", Json.Int hits);
+              ("misses", Json.Int misses);
+              ("hit_rate", Json.Float hit_rate);
+              ("controller_remerges", Json.Int remerges);
+            ] );
+      ]

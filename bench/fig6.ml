@@ -56,6 +56,6 @@ let run () =
     (Quilt_util.Stats.maximum (List.map snd slow));
   paper_note
     [
-      "median latency improves 45.63%%-70.95%% and tail 15.64%%-85.47%% across 9 of 11 workflows;";
+      "median latency improves 45.63%-70.95% and tail 15.64%-85.47% across 9 of 11 workflows;";
       "the two HR workflows that take multiple seconds see little improvement.";
     ]

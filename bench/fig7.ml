@@ -86,11 +86,11 @@ let run_mode ~async =
   Printf.printf "  quilt/baseline peak-throughput ratio: %.2fx\n" (peak q /. peak b);
   paper_note
     (if async then
-       [ "async: Quilt achieves 51.0%% lower latency and 12.87x higher throughput than baseline;" ]
+       [ "async: Quilt achieves 51.0% lower latency and 12.87x higher throughput than baseline;" ]
      else
        [
-         "sync: Quilt achieves 65.74%% lower latency and 11.24x higher throughput than baseline;";
-         "CM reduces latency 25-32%% but not throughput at 128 MB (OOM kills); 256 MB completes the curve.";
+         "sync: Quilt achieves 65.74% lower latency and 11.24x higher throughput than baseline;";
+         "CM reduces latency 25-32% but not throughput at 128 MB (OOM kills); 256 MB completes the curve.";
        ])
 
 (* --- Figure 7c --- *)
@@ -161,8 +161,8 @@ let run_7c () =
     (low_lat m) (low_lat o);
   paper_note
     [
-      "merge-all improves latency 42.13%% over baseline but loses 11.64%% throughput (CPU throttling);";
-      "the optimal 2-binary split gains 50.75%% throughput over baseline;";
+      "merge-all improves latency 42.13% over baseline but loses 11.64% throughput (CPU throttling);";
+      "the optimal 2-binary split gains 50.75% throughput over baseline;";
       "merging all is best for latency because partial merges pay cross-container invocations.";
     ]
 

@@ -10,15 +10,15 @@ let experiments =
     ("fig8", Fig8.run, "profiling, decision and merging costs (Figure 8)");
     ( "decision",
       Decision_bench.run,
-      "decision time: sweep, exact search, micro (writes BENCH_decision.json)" );
+      "decision time: Fig. 8b sweep, exact search, micro (writes BENCH_decision.json)" );
     ("fig9", Fig9.run, "decision quality on random rDAGs (Figure 9)");
     ("fig10", Fig10.run, "conditional invocations under fan-out (Figure 10)");
     ("table_e", Table_e.run, "binary sizes (Appendix E)");
     ("figA", Fig_a.run, "more subgraphs can cost less (Appendix A)");
     ("adaptive", Adaptive.run, "online control plane: drift, re-merge, canary (writes BENCH_adaptive.json)");
     ("fault", Fault.run, "fault injection: availability/goodput under chaos (writes BENCH_fault.json)");
-    ("micro", Micro.run, "bechamel micro-benchmarks of the core algorithms");
-    ("ir", Ir_bench.run, "tree-walker vs QVM compiled engine (writes BENCH_ir.json)");
+    ("micro", Micro.run, "merge, call-tree and LP micro-benchmarks (writes BENCH_micro.json)");
+    ("ir", Ir_bench.run, "QVM steps and time, pass deltas, strict verify (writes BENCH_ir.json)");
     ("engine", Engine_bench.run, "timer-wheel simulator throughput, fingerprint-pinned + merge cache (writes BENCH_engine.json)");
     ("place", Place.run, "flat vs topology-aware placement + joint merge decision (writes BENCH_place.json)");
     ("obs", Obs_bench.run, "span-recorder overhead + live-profiler decision fidelity (writes BENCH_obs.json)");

@@ -5,10 +5,11 @@
    through two identical wheel-scheduler engines, one bare and one with a
    span recorder attached at 1/16 head sampling.  The recorder's sink
    never schedules events, mutates engine state or draws randomness, so
-   both arms must produce bit-identical load-generator results — the bench
-   aborts on divergence, which makes the overhead number trustworthy: it
-   can only be recorder bookkeeping, never a behaviour change.  The
-   acceptance bar is < 5% wall-clock overhead at full scale.
+   every run of either arm must equal the engine bench's pinned
+   fingerprint — the bench aborts on divergence, which makes the overhead
+   number trustworthy: it can only be recorder bookkeeping, never a
+   behaviour change.  The acceptance bar is < 5% wall-clock overhead at
+   full scale.
 
    Scenario B closes the profile->merge loop offline: for compose-post and
    routed, across seeds and sampling periods, a baseline (unmerged) run is
@@ -17,7 +18,6 @@
    reconstructed decision must fingerprint-identically match the decision
    taken from ground-truth profiling.  Writes BENCH_obs.json. *)
 
-module Engine = Quilt_platform.Engine
 module Loadgen = Quilt_platform.Loadgen
 module Workflow = Quilt_apps.Workflow
 module Config = Quilt_core.Config
@@ -30,55 +30,34 @@ module Json = Quilt_util.Json
 (* --- Scenario A: recorder overhead on the engine bench workload --- *)
 
 let run_overhead () =
-  let smoke = !Common.smoke in
-  let rate_rps = if smoke then 20_000.0 else 30_000.0 in
-  let duration_us = if smoke then 2.5e6 else 34.0e6 in
+  let rate_rps, duration_us = Engine_bench.load () in
   let period = 16 in
   Common.subsection
     (Printf.sprintf "recorder overhead: %.0f req/s for %.0fs virtual, 1/%d sampling (%s)"
        rate_rps (duration_us /. 1e6) period
-       (if smoke then "smoke" else "full"));
-  let recorder = ref None in
-  let setup engine =
+       (if !Common.smoke then "smoke" else "full"));
+  let bare_counters, bare_wall = Common.measure Engine_bench.run_arm in
+  let bare = Common.row "bare" bare_wall bare_counters in
+  let record_arm () =
     let r = Recorder.create ~sample_period:period ~seed:0 () in
-    Recorder.attach r engine;
-    recorder := Some r
+    let arm = Engine_bench.run_arm ~setup:(Recorder.attach r) () in
+    arm
+    @ [
+        ("sample_period", Json.Int period);
+        ("roots_seen", Json.Int (Recorder.seen_roots r));
+        ("roots_sampled", Json.Int (Recorder.sampled_roots r));
+        ("spans_recorded", Json.Int (Recorder.recorded r));
+        ("spans_dropped", Json.Int (Recorder.dropped r));
+      ]
   in
-  (* Wall times at this granularity jitter a few percent run-to-run
-     (allocator and cache state), so alternate the arms twice and keep the
-     per-arm minimum — the number we want bounds the recorder's own work,
-     not the machine's mood. *)
-  let faster a b =
-    if a.Engine_bench.a_wall_s <= b.Engine_bench.a_wall_s then a else b
-  in
-  let bare1 = Engine_bench.run_arm ~rate_rps ~duration_us () in
-  let traced1 = Engine_bench.run_arm ~setup ~rate_rps ~duration_us () in
-  let bare = faster bare1 (Engine_bench.run_arm ~rate_rps ~duration_us ()) in
-  let traced =
-    faster traced1 (Engine_bench.run_arm ~setup ~rate_rps ~duration_us ())
-  in
-  if Engine_bench.fingerprint bare.Engine_bench.a_result
-     <> Engine_bench.fingerprint traced.Engine_bench.a_result
-  then begin
-    Printf.printf "  DIVERGENCE: recorder perturbed the simulation!\n";
-    failwith "obs bench: traced and bare arms are not bit-identical"
-  end;
-  let r = Option.get !recorder in
+  let rec_counters, rec_wall = Common.measure record_arm in
   let overhead_pct =
-    100.0 *. (traced.Engine_bench.a_wall_s -. bare.Engine_bench.a_wall_s)
-    /. bare.Engine_bench.a_wall_s
+    100.0 *. (rec_wall.Common.median -. bare_wall.Common.median) /. bare_wall.Common.median
   in
-  List.iter
-    (fun (label, a) ->
-      Printf.printf "  %-9s %7.2fs wall  %9.0f events/s  %7.1f minor words/req\n" label
-        a.Engine_bench.a_wall_s a.Engine_bench.a_events_per_s a.Engine_bench.a_words_per_req)
-    [ ("bare", bare); ("recording", traced) ];
-  Printf.printf
-    "  %d/%d roots sampled, %d spans recorded (%d dropped); overhead %+.2f%% (budget 5%%)%s\n"
-    (Recorder.sampled_roots r) (Recorder.seen_roots r) (Recorder.recorded r)
-    (Recorder.dropped r) overhead_pct
+  let recording = Common.row "recording" rec_wall rec_counters in
+  Printf.printf "  overhead %+.2f%% of the median (budget 5%%)%s\n" overhead_pct
     (if overhead_pct < 5.0 then "" else "  ** OVER BUDGET **");
-  (bare, traced, r, overhead_pct)
+  ([ bare; recording ], overhead_pct)
 
 (* --- Scenario B: decision agreement from sampled spans --- *)
 
@@ -164,7 +143,7 @@ let run_agreement () =
 
 let run () =
   Common.section "obs: span recorder overhead + live-profiler decision fidelity";
-  let bare, traced, r, overhead_pct = run_overhead () in
+  let rows, overhead_pct = run_overhead () in
   let runs, agree_n, total = run_agreement () in
   Common.paper_note
     [
@@ -173,28 +152,17 @@ let run () =
       "so per-invocation rates and resource profiles are sampling-invariant and";
       "the re-decision from 1/16 of the traffic lands on the same grouping.";
     ];
-  Common.record_timings ~file:"BENCH_obs.json" ~key:"obs"
-    [
-      ( "overhead",
-        Json.Obj
-          [
-            ("bare", Engine_bench.arm_json bare);
-            ("recording", Engine_bench.arm_json traced);
-            ("sample_period", Json.Int 16);
-            ("roots_seen", Json.Int (Recorder.seen_roots r));
-            ("roots_sampled", Json.Int (Recorder.sampled_roots r));
-            ("spans_recorded", Json.Int (Recorder.recorded r));
-            ("spans_dropped", Json.Int (Recorder.dropped r));
-            ("overhead_pct", Json.Float overhead_pct);
-            ("under_5pct", Json.Bool (overhead_pct < 5.0));
-            ("traces_identical", Json.Bool true);
-          ] );
-      ( "agreement",
-        Json.Obj
-          [
-            ("runs", Json.List runs);
-            ("agree", Json.Int agree_n);
-            ("total", Json.Int total);
-            ("all_agree", Json.Bool (agree_n = total));
-          ] );
-    ]
+  Common.write_section "obs" rows
+    ~extra:
+      [
+        ("overhead_pct", Json.Float overhead_pct);
+        ("under_5pct", Json.Bool (overhead_pct < 5.0));
+        ( "agreement",
+          Json.Obj
+            [
+              ("runs", Json.List runs);
+              ("agree", Json.Int agree_n);
+              ("total", Json.Int total);
+              ("all_agree", Json.Bool (agree_n = total));
+            ] );
+      ]
