@@ -50,30 +50,40 @@ let write_json file json =
 (* Wall time of one operation in seconds, over [reps] timed runs. *)
 type wall = { reps : int; median : float; min : float; max : float }
 
-(* The one timer.  [f] runs once untimed as a warm-up, then [reps] times in
-   sequence, each from a freshly collected heap: a full run has 3 reps (the
-   least a BENCH row may carry), a smoke run 1.  A caller timing
-   sub-millisecond work passes [batch], the calls of [f] per rep, and gets
-   seconds per call.  Returns the last call's result with the wall. *)
-let measure ?(batch = 1) f =
+(* The one timer.  Each of [fs] runs once untimed as a warm-up, then
+   [reps] times, rep by rep in turn — rep 1 of every arm, then rep 2, ... —
+   each from a freshly collected heap, so arms compared with each other
+   share whatever drift the machine has: a full run has 3 reps (the least a
+   BENCH row may carry), a smoke run 1.  A caller timing sub-millisecond
+   work passes [batch], the calls of an arm per rep, and gets seconds per
+   call.  Returns each arm's last result with its wall. *)
+let measure_interleaved ?(batch = 1) fs =
   let reps = if !smoke then 1 else 3 in
-  let run () =
+  let run f =
     for _ = 2 to batch do
       ignore (f ())
     done;
     f ()
   in
   let now = Unix.gettimeofday in
-  let last = ref (run ()) in
-  let secs =
-    List.init reps (fun _ ->
+  let last = Array.map run fs in
+  let secs = Array.make (Array.length fs) [] in
+  for _ = 1 to reps do
+    Array.iteri
+      (fun i f ->
         Gc.full_major ();
         let t0 = now () in
-        last := run ();
-        (now () -. t0) /. float_of_int batch)
-  in
+        last.(i) <- run f;
+        secs.(i) <- ((now () -. t0) /. float_of_int batch) :: secs.(i))
+      fs
+  done;
   let open Quilt_util.Stats in
-  (!last, { reps; median = median secs; min = minimum secs; max = maximum secs })
+  Array.mapi
+    (fun i l -> (l, { reps; median = median secs.(i); min = minimum secs.(i); max = maximum secs.(i) }))
+    last
+
+(* One arm alone. *)
+let measure ?batch f = (measure_interleaved ?batch [| f |]).(0)
 
 let pp_secs s =
   if s >= 1.0 then Printf.sprintf "%.3f s" s

@@ -3,7 +3,8 @@
 
    Two execution workloads, each timed with and without the
    analysis-driven passes next to its deterministic instruction and step
-   counts:
+   counts and words allocated per call (checked against the committed file
+   by a smoke run):
    - the merged compose-post handler end to end, native runtime (JSON
      natives, string-ABI shims) included;
    - a native-free hot loop of the same handler-convention shape, which
@@ -89,6 +90,68 @@ let steps_of ~host m ~fname ~req =
   | Ok (_, s) -> s.Interp.steps
   | Error e -> failwith (Printf.sprintf "ir bench workload traps: %s" e)
 
+(* Words allocated per call over a fixed number of warm calls, the same at
+   every scale: minor-heap words, and words allocated directly in the major
+   heap (major minus promoted), such as a per-request arena.  The minor
+   count comes from [Gc.minor_words], which is exact; [Gc.counters]'s
+   minor field is only brought up to date at minor collections. *)
+let alloc_calls = 100
+
+let words_per_call f =
+  ignore (f ());
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  for _ = 1 to alloc_calls do
+    ignore (f ())
+  done;
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  let per x = x /. float_of_int alloc_calls in
+  [
+    ("minor_words", Json.Float (per (minor1 -. minor0)));
+    ("major_words", Json.Float (per (major1 -. major0 -. (promoted1 -. promoted0))));
+  ]
+
+(* The QVM rows' counters are deterministic, so a smoke run checks them
+   against the committed BENCH_ir.json when the working directory has one
+   (the repository root does): a change that alters instructions, steps or
+   allocation per call must regenerate the file at full scale. *)
+let check_committed rows =
+  let file = "BENCH_ir.json" in
+  if not (Sys.file_exists file) then
+    Printf.printf "  [no %s here: QVM counters not checked]\n%!" file
+  else begin
+    let committed =
+      Json.to_list (Json.member "rows" (Json.of_string (In_channel.with_open_bin file In_channel.input_all)))
+    in
+    let counters name rows =
+      List.find_map
+        (fun r ->
+          if Json.member "row" r = Json.String name then Some (Json.member "counters" r) else None)
+        rows
+    in
+    let diffs =
+      List.concat_map
+        (fun r ->
+          let name = Option.get (Json.to_string_opt (Json.member "row" r)) in
+          let now = Json.member "counters" r in
+          match counters name committed with
+          | None -> [ Printf.sprintf "%s: no committed row" name ]
+          | Some was ->
+              List.filter_map
+                (fun k ->
+                  let a = Json.to_string (Json.member k was) and b = Json.to_string (Json.member k now) in
+                  if a = b then None else Some (Printf.sprintf "%s %s: committed %s, now %s" name k a b))
+                [ "instrs"; "steps"; "minor_words"; "major_words" ])
+        rows
+    in
+    if diffs <> [] then begin
+      List.iter (Printf.printf "  COUNTER CHANGE: %s\n") diffs;
+      failwith ("ir bench: QVM counters differ from the committed " ^ file)
+    end;
+    Printf.printf "  QVM counters = committed %s: yes\n%!" file
+  end
+
 let run () =
   Common.section "ir: QVM compiled engine and static analysis";
   (* Calls per timed rep (a tenth of it for lint and verify): each call
@@ -98,8 +161,11 @@ let run () =
   let vm_row name m ~fname ~req =
     let steps = steps_of ~host m ~fname ~req in
     let prog = Compile.compile m in
-    let _, wall = Common.measure ~batch (fun () -> Vm.run_handler_prog ~host prog ~fname ~req) in
-    Common.row name wall [ ("instrs", Json.Int (Qir.instr_count m)); ("steps", Json.Int steps) ]
+    let call () = Vm.run_handler_prog ~host prog ~fname ~req in
+    let words = words_per_call call in
+    let _, wall = Common.measure ~batch call in
+    Common.row name wall
+      ([ ("instrs", Json.Int (Qir.instr_count m)); ("steps", Json.Int steps) ] @ words)
   in
 
   (* Workload 1: the merged compose-post handler, end to end, native
@@ -132,6 +198,8 @@ let run () =
   in
   let dl_row = vm_row "dispatch-loop" dl ~fname:"dispatch-loop" ~req:"{}" in
   let dl1_row = vm_row "dispatch-loop optimized" dl_opt ~fname:"dispatch-loop" ~req:"{}" in
+  let vm_rows = [ cp_row; cp0_row; dl_row; dl1_row ] in
+  if !Common.smoke then check_committed vm_rows;
 
   (* Lint throughput: the full strict verifier plus the merge-interference
      analyzer over the merged compose-post module. *)
@@ -178,4 +246,4 @@ let run () =
         ("minor_words_per_instr", Json.Float words_per_instr);
       ]
   in
-  Common.write_section "ir" [ cp_row; cp0_row; dl_row; dl1_row; lint_row; verify_row ]
+  Common.write_section "ir" (vm_rows @ [ lint_row; verify_row ])

@@ -33,6 +33,14 @@ module Mem = struct
       brk = 0;
     }
 
+  (* A heap with nothing reserved (the block tables always cover the ids
+     below [next]; id 0 is null), for [restore] to size to need. *)
+  let empty () =
+    { arena = Bytes.empty; starts = Array.make 1 0; lens = Array.make 1 0; next = 1; total = 0; brk = 0 }
+
+  (* Doubles [cap] (from at least 64) until it reaches [need]. *)
+  let rec grown cap need = if cap >= need then cap else grown (max 64 (2 * cap)) need
+
   (* Reserves a span without zeroing it: the caller promises to overwrite
      all [n] bytes (or zero what it doesn't).  Returns the block's pointer
      and its start offset in [m.arena].  NOTE: the arena may be replaced
@@ -43,7 +51,7 @@ module Mem = struct
     let id = m.next in
     m.next <- id + 1;
     if id >= Array.length m.starts then begin
-      let cap = 2 * Array.length m.starts in
+      let cap = grown (Array.length m.starts) (id + 1) in
       let s = Array.make cap 0 and l = Array.make cap 0 in
       Array.blit m.starts 0 s 0 id;
       Array.blit m.lens 0 l 0 id;
@@ -51,11 +59,7 @@ module Mem = struct
       m.lens <- l
     end;
     if m.brk + n > Bytes.length m.arena then begin
-      let cap = ref (2 * Bytes.length m.arena) in
-      while !cap < m.brk + n do
-        cap := 2 * !cap
-      done;
-      let a = Bytes.create !cap in
+      let a = Bytes.create (grown (Bytes.length m.arena) (m.brk + n)) in
       Bytes.blit m.arena 0 a 0 m.brk;
       m.arena <- a
     end;
@@ -138,10 +142,12 @@ module Mem = struct
   let allocated_bytes m = m.total
 
   (* A frozen copy of a heap's live state (arena prefix + block table),
-     trimmed to what is actually in use.  [restore] rehydrates it into a
-     fresh, independent heap: the compiled engine snapshots a heap holding
-     the materialized globals once per program and then starts each request
-     from a few blits instead of replaying every initializer. *)
+     trimmed to what is actually in use.  [restore] writes it over an
+     existing heap: the compiled engine snapshots a heap holding the
+     materialized globals once per program, then starts each request by
+     restoring that image into a heap kept from an earlier request — a few
+     blits, and no allocation once the heap has grown to the program's
+     need. *)
   type snapshot = {
     s_arena : Bytes.t;
     s_starts : int array;
@@ -159,22 +165,27 @@ module Mem = struct
       s_total = m.total;
     }
 
-  let restore s =
+  (* Whatever [m] held before — another request's blocks, a run cut short
+     by a trap or an exception — only the arena prefix below [brk] and the
+     table entries below [next] are ever read, and both are overwritten
+     here.  Stale bytes past [brk] stay unobservable: [alloc] zeroes fresh
+     spans and [alloc_raw]'s callers overwrite theirs.  A heap that is too
+     small is replaced by one of exactly the snapshot's size (no floor), so
+     a heap kept between requests retains only what its largest request
+     grew it to. *)
+  let restore s m =
     let used = Bytes.length s.s_arena in
-    let cap = ref 65536 in
-    while !cap < used do
-      cap := 2 * !cap
-    done;
-    let arena = Bytes.create !cap in
-    Bytes.blit s.s_arena 0 arena 0 used;
-    let tcap = ref 64 in
-    while !tcap < s.s_next do
-      tcap := 2 * !tcap
-    done;
-    let starts = Array.make !tcap 0 and lens = Array.make !tcap 0 in
-    Array.blit s.s_starts 0 starts 0 s.s_next;
-    Array.blit s.s_lens 0 lens 0 s.s_next;
-    { arena; starts; lens; next = s.s_next; brk = used; total = s.s_total }
+    if Bytes.length m.arena < used then m.arena <- Bytes.create used;
+    Bytes.blit s.s_arena 0 m.arena 0 used;
+    if Array.length m.starts < s.s_next then begin
+      m.starts <- Array.make s.s_next 0;
+      m.lens <- Array.make s.s_next 0
+    end;
+    Array.blit s.s_starts 0 m.starts 0 s.s_next;
+    Array.blit s.s_lens 0 m.lens 0 s.s_next;
+    m.next <- s.s_next;
+    m.brk <- used;
+    m.total <- s.s_total
 end
 
 type str_abi = {

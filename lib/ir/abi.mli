@@ -21,6 +21,12 @@ module Mem : sig
   (** Out-of-bounds or wild-pointer access. *)
 
   val create : unit -> t
+  (** An empty heap with a 64 KB arena reserved. *)
+
+  val empty : unit -> t
+  (** An empty heap with nothing reserved: {!restore} sizes it to the
+      snapshot, and allocation grows it from there. *)
+
   val alloc : t -> int -> int64
   (** [alloc m n] returns a pointer to [n] fresh zero bytes. *)
 
@@ -48,11 +54,18 @@ module Mem : sig
   (** A frozen copy of a heap's live state. *)
 
   val snapshot : t -> snapshot
-  val restore : snapshot -> t
-  (** [restore s] builds a fresh heap whose contents, block table and
-      allocation cursor equal the snapshotted heap's; the two share no
-      mutable state.  Lets an engine pay for global materialization once
-      per program instead of once per request. *)
+
+  val restore : snapshot -> t -> unit
+  (** [restore s m] overwrites [m] so that its contents, block table and
+      allocation cursor equal the snapshotted heap's, whatever [m] held
+      before (another request's blocks, a run cut short by a trap).  [m]'s
+      arena and block table are reused when large enough and otherwise
+      replaced by ones of exactly the snapshot's size.  Bytes [m] held past
+      the snapshot's allocation cursor are never observable: {!alloc}
+      returns zeroed bytes and every read is bounded by a live block.  The
+      restored heap shares no mutable state with the snapshot, so an engine
+      pays for global materialization once per program and, by keeping a
+      heap between requests, allocates no arena per request. *)
 end
 
 type str_abi = {

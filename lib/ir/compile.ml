@@ -83,7 +83,15 @@ type prog = {
   gtemplate : (Abi.Mem.snapshot * Interp.value array) Lazy.t;
       (* heap image + boxed addresses of the materialized globals; lazy so a
          trapping initializer traps on activation, like the tree-walker *)
+  gtemplate_lock : Mutex.t;  (* serializes forcing [gtemplate] across domains *)
+  spare : Abi.Mem.t option Atomic.t;
+      (* a heap kept between runs, restored from [gtemplate] by each one *)
 }
+
+(* Forcing a [Lazy.t] that another domain is forcing raises
+   [CamlinternalLazy.Undefined] (and [Lazy.is_val] already holds while it is
+   being forced, so it cannot guard the force), hence the lock. *)
+let template p = Mutex.protect p.gtemplate_lock (fun () -> Lazy.force p.gtemplate)
 
 let is_phi (i : Ir.instr) = match i with Ir.Phi _ -> true | _ -> false
 
@@ -322,4 +330,12 @@ let compile (m : Ir.modul) : prog =
        in
        (Abi.Mem.snapshot mem, gvals))
   in
-  { source = m; funcs; fidx; globals; gtemplate }
+  {
+    source = m;
+    funcs;
+    fidx;
+    globals;
+    gtemplate;
+    gtemplate_lock = Mutex.create ();
+    spare = Atomic.make None;
+  }

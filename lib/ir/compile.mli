@@ -80,7 +80,22 @@ type prog = {
           each [globals] entry.  Built on first activation (lazily, so a
           trapping initializer still traps inside the engine's handler, like
           the tree-walker); each request then starts from an
-          {!Abi.Mem.restore} instead of replaying every initializer. *)
+          {!Abi.Mem.restore} instead of replaying every initializer.  Force
+          it through {!template}. *)
+  gtemplate_lock : Mutex.t;  (** Held while {!template} forces [gtemplate]. *)
+  spare : Abi.Mem.t option Atomic.t;
+      (** The program's spare heap: a heap a finished run left behind, which
+          the next run takes (one [Atomic.exchange]), restores [gtemplate]
+          into and hands back when it ends, trap or not.  A run that finds
+          none — the first, or one nested in or concurrent with another run
+          of the same program — starts from an empty heap.  One spare is
+          kept, grown to at most twice what the largest request it served
+          needed. *)
 }
+
+val template : prog -> Abi.Mem.snapshot * Interp.value array
+(** Forces [gtemplate], domain-safely: concurrent first activations from
+    several domains build it once, and a trapping initializer traps in
+    every activation. *)
 
 val compile : Ir.modul -> prog

@@ -29,14 +29,23 @@ type rt = {
    alias it. *)
 let unbound : Interp.value = Interp.VFloat nan
 
-let make_rt ~fuel ~host prog =
-  (* The globals template is materialized once per program (lazily, so a
-     trapping initializer traps here, inside the runner's handler); each
-     request rehydrates the heap image with a few blits.  [gvals] is
-     read-only after creation and so shared across requests. *)
-  let snap, gvals = Lazy.force prog.gtemplate in
-  let rc = Interp.make_rctx ~mem:(Mem.restore snap) ~host () in
-  { prog; rc; gvals; fuel }
+(* Runs [f] on a runtime whose heap holds exactly the program's globals.
+   The globals template is materialized once per program (lazily, so a
+   trapping initializer traps here, inside the runner's handler); each
+   request restores the heap image with a few blits into the program's
+   spare heap, taken here and handed back whatever [f] does, so a warm
+   program allocates no arena per request.  A run that finds no spare (the
+   first, or one nested in or concurrent with another run of the program)
+   starts from an empty heap, grown to need by the restore.  [gvals] is
+   read-only after creation and so shared across requests. *)
+let with_rt ~fuel ~host prog f =
+  let snap, gvals = Compile.template prog in
+  let mem = match Atomic.exchange prog.spare None with Some m -> m | None -> Mem.empty () in
+  Fun.protect
+    ~finally:(fun () -> Atomic.set prog.spare (Some mem))
+    (fun () ->
+      Mem.restore snap mem;
+      f { prog; rc = Interp.make_rctx ~mem ~host (); gvals; fuel })
 
 let eval_op rt (slots : Interp.value array) (f : cfunc) (op : operand) : Interp.value =
   match op with
@@ -229,25 +238,25 @@ let find_entry prog fname =
 
 let run_handler_prog ?(fuel = 20_000_000) ~host prog ~fname ~req =
   try
-    let rt = make_rt ~fuel ~host prog in
-    let fi = find_entry prog fname in
-    rt.rc.Interp.req_ptr <- Mem.write_cstr rt.rc.Interp.mem req;
-    let (_ : Interp.value option) = exec_func rt fi [] in
-    match rt.rc.Interp.response with
-    | Some res -> Ok (res, rt.rc.Interp.stats)
-    | None -> Error "handler returned without calling quilt_send_res"
+    with_rt ~fuel ~host prog (fun rt ->
+        let fi = find_entry prog fname in
+        rt.rc.Interp.req_ptr <- Mem.write_cstr rt.rc.Interp.mem req;
+        let (_ : Interp.value option) = exec_func rt fi [] in
+        match rt.rc.Interp.response with
+        | Some res -> Ok (res, rt.rc.Interp.stats)
+        | None -> Error "handler returned without calling quilt_send_res")
   with
   | Interp.Trap msg -> Error msg
   | Mem.Trap msg -> Error ("memory fault: " ^ msg)
 
 let run_local_prog ?(fuel = 20_000_000) ~host prog ~fname ~req =
   try
-    let rt = make_rt ~fuel ~host prog in
-    let fi = find_entry prog fname in
-    let reqp = Mem.write_cstr rt.rc.Interp.mem req in
-    match exec_func rt fi [ Interp.VInt reqp ] with
-    | Some (Interp.VInt resp) -> Ok (Mem.read_cstr rt.rc.Interp.mem resp, rt.rc.Interp.stats)
-    | Some (Interp.VFloat _) | None -> Error "local function did not return a pointer"
+    with_rt ~fuel ~host prog (fun rt ->
+        let fi = find_entry prog fname in
+        let reqp = Mem.write_cstr rt.rc.Interp.mem req in
+        match exec_func rt fi [ Interp.VInt reqp ] with
+        | Some (Interp.VInt resp) -> Ok (Mem.read_cstr rt.rc.Interp.mem resp, rt.rc.Interp.stats)
+        | Some (Interp.VFloat _) | None -> Error "local function did not return a pointer")
   with
   | Interp.Trap msg -> Error msg
   | Mem.Trap msg -> Error ("memory fault: " ^ msg)

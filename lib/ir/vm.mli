@@ -40,7 +40,15 @@ val run_handler_prog :
   req:string ->
   (string * Interp.stats, string) result
 (** Runs an already-compiled program; lets callers (the bench harness, a
-    warm control plane) amortize {!Compile.compile} over many requests. *)
+    warm control plane) amortize {!Compile.compile} over many requests.
+
+    Runs of one program reuse its guest heap: each restores the globals
+    image into the program's spare heap ({!field:Compile.prog.spare}) and
+    hands it back when it ends, trap or not, so a warm run allocates no
+    arena.  Reuse is unobservable — a run returns exactly what it returns on
+    a freshly compiled program.  Any number of domains may run one program
+    at once, its first activation included, and [host.invoke] may re-enter
+    it: a run that finds the spare taken starts from an empty heap. *)
 
 val run_local_prog :
   ?fuel:int ->
@@ -49,4 +57,6 @@ val run_local_prog :
   fname:string ->
   req:string ->
   (string * Interp.stats, string) result
+(** {!run_local} on an already-compiled program, reusing its heap like
+    {!run_handler_prog}. *)
 

@@ -295,6 +295,127 @@ let prop_vm_differential_unmerged =
       let vm = outcome (Vm.run_handler ~host:Interp.echo_host m ~fname ~req) in
       same_outcome tw vm)
 
+(* --- Heap reuse: running on one compiled program = running on fresh ones --- *)
+
+(* A global and handlers appended to a merged module, so that a request
+   sequence can leave the program's spare heap in every state a real run
+   can — a mutated global, dirtied and then trapped on (a wild pointer, an
+   out-of-bounds load), grown far past what the merged handler needs — and
+   can observe a leak: on a fresh program [reuse_count] always answers 1
+   and [reuse_zero] always 0. *)
+let reuse_extras =
+  Quilt_ir.Parser.parse_module
+    {|
+module "reuse"
+@reuse_n = global i64 0
+define void @reuse_count() {
+entry:
+  %v = load i64, ptr @reuse_n
+  %v2 = add i64 %v, 1
+  store i64 %v2, ptr @reuse_n
+  %s = call ptr @c_itoa(i64 %v2)
+  call void @quilt_send_res(ptr %s)
+  ret void
+}
+define void @reuse_zero() {
+entry:
+  %p = call ptr @quilt_malloc(i64 64)
+  %a = load i64, ptr %p
+  %q = gep ptr %p, i64 56
+  %b = load i64, ptr %q
+  %c = or i64 %a, %b
+  %s = call ptr @c_itoa(i64 %c)
+  call void @quilt_send_res(ptr %s)
+  ret void
+}
+define void @reuse_wild() {
+entry:
+  %p = call ptr @quilt_malloc(i64 32)
+  store i64 -1, ptr %p
+  store i64 -1, ptr @reuse_n
+  %w = add i64 4294967296000000, 0
+  %v = load i64, ptr %w
+  ret void
+}
+define void @reuse_oob() {
+entry:
+  %p = call ptr @quilt_malloc(i64 4)
+  store i8 255, ptr %p
+  %q = gep ptr %p, i64 3
+  %v = load i64, ptr %q
+  ret void
+}
+define void @reuse_grow() {
+entry:
+  %r = call ptr @quilt_get_req()
+  %p = call ptr @quilt_malloc(i64 300000)
+  store i64 -1, ptr %p
+  %q = gep ptr %p, i64 56
+  store i64 -1, ptr %q
+  %e = gep ptr %p, i64 299992
+  store i64 -1, ptr %e
+  call void @quilt_send_res(ptr %r)
+  ret void
+}
+|}
+
+type reuse_req = Handler of int | Starved of int | Count | Zero | Wild | Oob | Grow
+
+let prop_vm_reuse_invisible =
+  QCheck.Test.make
+    ~name:"fuzz: a request sequence on one program = each on a fresh program" ~count:60
+    QCheck.(pair (int_range 1 1_000_000) (small_list (int_range 0 99)))
+    (fun (seed, picks) ->
+      let names, fns = gen_workflow seed in
+      let report =
+        Pipeline.merge_group ~lookup:(lookup_for fns) ~members:names ~root:(List.hd names) ()
+      in
+      let m = report.Pipeline.merged_module in
+      let m =
+        Quilt_ir.Ir.
+          {
+            m with
+            globals = m.globals @ reuse_extras.globals;
+            funcs = m.funcs @ reuse_extras.funcs;
+          }
+      in
+      let entry = report.Pipeline.entry in
+      let of_pick k =
+        match k mod 7 with
+        | 0 | 1 -> Handler k
+        | 2 -> Starved (1 + (k * 7))
+        | 3 -> Count
+        | 4 -> Wild
+        | 5 -> Oob
+        | _ -> Zero
+      in
+      (* Every sequence ends with each trap, a heap that outgrows the
+         spare, and small requests after it. *)
+      let reqs =
+        List.map of_pick picks
+        @ [ Count; Starved (1 + (seed mod 300)); Wild; Oob; Count; Grow; Zero; Handler seed; Count ]
+      in
+      (* (fuel, entry point, request) of each kind of request. *)
+      let call = function
+        | Handler k ->
+            (None, entry, Printf.sprintf "{\"data\":\"r%d\",\"k\":%d}" (k mod 50) (k mod 17))
+        | Starved fuel -> (Some fuel, entry, "{\"data\":\"s\"}")
+        | Count -> (None, "reuse_count", "{}")
+        | Zero -> (None, "reuse_zero", "{}")
+        | Wild -> (None, "reuse_wild", "{}")
+        | Oob -> (None, "reuse_oob", "{}")
+        | Grow -> (None, "reuse_grow", "{\"big\":1}")
+      in
+      let prog = Quilt_ir.Compile.compile m in
+      List.for_all
+        (fun r ->
+          let fuel, fname, req = call r in
+          let host = Interp.null_host in
+          same_outcome
+            (outcome (Vm.run_handler ?fuel ~host m ~fname ~req))
+            (outcome (Vm.run_handler_prog ?fuel ~host prog ~fname ~req)))
+        reqs)
+
 let suite =
   [
     ( "fuzz.pipeline",
@@ -314,5 +435,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_vm_differential_guarded;
         QCheck_alcotest.to_alcotest prop_vm_differential_fuel;
         QCheck_alcotest.to_alcotest prop_vm_differential_unmerged;
+        QCheck_alcotest.to_alcotest prop_vm_reuse_invisible;
       ] );
   ]

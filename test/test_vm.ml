@@ -304,21 +304,23 @@ entry:
 
 (* The two workloads the IR bench times: the merged compose-post handler,
    native runtime included, and a native-free phi-carried loop. *)
-let test_merged_compose_post_parity () =
+let compose_post () =
   let wf =
     List.find
       (fun w -> w.Quilt_apps.Workflow.wf_name = "compose-post")
       (Quilt_apps.Deathstar.all ~async:false ())
   in
-  let report =
-    Quilt_merge.Pipeline.merge_group
-      ~lookup:(Quilt_apps.Workflow.lookup wf)
-      ~members:(Quilt_apps.Workflow.fn_names wf) ~root:wf.Quilt_apps.Workflow.entry ()
-  in
+  Quilt_merge.Pipeline.merge_group
+    ~lookup:(Quilt_apps.Workflow.lookup wf)
+    ~members:(Quilt_apps.Workflow.fn_names wf) ~root:wf.Quilt_apps.Workflow.entry ()
+
+let compose_post_req = {|{"user":"alice","text":"hello world","media":"img.png"}|}
+
+let test_merged_compose_post_parity () =
+  let report = compose_post () in
   match
     agree ~host:Interp.echo_host report.Quilt_merge.Pipeline.merged_module
-      ~fname:report.Quilt_merge.Pipeline.entry
-      ~req:{|{"user":"alice","text":"hello world","media":"img.png"}|}
+      ~fname:report.Quilt_merge.Pipeline.entry ~req:compose_post_req
   with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e
@@ -355,6 +357,145 @@ done:
       Alcotest.(check int) "steps" 9605 steps
   | Error e -> Alcotest.fail e
 
+(* --- Heap reuse: a compiled program keeps one spare heap between runs --- *)
+
+let norm = function Ok (res, stats) -> Ok (res, fingerprint stats) | Error e -> Error e
+
+(* Words allocated directly in the major heap (not promoted from the minor
+   heap): deterministic, unlike wall time. *)
+let direct_major_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  let _, promoted1, major1 = Gc.counters () in
+  (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* A warm run restores the globals into the program's spare heap instead of
+   building a fresh arena: no direct major-heap allocation at all. *)
+let test_warm_run_no_major_alloc () =
+  let report = compose_post () in
+  let prog = Compile.compile report.Quilt_merge.Pipeline.merged_module in
+  let run () =
+    match
+      Vm.run_handler_prog ~host:Interp.echo_host prog ~fname:report.Quilt_merge.Pipeline.entry
+        ~req:compose_post_req
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e
+  in
+  run ();
+  Alcotest.(check (float 0.0))
+    "direct major words over 100 warm runs" 0.0
+    (direct_major_words (fun () ->
+         for _ = 1 to 100 do
+           run ()
+         done))
+
+(* [host.invoke] re-enters the program being run: the nested run must not
+   take (and restore over) the outer run's heap.  The outer handler keeps a
+   string it built before the call and sends it afterwards. *)
+let test_nested_run () =
+  let m =
+    Parser.parse_module
+      {|
+module "t"
+@svc = constant str "inner\00" lang "c"
+define void @inner() {
+entry:
+  %p = call ptr @quilt_malloc(i64 64)
+  store i64 -1, ptr %p
+  %r = call ptr @quilt_get_req()
+  call void @quilt_send_res(ptr %r)
+  ret void
+}
+define void @h() {
+entry:
+  call void @quilt_curl_init_once()
+  %kept = call ptr @c_itoa(i64 12345)
+  %req = call ptr @quilt_get_req()
+  %sub = call ptr @quilt_sync_inv(ptr @svc, ptr %req)
+  %n = call i64 @quilt_strlen(ptr %sub)
+  %p = call ptr @quilt_malloc(i64 8)
+  store i64 %n, ptr %p
+  call void @quilt_send_res(ptr %kept)
+  ret void
+}
+|}
+  in
+  let via prog_for =
+    let host =
+      {
+        Interp.invoke =
+          (fun ~kind:_ ~name:_ ~req ->
+            match Vm.run_handler_prog ~host:Interp.null_host (prog_for ()) ~fname:"inner" ~req with
+            | Ok (res, _) -> res
+            | Error e -> Interp.trap "nested run: %s" e);
+      }
+    in
+    norm (Vm.run_handler_prog ~host (prog_for ()) ~fname:"h" ~req:{|{"n":1}|})
+  in
+  let shared = Compile.compile m in
+  let fresh = via (fun () -> Compile.compile m) in
+  (match fresh with
+  | Ok (res, _) -> Alcotest.(check string) "outer keeps its heap" "12345" res
+  | Error e -> Alcotest.fail e);
+  for _ = 1 to 3 do
+    Alcotest.(check string)
+      "same program nested = fresh programs" (show_outcome fresh)
+      (show_outcome (via (fun () -> shared)));
+    if via (fun () -> shared) <> fresh then Alcotest.fail "nested run: stats diverge"
+  done
+
+(* Two domains run one program from its first activation on.  A module
+   with many globals makes the template build slow enough that both
+   domains reach it together; each then runs against the other, sharing
+   one spare heap. *)
+let test_two_domains () =
+  let globals =
+    String.concat ""
+      (List.init 3000 (fun i -> Printf.sprintf "@g%d = constant str \"value %d\\00\" lang \"c\"\n" i i))
+  in
+  let m =
+    Parser.parse_module
+      (Printf.sprintf
+         {|
+module "t"
+%s
+define void @h() {
+entry:
+  %%req = call ptr @quilt_get_req()
+  %%n = call i64 @quilt_strlen(ptr %%req)
+  %%p = call ptr @quilt_malloc(i64 %%n)
+  %%s = call ptr @c_itoa(i64 %%n)
+  call void @quilt_send_res(ptr @g2999)
+  ret void
+}
+|}
+         globals)
+  in
+  let reqs = List.init 50 (fun i -> String.make (1 + (i * 37 mod 500)) 'x') in
+  let expected = List.map (fun req -> norm (Vm.run_handler ~host:Interp.null_host m ~fname:"h" ~req)) reqs in
+  (match List.hd expected with
+  | Ok (res, _) -> Alcotest.(check string) "response" "value 2999" res
+  | Error e -> Alcotest.fail e);
+  for _ = 1 to 10 do
+    let prog = Compile.compile m in
+    let ready = Atomic.make 0 in
+    let worker () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      List.init 4 (fun _ ->
+          List.map (fun req -> norm (Vm.run_handler_prog ~host:Interp.null_host prog ~fname:"h" ~req)) reqs)
+    in
+    let d = Domain.spawn worker in
+    let mine = worker () in
+    let theirs = Domain.join d in
+    List.iter
+      (fun got -> if got <> expected then Alcotest.fail "a concurrent run diverged")
+      (mine @ theirs)
+  done
+
 let suite =
   [
     ( "vm.parity",
@@ -376,5 +517,9 @@ let suite =
         Alcotest.test_case "run_local parity" `Quick test_run_local_parity;
         Alcotest.test_case "merged compose-post parity" `Quick test_merged_compose_post_parity;
         Alcotest.test_case "dispatch loop parity" `Quick test_dispatch_loop_parity;
+        Alcotest.test_case "warm run: no major-heap allocation" `Quick
+          test_warm_run_no_major_alloc;
+        Alcotest.test_case "nested run of the same program" `Quick test_nested_run;
+        Alcotest.test_case "two domains, one program" `Quick test_two_domains;
       ] );
   ]
