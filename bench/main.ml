@@ -20,7 +20,6 @@ let experiments =
     ("micro", Micro.run, "merge, call-tree and LP micro-benchmarks (writes BENCH_micro.json)");
     ("ir", Ir_bench.run, "QVM steps and time, pass deltas, strict verify (writes BENCH_ir.json)");
     ("engine", Engine_bench.run, "timer-wheel simulator throughput, fingerprint-pinned + merge cache (writes BENCH_engine.json)");
-    ("place", Place.run, "flat vs topology-aware placement + joint merge decision (writes BENCH_place.json)");
     ("obs", Obs_bench.run, "span-recorder overhead + live-profiler decision fidelity (writes BENCH_obs.json)");
   ]
 

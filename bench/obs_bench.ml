@@ -8,8 +8,10 @@
    every run of either arm must equal the engine bench's pinned
    fingerprint — the bench aborts on divergence, which makes the overhead
    number trustworthy: it can only be recorder bookkeeping, never a
-   behaviour change.  The acceptance bar is < 5% wall-clock overhead at
-   full scale.
+   behaviour change.  The acceptance bar is < 5% more minor words per
+   request, a deterministic count; the bench fails at or above it.  The
+   wall-clock overhead is reported but not judged: one arm's reps alone
+   spread wider than the budget.
 
    Scenario B closes the profile->merge loop offline: for compose-post and
    routed, across seeds and sampling periods, a baseline (unmerged) run is
@@ -60,19 +62,19 @@ let run_overhead () =
   let overhead_pct =
     100.0 *. (rec_wall.Common.median -. bare_wall.Common.median) /. bare_wall.Common.median
   in
-  (* The deterministic side of the overhead: minor words per request. *)
+  (* The verdict is on minor words per request, which are deterministic. *)
   let words c =
     match List.assoc "minor_words_per_request" c with Json.Float w -> w | _ -> assert false
   in
   let words_pct = 100.0 *. (words rec_counters -. words bare_counters) /. words bare_counters in
-  Printf.printf "  overhead %+.2f%% of the median wall (budget 5%%)%s, %+.2f%% minor words per request\n"
-    overhead_pct
-    (if overhead_pct < 5.0 then "" else "  ** OVER BUDGET **")
-    words_pct;
+  Printf.printf "  %+.2f%% minor words per request (budget 5%%), %+.2f%% of the median wall\n"
+    words_pct overhead_pct;
+  if words_pct >= 5.0 then
+    failwith (Printf.sprintf "obs bench: recorder adds %.2f%% minor words per request" words_pct);
   ( [ bare; recording ],
     [
       ("overhead_pct", Json.Float overhead_pct);
-      ("under_5pct", Json.Bool (overhead_pct < 5.0));
+      ("words_under_5pct", Json.Bool (words_pct < 5.0));
       ( "minor_words_per_request_overhead",
         Json.Float (words rec_counters -. words bare_counters) );
       ("minor_words_per_request_overhead_pct", Json.Float words_pct);

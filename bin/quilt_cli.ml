@@ -8,7 +8,6 @@
      quilt bench compose-post        baseline-vs-quilt latency comparison
      quilt adapt path-shift          online control plane on a drift scenario
      quilt chaos crashstorm          fault injection across the three arms
-     quilt place compose-post        place a workflow on the example cluster
      quilt obs compose-post          span tracing + live-profiler re-decision *)
 
 module Engine = Quilt_platform.Engine
@@ -264,86 +263,6 @@ let chaos_cmd (seed, smoke, engine_stats) policy scenario =
         (if smoke then ", smoke" else "");
       List.iter Scenario.print_outcome outcomes
 
-let place_cmd async policy_name rate duration (seed, smoke, engine_stats) rebalance name =
-  with_engine_stats engine_stats @@ fun () ->
-  let duration = if smoke then Float.min duration 6.0 else duration in
-  let module Topology = Quilt_place.Topology in
-  let module Placement = Quilt_place.Placement in
-  let policy =
-    match Placement.policy_of_string policy_name with
-    | Some p -> p
-    | None ->
-        Printf.eprintf "unknown policy %s (first-fit|best-fit|locality|spread)\n" policy_name;
-        exit 1
-  in
-  let wf = find_workflow ~async name in
-  let topo = Topology.example () in
-  Printf.printf "cluster: %s\n" (Topology.describe topo);
-  let demands =
-    List.map
-      (fun f ->
-        Placement.demand ~service:f.Quilt_lang.Ast.fn_name ~vcpus:Config.default.Config.vcpus
-          ~mem_mb:Config.default.Config.mem_limit_mb)
-      wf.Workflow.functions
-  in
-  let affinities =
-    List.map
-      (fun (s, d, _) -> { Placement.a_src = s; a_dst = d; a_weight = 1.0 })
-      wf.Workflow.code_edges
-  in
-  let placement = Placement.plan ~seed ~affinities topo policy demands in
-  Printf.printf "placement (%s):\n%s" (Placement.policy_name policy)
-    (Format.asprintf "%a" Placement.pp placement);
-  if placement.Placement.rejected <> [] then exit 1;
-  let engine = Quilt.fresh_platform ~seed:(7 + seed) ~workflows:[ wf ] () in
-  Engine.set_topology ~assign:placement.Placement.placed engine topo;
-  let reb =
-    if rebalance then begin
-      let r = Quilt_control.Rebalancer.create engine in
-      Quilt_control.Rebalancer.start r ~until:(duration *. 1e6);
-      Some r
-    end
-    else None
-  in
-  let res =
-    Loadgen.run_open_loop engine ~entry:wf.Workflow.entry ~gen_req:wf.Workflow.gen_req
-      ~rate_rps:rate ~duration_us:(duration *. 1e6)
-      ~warmup_us:(Float.min (duration *. 1e6 /. 4.0) 10_000_000.0)
-      ~seed ()
-  in
-  Printf.printf "%s at %.0f rps for %.0f s: median %.2f ms, p99 %.2f ms, availability %.2f%%\n"
-    name rate duration (Loadgen.median_ms res) (Loadgen.p99_ms res)
-    (100.0 *. Loadgen.availability res);
-  let h = Engine.topo_counters engine in
-  Printf.printf
-    "hops: %d same-node, %d same-rack, %d cross-rack; %d image-cache hits, %d capacity denials\n"
-    h.Engine.hops_same_node h.Engine.hops_same_rack h.Engine.hops_cross_rack
-    h.Engine.image_cache_hits h.Engine.capacity_denials;
-  Array.iter
-    (fun nl ->
-      Printf.printf "  %-10s %4.1f/%4.1f vCPU, %6.0f/%6.0f MB, %d containers\n"
-        nl.Engine.nl_node.Topology.node_name nl.Engine.nl_used_vcpus
-        nl.Engine.nl_node.Topology.vcpus nl.Engine.nl_used_mem_mb
-        nl.Engine.nl_node.Topology.mem_mb nl.Engine.nl_containers)
-    (Engine.node_loads engine);
-  match reb with
-  | None -> ()
-  | Some r ->
-      let s = Quilt_control.Rebalancer.summary r in
-      Printf.printf
-        "rebalancer: %d ticks, %d migrations (%d passed, %d reverted), %d holds, %d skips\n"
-        s.Quilt_control.Rebalancer.s_ticks s.Quilt_control.Rebalancer.s_migrations
-        s.Quilt_control.Rebalancer.s_passes s.Quilt_control.Rebalancer.s_reverts
-        s.Quilt_control.Rebalancer.s_holds s.Quilt_control.Rebalancer.s_skips;
-      List.iter
-        (fun e ->
-          if e.Quilt_control.Rebalancer.ev_detail <> "" then
-            Printf.printf "  [%7.2fs] %-16s %s\n"
-              (e.Quilt_control.Rebalancer.ev_ts /. 1e6)
-              (Quilt_control.Rebalancer.kind_name e.Quilt_control.Rebalancer.ev_kind)
-              e.Quilt_control.Rebalancer.ev_detail)
-        (Quilt_control.Rebalancer.events r)
-
 (* quilt obs: run the merged-vs-unmerged comparison with the span recorder
    attached, close the profile→merge loop by re-deciding from the observed
    spans, and export Chrome-trace / folded-flamegraph / metrics files. *)
@@ -580,26 +499,6 @@ let chaos_t =
        ~doc:"Inject deterministic faults and compare baseline/CM/quilt availability")
     Term.(const chaos_cmd $ run_flags $ policy $ scenario)
 
-let place_t =
-  let policy =
-    Arg.(
-      value & opt string "locality"
-      & info [ "policy" ] ~docv:"POLICY"
-          ~doc:"Placement policy: first-fit, best-fit, locality, or spread.")
-  in
-  let rebalance =
-    Arg.(
-      value & flag
-      & info [ "rebalance" ]
-          ~doc:"Run the node-utilization rebalancer during the load and report its decisions.")
-  in
-  Cmd.v
-    (Cmd.info "place"
-       ~doc:"Place a workflow on the example cluster topology and measure it under load")
-    Term.(
-      const place_cmd $ async_flag $ policy $ rate_flag 10.0 $ duration_flag 20.0 $ run_flags
-      $ rebalance $ workflow_arg)
-
 let obs_t =
   let sample =
     Arg.(
@@ -627,4 +526,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "quilt" ~doc)
-          [ list_t; inspect_t; decide_t; merge_t; lint_t; bench_t; adapt_t; chaos_t; place_t; obs_t ]))
+          [ list_t; inspect_t; decide_t; merge_t; lint_t; bench_t; adapt_t; chaos_t; obs_t ]))

@@ -27,8 +27,8 @@ val stats_of : config -> (float * bool) list -> stats
 
 (** {2 Latency stream}
 
-    The completion samples a supervising loop ({!Controller},
-    {!Rebalancer}) judges its switches by. *)
+    The completion samples a supervising loop ({!Controller}) judges its
+    switches by. *)
 
 type samples
 (** (timestamp, latency_us, ok) per completed request, newest first. *)

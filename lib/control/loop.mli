@@ -1,12 +1,12 @@
-(** The change lifecycle both control loops share, as one pure step.
+(** The control plane's change lifecycle, as one pure step.
 
-    {!Controller} switches merge plans (keyed by {!Controller.fingerprint}),
-    {!Rebalancer} a service's node (keyed by (service, node)).  Both run
-    this loop: drifted windows build a hysteresis streak that triggers a
-    proposal; a proposal naming a new key switches to it under canary;
-    one evaluation window after the warm-up the verdict passes the switch
-    or reverts it and holds the key down for good; every outcome starts a
-    cooldown; the standing watchdog may still revert the last switch.
+    {!Controller} switches merge plans (keyed by
+    {!Controller.fingerprint}) by running this loop: drifted windows build
+    a hysteresis streak that triggers a proposal; a proposal naming a new
+    key switches to it under canary; one evaluation window after the
+    warm-up the verdict passes the switch or reverts it and holds the key
+    down for good; every outcome starts a cooldown; the standing watchdog
+    may still revert the last switch.
 
     The module never touches an engine: the caller turns engine reads into
     an {!observation} and applies the {!action}s {!step} returns.  Keys are

@@ -93,16 +93,7 @@ let record_engine t ?(labels = []) engine =
   add "engine_net_drops" c.Engine.net_drops;
   add "engine_hop_timeouts" c.Engine.hop_timeouts;
   add "engine_events" (Engine.events_processed engine);
-  set (gauge t ~labels "engine_peak_queue_depth") (float_of_int (Engine.peak_queue_depth engine));
-  match Engine.topology engine with
-  | Quilt_place.Topology.Flat -> ()
-  | Quilt_place.Topology.Cluster _ ->
-      let h = Engine.topo_counters engine in
-      add "topo_hops_same_node" h.Engine.hops_same_node;
-      add "topo_hops_same_rack" h.Engine.hops_same_rack;
-      add "topo_hops_cross_rack" h.Engine.hops_cross_rack;
-      add "topo_image_cache_hits" h.Engine.image_cache_hits;
-      add "topo_capacity_denials" h.Engine.capacity_denials
+  set (gauge t ~labels "engine_peak_queue_depth") (float_of_int (Engine.peak_queue_depth engine))
 
 let record_result t ?(labels = []) (r : Loadgen.result) =
   inc (counter t ~labels "requests_offered") r.Loadgen.offered;

@@ -41,9 +41,8 @@ val hist : histogram -> Quilt_util.Histogram.t
     One-call folds of the existing result shapes into a registry. *)
 
 val record_engine : t -> ?labels:(string * string) list -> Quilt_platform.Engine.t -> unit
-(** Engine counters ([engine_*]), scheduler stats ([engine_events],
-    [engine_peak_queue_depth]) and — when a cluster topology is installed —
-    the hop/image/capacity counters ([topo_*]). *)
+(** Engine counters ([engine_*]) and scheduler stats ([engine_events],
+    [engine_peak_queue_depth]). *)
 
 val record_result : t -> ?labels:(string * string) list -> Quilt_platform.Loadgen.result -> unit
 (** Offered/success/failure counters, throughput gauge, and the latency

@@ -265,11 +265,10 @@ val total_base_mem_mb : t -> float
 
 val set_topology :
   ?assign:(string * int) list -> t -> Quilt_place.Topology.t -> unit
-(** Installs the cluster and the service→node placement (e.g. from
-    {!Quilt_place.Placement.plan}).  Call before traffic: existing
-    containers are not retroactively charged to nodes.  Services missing
-    from [assign] are auto-placed first-fit at first use.  Raises
-    [Invalid_argument] on an out-of-range node id. *)
+(** Installs the cluster and the service→node placement.  Call before
+    traffic: existing containers are not retroactively charged to nodes.
+    Services missing from [assign] are auto-placed first-fit at first use.
+    Raises [Invalid_argument] on an out-of-range node id. *)
 
 val topology : t -> Quilt_place.Topology.t
 
@@ -281,7 +280,7 @@ val rack_of_service : t -> string -> int option
 val reassign : t -> service:string -> node:int -> bool
 (** Re-homes a service: future containers (e.g. the prewarmed pod of a
     {!deploy_rolling}) start on the new node; running containers stay put
-    until they die — exactly the migration primitive the rebalancer needs.
+    until they die.
     False when flat or the node id is out of range. *)
 
 val node_assignments : t -> (string * int) list
@@ -311,8 +310,8 @@ val topo_counters : t -> hop_counters
 
 val deployment_spec : t -> string -> spec option
 (** Spec of the deployment a service currently routes to (the live rolling
-    version's spec) — what a rebalancer re-submits to {!deploy_rolling}
-    after a {!reassign}. *)
+    version's spec) — what to re-submit to {!deploy_rolling} after a
+    {!reassign}. *)
 
 val route_of : t -> string -> string
 (** The deployment name a service currently routes to (itself when no

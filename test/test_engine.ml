@@ -1,7 +1,8 @@
 (* Focused unit tests for the simulator's mechanics: processor-sharing CPU,
    CFS throttling of long bursts, cold-start composition, container reuse
-   and specialization, routing, and the load generators' accounting.  Also
-   covers the tracing builder's aggregation details. *)
+   and specialization, routing, the load generators' accounting, and the
+   cluster node model (topology, reservations, hop classes, image cache,
+   node kills).  Also covers the tracing builder's aggregation details. *)
 
 module Engine = Quilt_platform.Engine
 module Loadgen = Quilt_platform.Loadgen
@@ -13,6 +14,8 @@ module Workflow = Quilt_apps.Workflow
 module Special = Quilt_apps.Special
 module Quilt = Quilt_core.Quilt
 module Ast = Quilt_lang.Ast
+module Topology = Quilt_place.Topology
+module Rng = Quilt_util.Rng
 
 (* A configurable single function: the request selects the work. *)
 let dial_fn =
@@ -462,8 +465,8 @@ let test_global_stats_race_free_under_domains () =
 (* The cluster topology subsystem must be invisible until asked for: a
    [Topology.Flat] install — and even a degenerate one-node cluster tuned
    to the seed's constants — leaves a full simulation bit-identical to the
-   untouched engine.  The engine-level face of the placement subsystem's
-   flat-parity claim, beside the scheduler golden fingerprints above. *)
+   untouched engine: the cluster model's flat-parity claim, beside the
+   scheduler golden fingerprints above. *)
 let compose_fingerprint prepare =
   let wfs = Quilt_apps.Deathstar.social_network ~async:false () in
   let compose = List.find (fun w -> w.Workflow.wf_name = "compose-post") wfs in
@@ -499,6 +502,190 @@ let test_degenerate_cluster_matches_seed () =
   let degenerate = compose_fingerprint (fun e -> Engine.set_topology e one_node) in
   Alcotest.(check bool) "one fat node at 200us = seed engine, bit-identical" true
     (seed = degenerate)
+
+(* --- topology --- *)
+
+let two_racks ?image_cache () =
+  Topology.make ?image_cache
+    [
+      Topology.node ~rack:0 ~vcpus:8.0 ~mem_mb:4096.0 ();
+      Topology.node ~rack:0 ~vcpus:8.0 ~mem_mb:4096.0 ();
+      Topology.node ~rack:1 ~vcpus:4.0 ~mem_mb:2048.0 ();
+    ]
+
+let cluster_of = function
+  | Topology.Cluster c -> c
+  | Topology.Flat -> Alcotest.fail "expected a cluster"
+
+let test_topology_basics () =
+  let t = two_racks () in
+  let c = cluster_of t in
+  Alcotest.(check int) "n_nodes" 3 (Topology.n_nodes t);
+  Alcotest.(check int) "flat has one implicit node" 1 (Topology.n_nodes Topology.flat);
+  Alcotest.(check bool) "dense ids" true
+    (Array.to_list (Array.map (fun n -> n.Topology.node_id) c.Topology.nodes) = [ 0; 1; 2 ]);
+  Alcotest.(check bool) "same node" true (Topology.dist c 1 1 = Topology.Same_node);
+  Alcotest.(check bool) "same rack" true (Topology.dist c 0 1 = Topology.Same_rack);
+  Alcotest.(check bool) "cross rack" true (Topology.dist c 0 2 = Topology.Cross_rack);
+  Alcotest.(check (float 1e-9)) "flat rtt is the default" 200.0
+    (Topology.rtt_us Topology.flat ~default_rtt_us:200.0 0 5);
+  Alcotest.(check (float 1e-9)) "cross-rack tier" c.Topology.rtt_cross_rack_us
+    (Topology.rtt_us t ~default_rtt_us:200.0 1 2);
+  Alcotest.(check bool) "describe mentions racks" true
+    (String.length (Topology.describe t) > 0)
+
+let test_topology_validation () =
+  Alcotest.check_raises "empty cluster"
+    (Invalid_argument "Topology.make: empty node list") (fun () ->
+      ignore (Topology.make []));
+  let bad () =
+    ignore (Topology.make [ Topology.node ~rack:0 ~vcpus:0.0 ~mem_mb:64.0 () ])
+  in
+  match bad () with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "non-positive capacity accepted"
+
+(* --- engine node model --- *)
+
+let routed_engine ?(seed = 7) ~assign topo () =
+  let wf = Special.routed () in
+  let engine = Quilt.fresh_platform ~seed ~workflows:[ wf ] () in
+  Engine.set_topology ~assign engine topo;
+  (engine, wf)
+
+let run_some engine (wf : Workflow.t) n =
+  let rng = Rng.create 3 in
+  let left = ref n in
+  for _ = 1 to n do
+    Engine.submit engine ~entry:wf.Workflow.entry ~req:(wf.Workflow.gen_req rng)
+      ~on_done:(fun ~latency_us:_ ~ok:_ -> decr left)
+  done;
+  Engine.drain engine;
+  Alcotest.(check int) "all delivered" 0 !left
+
+let test_engine_flat_noops () =
+  let wf = Special.routed () in
+  let engine = Quilt.fresh_platform ~workflows:[ wf ] () in
+  Alcotest.(check bool) "flat topology" true (Engine.topology engine = Topology.Flat);
+  Alcotest.(check int) "kill_node is a no-op" 0 (Engine.kill_node engine ~node:0);
+  Alcotest.(check bool) "reassign refused" false
+    (Engine.reassign engine ~service:"route-split" ~node:0);
+  Alcotest.(check int) "no node loads" 0 (Array.length (Engine.node_loads engine));
+  Alcotest.(check bool) "no node for services" true
+    (Engine.node_of_service engine "route-split" = None);
+  let h = Engine.topo_counters engine in
+  Alcotest.(check int) "no hops classified" 0
+    (h.Engine.hops_same_node + h.Engine.hops_same_rack + h.Engine.hops_cross_rack)
+
+let test_engine_out_of_range_assign () =
+  let wf = Special.routed () in
+  let engine = Quilt.fresh_platform ~workflows:[ wf ] () in
+  match Engine.set_topology ~assign:[ ("route-split", 9) ] engine (two_racks ()) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "out-of-range node id accepted"
+
+let test_engine_reservations_and_hops () =
+  (* Node 0 is sized so all five services' planned first pods (5 x 2 vCPU)
+     fit — set_topology accepts over-packed explicit assignments, and the
+     always-admitted first pod would then legitimately overcommit. *)
+  let roomy =
+    Topology.make
+      [
+        Topology.node ~rack:0 ~vcpus:16.0 ~mem_mb:8192.0 ();
+        Topology.node ~rack:1 ~vcpus:4.0 ~mem_mb:2048.0 ();
+      ]
+  in
+  let all_on_node0 = [ "route-split"; "route-a1"; "route-a2"; "route-b1"; "route-b2" ] in
+  let engine, wf =
+    routed_engine ~assign:(List.map (fun s -> (s, 0)) all_on_node0) roomy ()
+  in
+  run_some engine wf 10;
+  let h = Engine.topo_counters engine in
+  Alcotest.(check bool) "co-located: only same-node hops" true
+    (h.Engine.hops_same_node > 0 && h.Engine.hops_same_rack = 0 && h.Engine.hops_cross_rack = 0);
+  let loads = Engine.node_loads engine in
+  Alcotest.(check bool) "node 0 holds reservations" true
+    (loads.(0).Engine.nl_used_vcpus > 0.0 && loads.(0).Engine.nl_containers > 0);
+  Alcotest.(check bool) "node capacity respected" true
+    (loads.(0).Engine.nl_used_vcpus <= loads.(0).Engine.nl_node.Topology.vcpus +. 1e-9);
+  (* Split across racks: the same workload must now classify cross-rack. *)
+  let engine2, wf2 =
+    routed_engine
+      ~assign:[ ("route-split", 0); ("route-a1", 2); ("route-a2", 2); ("route-b1", 0); ("route-b2", 0) ]
+      (two_racks ()) ()
+  in
+  run_some engine2 wf2 10;
+  let h2 = Engine.topo_counters engine2 in
+  Alcotest.(check bool) "split: cross-rack hops appear" true (h2.Engine.hops_cross_rack > 0)
+
+let test_engine_capacity_denials () =
+  (* One node that fits exactly one 2-vCPU container: concurrency wants a
+     second pod, the node refuses, the denial is counted, and the pool
+     never exceeds one. *)
+  let one = Topology.make [ Topology.node ~rack:0 ~vcpus:2.0 ~mem_mb:4096.0 () ] in
+  let wf = Special.routed () in
+  let engine = Quilt.fresh_platform ~workflows:[ wf ] () in
+  Engine.set_topology ~assign:[ ("route-split", 0) ] engine one;
+  let rng = Rng.create 3 in
+  for _ = 1 to 40 do
+    Engine.submit engine ~entry:wf.Workflow.entry ~req:(wf.Workflow.gen_req rng)
+      ~on_done:(fun ~latency_us:_ ~ok:_ -> ())
+  done;
+  Engine.drain engine;
+  let h = Engine.topo_counters engine in
+  Alcotest.(check bool) "denials counted" true (h.Engine.capacity_denials > 0);
+  Alcotest.(check bool) "entry pool capped by the node" true
+    (Engine.peak_pool_size engine "route-split" = 1)
+
+let test_engine_image_cache () =
+  (* Cold start, kill the pool, cold start again: with the node image cache
+     the second pull is free, without it both cost the same.  Identical
+     event sequences except the cache bit, so the comparison is exact. *)
+  let run ~image_cache =
+    let engine, wf =
+      routed_engine ~assign:[] (two_racks ~image_cache ()) ()
+    in
+    let lat = ref [] in
+    let rng = Rng.create 5 in
+    let once () =
+      Engine.submit engine ~entry:wf.Workflow.entry ~req:(wf.Workflow.gen_req rng)
+        ~on_done:(fun ~latency_us ~ok:_ -> lat := latency_us :: !lat);
+      Engine.drain engine
+    in
+    once ();
+    List.iter (fun f -> ignore (Engine.kill_all_containers engine ~fn:f))
+      [ "route-split"; "route-a1"; "route-a2"; "route-b1"; "route-b2" ];
+    once ();
+    match !lat with [ second; first ] -> (first, second) | _ -> Alcotest.fail "two requests"
+  in
+  let f_on, s_on = run ~image_cache:true in
+  let f_off, s_off = run ~image_cache:false in
+  Alcotest.(check (float 1e-6)) "first cold start identical either way" f_off f_on;
+  Alcotest.(check bool) "cached re-pull strictly faster" true (s_on < s_off);
+  Alcotest.(check (float 1e-6)) "uncached re-pull pays full price" f_off s_off
+
+let test_engine_kill_node () =
+  let engine, wf =
+    routed_engine
+      ~assign:[ ("route-split", 0); ("route-a1", 1); ("route-a2", 1); ("route-b1", 1); ("route-b2", 1) ]
+      (two_racks ()) ()
+  in
+  run_some engine wf 5;
+  let before = (Engine.counters engine).Engine.crash_kills in
+  let on_node1 = (Engine.node_loads engine).(1).Engine.nl_containers in
+  Alcotest.(check bool) "node 1 hosts containers" true (on_node1 > 0);
+  let killed = Engine.kill_node engine ~node:1 in
+  Alcotest.(check int) "every container on the node died" on_node1 killed;
+  Alcotest.(check int) "each counted as a crash kill" (before + killed)
+    (Engine.counters engine).Engine.crash_kills;
+  Alcotest.(check (float 1e-9)) "reservations released" 0.0
+    (Engine.node_loads engine).(1).Engine.nl_used_vcpus;
+  Alcotest.(check int) "out of range is a no-op" 0 (Engine.kill_node engine ~node:9);
+  (* The node is dead capacity-wise only momentarily: the next request
+     cold-starts replacements on it. *)
+  run_some engine wf 3;
+  Alcotest.(check bool) "node repopulates" true
+    ((Engine.node_loads engine).(1).Engine.nl_containers > 0)
 
 (* --- Tracing builder details --- *)
 
@@ -667,6 +854,22 @@ let suite =
           test_flat_topology_bit_identical;
         Alcotest.test_case "degenerate 1-node cluster = seed" `Quick
           test_degenerate_cluster_matches_seed;
+      ] );
+    ( "place.topology",
+      [
+        Alcotest.test_case "nodes, racks, rtt tiers" `Quick test_topology_basics;
+        Alcotest.test_case "validation" `Quick test_topology_validation;
+      ] );
+    ( "place.engine",
+      [
+        Alcotest.test_case "flat engine: cluster API is inert" `Quick test_engine_flat_noops;
+        Alcotest.test_case "out-of-range assignment refused" `Quick
+          test_engine_out_of_range_assign;
+        Alcotest.test_case "reservations and hop classes" `Quick
+          test_engine_reservations_and_hops;
+        Alcotest.test_case "full node denies scale-ups" `Quick test_engine_capacity_denials;
+        Alcotest.test_case "per-node image cache" `Quick test_engine_image_cache;
+        Alcotest.test_case "node is a failure domain" `Quick test_engine_kill_node;
       ] );
     ( "engine.failures",
       [

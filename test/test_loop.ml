@@ -12,12 +12,11 @@
    Keys are ints; the deployed key starts at 0.  Window observations,
    canary verdicts and watchdog trips each happen one tick after the
    previous one; the solver's answer to a proposal comes at the proposal's
-   own time, as the controller and the rebalancer deliver it. *)
+   own time, as the controller delivers it. *)
 
 module Loop = Quilt_control.Loop
 module Canary = Quilt_control.Canary
 module Controller = Quilt_control.Controller
-module Rebalancer = Quilt_control.Rebalancer
 
 type sym =
   | Quiet
@@ -187,9 +186,9 @@ let check_all ~tick cfg =
 
 (* Two compact timings reach every lifecycle path (a hold after a revert,
    an acceptance after three inconclusive windows) within eight
-   observations; the controller's and the rebalancer's default timings
-   check the same properties with the numbers that run. *)
-let compact_rebalancer =
+   observations; the controller's default timings check the same
+   properties with the numbers that run. *)
+let compact_eager =
   { Loop.hysteresis = 1; cooldown_us = 2.0; noop_cooldown_us = 0.0; warmup_us = 1.0; eval_us = 1.0 }
 
 let compact_controller =
@@ -208,10 +207,9 @@ let controller_defaults =
 let test_exhaustive () =
   let runs =
     [
-      check_all ~tick:1.0 compact_rebalancer;
+      check_all ~tick:1.0 compact_eager;
       check_all ~tick:1.0 compact_controller;
       check_all ~tick:Controller.default_config.Controller.tick_us controller_defaults;
-      check_all ~tick:Rebalancer.tick_us Rebalancer.loop_config;
     ]
   in
   (* Not vacuous: every action of the loop occurs somewhere. *)

@@ -22,6 +22,5 @@ let () =
        Test_control.suite;
        Test_loop.suite;
        Test_fault.suite;
-       Test_place.suite;
        Test_obs.suite;
      ])
