@@ -1,6 +1,9 @@
 module Ast = Quilt_lang.Ast
 module Rng = Quilt_util.Rng
 
+(* Every DeathStarBench function here is written in Rust. *)
+let lang = "rust"
+
 let p ~c ~db ~m = { Workflow.compute_us = c; db_us = db; mem_mb = m }
 
 let gen_data_req prefix rng =
@@ -17,7 +20,7 @@ let make_workflow ~wf_name ~entry ~functions ~req_prefix =
 
 (* --- Social Network (Figure 14) --- *)
 
-let social_network ?(lang = "rust") ~async () =
+let social_network ~async () =
   let fn = Workflow.std_fn ~lang in
   (* compose-post: the entry fans out to text handling and metadata
      services, then persists and propagates to timelines. *)
@@ -79,7 +82,7 @@ let social_network ?(lang = "rust") ~async () =
 
 (* --- Media / Movie Review (Figure 3) --- *)
 
-let media ?(lang = "rust") ~async () =
+let media ~async () =
   let fn = Workflow.std_fn ~lang in
   (* compose-review: five upload-* stages each feed the shared
      compose-and-upload (Figure 3's many-callers vertex). *)
@@ -155,7 +158,7 @@ let media ?(lang = "rust") ~async () =
 
 (* --- Hotel Reservation (Figure 16): multi-second functions (§7.3.1). --- *)
 
-let hotel ?(lang = "rust") () =
+let hotel () =
   let fn = Workflow.std_fn ~lang in
   let search =
     [
@@ -200,5 +203,4 @@ let hotel ?(lang = "rust") () =
     make_workflow ~wf_name:"nearby-cinema" ~entry:"nearby-cinema" ~functions:nearby_cinema ~req_prefix:"nc";
   ]
 
-let all ?lang ~async () =
-  social_network ?lang ~async () @ media ?lang ~async () @ hotel ?lang ()
+let all ~async () = social_network ~async () @ media ~async () @ hotel ()

@@ -8,14 +8,14 @@
     paper shows merging stops paying off — and are only built
     synchronously, as in the paper. *)
 
-val social_network : ?lang:string -> async:bool -> unit -> Workflow.t list
+val social_network : async:bool -> unit -> Workflow.t list
 (** compose-post (11 fns), follow-with-uname (4), read-home-timeline (2). *)
 
-val media : ?lang:string -> async:bool -> unit -> Workflow.t list
+val media : async:bool -> unit -> Workflow.t list
 (** compose-review (15 fns), page-service (6), read-user-review (2). *)
 
-val hotel : ?lang:string -> unit -> Workflow.t list
+val hotel : unit -> Workflow.t list
 (** search-handler (6), reservation-handler (3), nearby-cinema (2). *)
 
-val all : ?lang:string -> async:bool -> unit -> Workflow.t list
+val all : async:bool -> unit -> Workflow.t list
 (** The nine workflows, SN then MR then HR. *)

@@ -1,12 +1,15 @@
 module Ast = Quilt_lang.Ast
 module Rng = Quilt_util.Rng
 
+(* Every workload here but [cross_language] is written in Rust. *)
+let lang = "rust"
+
 let p ~c ~db ~m = { Workflow.compute_us = c; db_us = db; mem_mb = m }
 
 (* Experiment 3: 6 CPU-heavy GNP clones (300K points each), 2 aggregators
    of 3, and the entry calling both aggregators.  1.6 vCPU / 320 MB
    containers make the fully-merged binary throttle. *)
-let modified_nearby_cinema ?(lang = "rust") () =
+let modified_nearby_cinema () =
   let fn = Workflow.std_fn ~lang in
   let gnp i =
     fn
@@ -42,7 +45,7 @@ let modified_nearby_cinema ?(lang = "rust") () =
     code_edges = Workflow.edges_of functions;
   }
 
-let noop ?(lang = "rust") () =
+let noop () =
   let functions =
     [ Workflow.std_fn ~lang ~name:"noop" ~profile:(p ~c:0 ~db:0 ~m:0) () ]
   in
@@ -54,7 +57,7 @@ let noop ?(lang = "rust") () =
     code_edges = [];
   }
 
-let fan_out ?(lang = "rust") ~callee_mem_mb () =
+let fan_out ~callee_mem_mb () =
   let worker =
     Workflow.std_fn ~lang ~name:"fan-out-worker"
       ~profile:(p ~c:600 ~db:1_000 ~m:callee_mem_mb)
@@ -99,7 +102,7 @@ let routed_req ~b_share rng =
   let route = if Rng.chance rng b_share then 1 else 0 in
   Printf.sprintf "{\"route\":%d,\"data\":\"r%d\"}" route (Rng.int rng 30)
 
-let routed ?(lang = "rust") () =
+let routed () =
   let fn = Workflow.std_fn ~lang in
   let path pfx =
     [

@@ -9,15 +9,15 @@
     - {!cross_language}: a five-language workflow for the cross-language
       merging demonstrations. *)
 
-val modified_nearby_cinema : ?lang:string -> unit -> Workflow.t
+val modified_nearby_cinema : unit -> Workflow.t
 
-val noop : ?lang:string -> unit -> Workflow.t
+val noop : unit -> Workflow.t
 
-val fan_out : ?lang:string -> callee_mem_mb:int -> unit -> Workflow.t
+val fan_out : callee_mem_mb:int -> unit -> Workflow.t
 (** Request format [{"num": k}]: the entry invokes [fan-out-worker]
     asynchronously [k] times; each worker instance holds [callee_mem_mb]. *)
 
-val routed : ?lang:string -> unit -> Workflow.t
+val routed : unit -> Workflow.t
 (** The adaptive scenario's workload: entry [route-split] forwards each
     request down chain A ([route-a1] → [route-a2]) when the request's
     ["route"] field is 0, chain B otherwise.  Chains are sized so the

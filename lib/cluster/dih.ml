@@ -1,9 +1,11 @@
 module Callgraph = Quilt_dag.Callgraph
 module Bitset = Quilt_util.Bitset
 
-type weights = { beta : float; gamma : float; delta : float }
-
-let default_weights = { beta = 1.0 /. 3.0; gamma = 1.0 /. 3.0; delta = 1.0 /. 3.0 }
+(* β = γ = δ: the in-degree and the two downstream-pressure terms weigh
+   equally. *)
+let beta = 1.0 /. 3.0
+let gamma = 1.0 /. 3.0
+let delta = 1.0 /. 3.0
 
 let epsilon = 1e-9
 
@@ -37,7 +39,7 @@ let downstream_demand (g : Callgraph.t) =
         d;
       (!cpu, !mem))
 
-let scores ?(weights = default_weights) (g : Callgraph.t) (lim : Types.limits) =
+let scores (g : Callgraph.t) (lim : Types.limits) =
   let n = Callgraph.n_nodes g in
   let demand = downstream_demand g in
   let w_in = Array.init n (fun j -> Callgraph.weighted_in_degree g j) in
@@ -50,25 +52,23 @@ let scores ?(weights = default_weights) (g : Callgraph.t) (lim : Types.limits) =
       if j = g.Callgraph.root then 0.0
       else begin
         let cpu_ds, mem_ds = demand.(j) in
-        (weights.beta *. (w_in.(j) /. (max_w_in +. epsilon)))
-        +. (weights.gamma *. (mem_ds /. (lim.Types.max_mem_mb +. epsilon)))
-        +. (weights.delta *. (cpu_ds /. (lim.Types.max_cpu +. epsilon)))
+        (beta *. (w_in.(j) /. (max_w_in +. epsilon)))
+        +. (gamma *. (mem_ds /. (lim.Types.max_mem_mb +. epsilon)))
+        +. (delta *. (cpu_ds /. (lim.Types.max_cpu +. epsilon)))
       end)
 
-let candidate_pool ?weights (g : Callgraph.t) (lim : Types.limits) size =
-  let s = scores ?weights g lim in
+let candidate_pool (g : Callgraph.t) (lim : Types.limits) size =
+  let s = scores g lim in
   let candidates =
     List.filter (fun j -> j <> g.Callgraph.root) (List.init (Callgraph.n_nodes g) (fun i -> i))
   in
   let ranked = List.sort (fun a b -> compare s.(b) s.(a)) candidates in
   List.filteri (fun i _ -> i < size) ranked
 
-let solve ?weights ?pool_size ?k_max ?patience ?(fallback = true) (g : Callgraph.t)
-    (lim : Types.limits) =
+let solve ?k_max ?(fallback = true) (g : Callgraph.t) (lim : Types.limits) =
   let n = Callgraph.n_nodes g in
-  let pool_size = match pool_size with Some p -> p | None -> min 8 (n - 1) in
-  let pool = candidate_pool ?weights g lim pool_size in
-  match Sweep.solve_over_pool ?k_max ?patience g lim ~pool with
+  let pool = candidate_pool g lim (min 8 (n - 1)) in
+  match Sweep.solve_over_pool ?k_max g lim ~pool with
   | Some sol -> Some sol
   | None when not fallback -> None
   | None ->

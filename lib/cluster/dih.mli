@@ -6,40 +6,27 @@
     container limit M, and (c) the CPU demand of its descendants relative to
     C.  High scores mark "gateways to resource-heavy subgraphs" that make
     good subgraph roots.  Descendant sets are computed once, with
-    memoization in reverse topological order (Appendix C.3). *)
-
-type weights = {
-  beta : float;  (** Weight of normalized weighted in-degree. *)
-  gamma : float;  (** Weight of downstream memory pressure. *)
-  delta : float;  (** Weight of downstream CPU pressure. *)
-}
-
-val default_weights : weights
-(** β = γ = δ = 1/3. *)
+    memoization in reverse topological order (Appendix C.3).  The three
+    terms weigh equally: β = γ = δ = 1/3. *)
 
 val downstream_demand : Quilt_dag.Callgraph.t -> (float * float) array
 (** Per vertex j: (C_ds(j), M_ds(j)) — the CPU and memory that the
     descendant subgraph of j would consume if merged (Appendix C.1). *)
 
-val scores :
-  ?weights:weights -> Quilt_dag.Callgraph.t -> Types.limits -> float array
+val scores : Quilt_dag.Callgraph.t -> Types.limits -> float array
 (** Score(j) for every vertex; the graph root's score is 0 (it is always a
     root and never a candidate). *)
 
-val candidate_pool :
-  ?weights:weights -> Quilt_dag.Callgraph.t -> Types.limits -> int -> int list
+val candidate_pool : Quilt_dag.Callgraph.t -> Types.limits -> int -> int list
 (** Top-ℓ non-root vertices by score, best first. *)
 
 val solve :
-  ?weights:weights ->
-  ?pool_size:int ->
   ?k_max:int ->
-  ?patience:int ->
   ?fallback:bool ->
   Quilt_dag.Callgraph.t ->
   Types.limits ->
   Types.solution option
-(** The DIH decision algorithm: build the candidate pool (default size
-    min(8, |V|−1)) and sweep root sets drawn from it ({!Sweep}).  With
+(** The DIH decision algorithm: build the candidate pool of size
+    min(8, |V|−1) and sweep root sets drawn from it ({!Sweep}).  With
     [fallback] (default true), makes every vertex a root when the pool
     yields nothing feasible. *)

@@ -12,10 +12,9 @@ let draw_pool rng ~rcl ~count =
   Rng.shuffle rng rcl;
   Array.to_list (Array.sub rcl 0 (min count (Array.length rcl)))
 
-let solve ?weights ?(rcl_factor = 2) ?(initial_pool = 3) rng (g : Callgraph.t)
-    (lim : Types.limits) =
+let solve rng (g : Callgraph.t) (lim : Types.limits) =
   let n = Callgraph.n_nodes g in
-  let s = Dih.scores ?weights g lim in
+  let s = Dih.scores g lim in
   let candidates = List.filter (fun j -> j <> g.Callgraph.root) (List.init n (fun i -> i)) in
   let ranked = List.sort (fun a b -> compare s.(b) s.(a)) candidates in
   (* Stage 1: adaptive randomized search for an initial feasible root set. *)
@@ -28,7 +27,7 @@ let solve ?weights ?(rcl_factor = 2) ?(initial_pool = 3) rng (g : Callgraph.t)
       else None
     end
     else begin
-      let rcl = List.filteri (fun i _ -> i < rcl_factor * ell) ranked in
+      let rcl = List.filteri (fun i _ -> i < 2 * ell) ranked in
       let pool = draw_pool rng ~rcl ~count:ell in
       let roots = g.Callgraph.root :: pool in
       if Closure.root_set_feasible g lim ~roots then begin
@@ -39,7 +38,7 @@ let solve ?weights ?(rcl_factor = 2) ?(initial_pool = 3) rng (g : Callgraph.t)
       else stage1 (ell + 1)
     end
   in
-  match stage1 initial_pool with
+  match stage1 3 with
   | None -> None
   | Some (roots0, sol0) ->
       (* Stage 2: greedy refinement by pruning low-DIH roots. *)

@@ -8,15 +8,11 @@
     restarting after each success, until a local optimum. *)
 
 val solve :
-  ?weights:Dih.weights ->
-  ?rcl_factor:int ->
-  ?initial_pool:int ->
   Quilt_util.Rng.t ->
   Quilt_dag.Callgraph.t ->
   Types.limits ->
   Types.solution option
-(** [rcl_factor] (default 2) sizes the RCL at [rcl_factor × ℓ];
-    [initial_pool] (default 3) is the starting ℓ.  Phase 2 uses
+(** The RCL holds the top 2ℓ scorers, and ℓ starts at 3.  Phase 2 uses
     {!Closure.solve} (greedy beyond the exact-search limits).  [None] only
     when even the all-roots assignment is infeasible.  Seeded runs are
     deterministic. *)

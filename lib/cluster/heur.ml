@@ -89,7 +89,7 @@ let solve_by_score ~scores:s ?pool_size ?k_max ?(fallback = true) (g : Callgraph
       if Closure.root_set_feasible g lim ~roots:all then Closure.solve_greedy g lim ~roots:all
       else None
 
-let solve_weighted_degree ?pool_size ?k_max ?patience:_ ?fallback (g : Callgraph.t)
+let solve_weighted_degree ?pool_size ?k_max ?fallback (g : Callgraph.t)
     (lim : Types.limits) =
   solve_by_score ~scores:(weighted_in_degree_scores g) ?pool_size ?k_max ?fallback g lim
 

@@ -3,8 +3,6 @@
     They look only at local properties of a vertex, which is why they lose
     to DIH — they ignore the resource demands downstream of a candidate. *)
 
-val weighted_in_degree_scores : Quilt_dag.Callgraph.t -> float array
-
 val weighted_out_degree_scores : Quilt_dag.Callgraph.t -> float array
 
 val betweenness_scores : Quilt_dag.Callgraph.t -> float array
@@ -13,7 +11,6 @@ val betweenness_scores : Quilt_dag.Callgraph.t -> float array
 val solve_weighted_degree :
   ?pool_size:int ->
   ?k_max:int ->
-  ?patience:int ->
   ?fallback:bool ->
   Quilt_dag.Callgraph.t ->
   Types.limits ->

@@ -4,15 +4,14 @@ module Callgraph = Quilt_dag.Callgraph
    best cost found so far prunes all later searches.  A search it prunes to
    [None] is one whose optimum is above that cost, which the
    strict-improvement fold below would have ignored anyway. *)
-let solve ?max_k (g : Callgraph.t) (lim : Types.limits) =
+let solve (g : Callgraph.t) (lim : Types.limits) =
   let n = Callgraph.n_nodes g in
-  let max_k = match max_k with Some k -> min k n | None -> n in
   let non_roots = List.filter (fun v -> v <> g.Callgraph.root) (List.init n (fun i -> i)) in
   let incumbent = ref max_int in
   let best = ref None in
   let cost_zero () = match !best with Some b -> b.Types.cost = 0 | None -> false in
   (try
-     for k = 1 to max_k do
+     for k = 1 to n do
        let subsets = Sweep.combinations non_roots (k - 1) in
        List.iter
          (fun extra ->

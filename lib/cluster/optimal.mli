@@ -7,11 +7,9 @@
     shows why all k must be tried).  Exponential in |V|: practical for
     workflows of ≤ ~15 functions, which covers the benchmark applications. *)
 
-val solve :
-  ?max_k:int -> Quilt_dag.Callgraph.t -> Types.limits -> Types.solution option
-(** [max_k] truncates the sweep (the full sweep uses |V|); useful in the
-    decision-time benchmarks.  Returns [None] when no feasible grouping
-    exists even with every vertex its own root.
+val solve : Quilt_dag.Callgraph.t -> Types.limits -> Types.solution option
+(** Returns [None] when no feasible grouping exists even with every vertex
+    its own root.
 
     The sweep is sequential and threads one {!Closure.solve_exact}
     incumbent through every root set, so the best cost found so far prunes

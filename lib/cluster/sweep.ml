@@ -13,7 +13,7 @@ let rec combinations items size =
    strictly improve on a cost already found, so the best solution, the per-k
    improvement flag and hence the patience-based stopping point are those of
    the sweep without it. *)
-let solve_over_pool ?k_max ?(patience = 2) (g : Quilt_dag.Callgraph.t) (lim : Types.limits) ~pool =
+let solve_over_pool ?k_max (g : Quilt_dag.Callgraph.t) (lim : Types.limits) ~pool =
   let k_max = match k_max with Some k -> k | None -> List.length pool + 1 in
   let incumbent = ref max_int in
   let best = ref None in
@@ -39,7 +39,7 @@ let solve_over_pool ?k_max ?(patience = 2) (g : Quilt_dag.Callgraph.t) (lim : Ty
     else begin
       incr stale;
       (* Only give up early once a feasible grouping exists. *)
-      if !best <> None && !stale >= patience then continue := false
+      if !best <> None && !stale >= 2 then continue := false
     end;
     incr k
   done;

@@ -11,13 +11,12 @@ val combinations : 'a list -> int -> 'a list list
 
 val solve_over_pool :
   ?k_max:int ->
-  ?patience:int ->
   Quilt_dag.Callgraph.t ->
   Types.limits ->
   pool:int list ->
   Types.solution option
 (** Sweeps k = 1, 2, ... taking the k−1 extra roots from subsets of [pool];
     Phase 2 is {!Closure.solve}, with one incumbent threaded through every
-    root set (see {!Closure.solve_exact}).  Stops after [patience]
-    (default 2) consecutive values of k without improvement, or at [k_max]
+    root set (see {!Closure.solve_exact}).  Stops after two
+    consecutive values of k without improvement, or at [k_max]
     (default [List.length pool + 1]).  Returns the best solution found. *)

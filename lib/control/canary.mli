@@ -3,25 +3,21 @@
     Every redeploy is an experiment: the controller snapshots the latency
     stream before the switch, lets the new version warm up, and compares
     the post-switch tail and failure rate against the pre-switch window.
-    A regression beyond the configured ratios reverts the switch. *)
+    A regression beyond the fixed ratios below reverts the switch. *)
 
-type config = {
-  quantile : float;  (** Tail quantile compared (default 0.99). *)
-  regress_ratio : float;
-      (** Post/pre tail-latency ratio above which the switch is judged a
-          regression (default 2.0 — generous enough that the tail of the
-          rolling update's cold-start transient is not mistaken for one). *)
-  max_fail_delta : float;
-      (** Absolute failure-rate increase tolerated (default 0.05). *)
-  min_samples : int;  (** Below this many post-switch samples the verdict
-      is {!Inconclusive} (default 20). *)
-}
+val quantile : float
+(** Tail quantile compared: 0.99. *)
 
-val default : config
+val max_fail_delta : float
+(** Absolute failure-rate increase tolerated: 0.05. *)
+
+val min_samples : int
+(** Below this many post-switch samples the verdict is {!Inconclusive}:
+    20. *)
 
 type stats = { n : int; fail_rate : float; tail_us : float }
 
-val stats_of : config -> (float * bool) list -> stats
+val stats_of : (float * bool) list -> stats
 (** From (latency_us, ok) samples; [tail_us] is over successes only and 0
     when there are none. *)
 
@@ -38,7 +34,7 @@ val samples : unit -> samples
 val prune : samples -> before:float -> unit
 (** Drops samples timestamped before [before]. *)
 
-val stats_between : config -> samples -> from_:float -> to_:float -> stats
+val stats_between : samples -> from_:float -> to_:float -> stats
 (** {!stats_of} over the samples timestamped in [[from_, to_]]. *)
 
 val supervise :
@@ -56,7 +52,7 @@ val supervise :
 
 type verdict = Pass | Regress of string | Inconclusive of string
 
-val judge : config -> pre:stats -> post:stats -> verdict
+val judge : pre:stats -> post:stats -> verdict
 (** Failure-rate spike is checked first (an OOM-looping deployment can
     show a {e lower} tail because only cheap requests survive), then the
     tail ratio.  [Inconclusive] when either side lacks samples. *)

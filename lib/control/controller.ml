@@ -9,24 +9,20 @@ module Json = Quilt_util.Json
 type config = {
   tick_us : float;
   window_us : float;
-  threshold : float;
-  hysteresis : int;
   cooldown_us : float;
   min_invocations : int;
-  canary : Canary.config;
   canary_warmup_us : float;
   canary_eval_us : float;
 }
+
+let hysteresis = 2
 
 let default_config =
   {
     tick_us = 2_000_000.0;
     window_us = 8_000_000.0;
-    threshold = 0.3;
-    hysteresis = 2;
     cooldown_us = 10_000_000.0;
     min_invocations = 40;
-    canary = Canary.default;
     canary_warmup_us = 5_000_000.0;
     canary_eval_us = 6_000_000.0;
   }
@@ -128,7 +124,7 @@ let create engine ?(cfg = default_config) ?obs ~quilt_cfg ~workflows ~plan () =
     cfg;
     loop_cfg =
       {
-        Loop.hysteresis = cfg.hysteresis;
+        Loop.hysteresis = hysteresis;
         cooldown_us = cfg.cooldown_us;
         noop_cooldown_us = cfg.cooldown_us;
         warmup_us = cfg.canary_warmup_us;
@@ -141,7 +137,7 @@ let create engine ?(cfg = default_config) ?obs ~quilt_cfg ~workflows ~plan () =
     loop = Loop.init;
     current = plan;
     displaced = plan;
-    pre = Canary.stats_of cfg.canary [];
+    pre = Canary.stats_of [];
     events_rev = [];
     ticks = 0;
     samples = Canary.samples ();
@@ -176,7 +172,7 @@ let window_invocations t =
 let log t kind detail =
   t.events_rev <- { ev_ts = Engine.now t.engine; ev_kind = kind; ev_detail = detail } :: t.events_rev
 
-let stats_between t ~from_ ~to_ = Canary.stats_between t.cfg.canary t.samples ~from_ ~to_
+let stats_between t ~from_ ~to_ = Canary.stats_between t.samples ~from_ ~to_
 
 (* One observation through the loop; [apply] carries out each action. *)
 let feed t ~now obs apply =
@@ -233,8 +229,8 @@ let watchdog t ~now =
   else
     let recent = stats_between t ~from_:(now -. t.cfg.window_us) ~to_:now in
     if
-      recent.Canary.n >= t.cfg.canary.Canary.min_samples
-      && recent.Canary.fail_rate > t.cfg.canary.Canary.max_fail_delta
+      recent.Canary.n >= Canary.min_samples
+      && recent.Canary.fail_rate > Canary.max_fail_delta
     then Some recent
     else None
 
@@ -247,12 +243,12 @@ let tick t =
   match t.loop.Loop.phase with
   | Loop.Flight { switched; _ } ->
       let post = stats_between t ~from_:(switched +. t.cfg.canary_warmup_us) ~to_:now in
-      let verdict = Canary.judge t.cfg.canary ~pre:t.pre ~post in
+      let verdict = Canary.judge ~pre:t.pre ~post in
       let detail =
         match verdict with
         | Canary.Pass ->
             Printf.sprintf "post p%.0f %.1f ms (pre %.1f ms), failures %.1f%%"
-              (100.0 *. t.cfg.canary.Canary.quantile) (post.Canary.tail_us /. 1000.0)
+              (100.0 *. Canary.quantile) (post.Canary.tail_us /. 1000.0)
               (t.pre.Canary.tail_us /. 1000.0)
               (100.0 *. post.Canary.fail_rate)
         | Canary.Regress reason -> reason
@@ -272,7 +268,7 @@ let tick t =
               revert t ~now Watchdog_rolled_back
                 (Printf.sprintf "failure rate %.1f%% over last window (tolerance %.1f%%)"
                    (100.0 *. recent.Canary.fail_rate)
-                   (100.0 *. t.cfg.canary.Canary.max_fail_delta)))
+                   (100.0 *. Canary.max_fail_delta)))
       | None -> (
           let n = window_invocations t in
           if n < t.cfg.min_invocations then
@@ -283,9 +279,7 @@ let tick t =
             match window_graph t with
             | Error e -> feed t ~now Loop.Thin (fun _ -> log t Skipped e)
             | Ok wg ->
-                let report =
-                  Drift.detect ~threshold:t.cfg.threshold t.current.Quilt.callgraph wg
-                in
+                let report = Drift.detect t.current.Quilt.callgraph wg in
                 feed t ~now
                   (if Drift.drifted report then Loop.Drifted else Loop.Quiet)
                   (function

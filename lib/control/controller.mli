@@ -9,17 +9,18 @@
     watchdog trip, else the windowed call graph's drift against the
     deployed plan's graph.  It applies the actions in return: re-run the
     solver on the window graph, redeploy via rolling update, roll back,
-    raise the window floor, log an {!event}. *)
+    raise the window floor, log an {!event}.
+
+    Fixed settings: drift is {!Quilt_dag.Drift.detect} at its default 0.3
+    relative threshold, {!hysteresis} consecutive drifted windows propose a
+    re-decision, and the canary judges with {!Canary}'s constants. *)
 
 type config = {
   tick_us : float;  (** Controller period (default 2 s). *)
   window_us : float;  (** Sliding profile window (default 8 s). *)
-  threshold : float;  (** Relative drift threshold (default 0.3). *)
-  hysteresis : int;  (** Consecutive drifted windows required (default 2). *)
   cooldown_us : float;  (** Quiet period after any action (default 10 s). *)
   min_invocations : int;
       (** Windows with fewer entry invocations are skipped (default 40). *)
-  canary : Canary.config;
   canary_warmup_us : float;
       (** Post-switch samples ignored while the new version warms up —
           long enough to cover the route flip and the new pool's scale-up
@@ -29,6 +30,9 @@ type config = {
 }
 
 val default_config : config
+
+val hysteresis : int
+(** Consecutive drifted windows required before a re-decision: 2. *)
 
 type kind =
   | Kept  (** Window evaluated, no drift. *)

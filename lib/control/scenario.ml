@@ -77,7 +77,6 @@ let entry_fn = "route-split"
 let ctl_cfg ~smoke =
   if smoke then
     {
-      Controller.default_config with
       Controller.tick_us = 1_000_000.0;
       window_us = 5_000_000.0;
       cooldown_us = 6_000_000.0;

@@ -7,7 +7,6 @@ type t = {
   cpu_budget_ms : float;
   mem_overhead_mb : float;
   guard_policy : guard_policy;
-  algorithm : Quilt_cluster.Decision.algorithm option;
   profile_duration_us : float;
   profile_connections : int;
   seed : int;
@@ -23,7 +22,6 @@ let default =
     cpu_budget_ms = 1500.0;
     mem_overhead_mb = 16.0;
     guard_policy = Data_dependent;
-    algorithm = None;
     profile_duration_us = 30_000_000.0;
     profile_connections = 4;
     seed = 1;

@@ -18,7 +18,6 @@ type t = {
   mem_overhead_mb : float;
       (** Reserved for runtime + binary; M = mem_limit − overhead. *)
   guard_policy : guard_policy;
-  algorithm : Quilt_cluster.Decision.algorithm option;  (** [None] = auto. *)
   profile_duration_us : float;  (** Length of the profiling window. *)
   profile_connections : int;  (** Closed-loop load used while profiling. *)
   seed : int;

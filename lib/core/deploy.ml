@@ -6,6 +6,7 @@ module Sizes = Quilt_merge.Sizes
 module Callgraph = Quilt_dag.Callgraph
 module Workflow = Quilt_apps.Workflow
 
+(* Resident base memory of one process: runtime arenas + mapped binary. *)
 let resident_mem_mb ~binary_mb = 6.0 +. (binary_mb *. 1.2)
 
 let baseline_spec (cfg : Config.t) (fn : Ast.fn) =

@@ -6,20 +6,15 @@
     model), whether the HTTP stack loads eagerly (pre-DelayHTTP binaries
     do), and hence the cold-start cost. *)
 
-val resident_mem_mb : binary_mb:float -> float
-(** Resident base memory of one process: runtime arenas + mapped binary. *)
-
 val baseline_spec : Config.t -> Quilt_lang.Ast.fn -> Quilt_platform.Engine.spec
 (** One function per container, Plain mode. *)
 
 val deploy_baseline : Quilt_platform.Engine.t -> Config.t -> Quilt_apps.Workflow.t -> unit
 
-val cm_spec : ?mem_limit_mb:float -> Config.t -> Quilt_apps.Workflow.t -> Quilt_platform.Engine.spec
+val deploy_cm : ?mem_limit_mb:float -> Quilt_platform.Engine.t -> Config.t -> Quilt_apps.Workflow.t -> unit
 (** The container-merge baseline (§7.2): all of the workflow's functions in
     one container behind an internal gateway.  The entry's handle routes to
     it. *)
-
-val deploy_cm : ?mem_limit_mb:float -> Quilt_platform.Engine.t -> Config.t -> Quilt_apps.Workflow.t -> unit
 
 type merged_deployment = {
   spec : Quilt_platform.Engine.spec;

@@ -16,9 +16,9 @@ type t = {
   deployments : Deploy.merged_deployment list;
 }
 
-let fresh_platform ?(seed = 7) ?params ?(config = Config.default) ~workflows () =
+let fresh_platform ?(seed = 7) ?(config = Config.default) ~workflows () =
   let registry = Workflow.registry workflows in
-  let engine = Engine.create ~seed ?params ~registry () in
+  let engine = Engine.create ~seed ~registry () in
   List.iter (fun wf -> Deploy.deploy_baseline engine config wf) workflows;
   engine
 
@@ -78,11 +78,7 @@ let singleton_solution (g : Callgraph.t) =
    cost-only answer. *)
 let solve_with_penalty (cfg : Config.t) callgraph limits =
   let lambda = cfg.Config.reliability_lambda in
-  let primary =
-    match cfg.Config.algorithm with
-    | Some algorithm -> Decision.solve ~seed:cfg.Config.seed algorithm callgraph limits
-    | None -> Decision.auto ~seed:cfg.Config.seed callgraph limits
-  in
+  let primary = Decision.auto ~seed:cfg.Config.seed callgraph limits in
   if lambda <= 0.0 then primary
   else begin
     let extra =
@@ -150,7 +146,7 @@ type reconsideration =
   | Remerge of t * Drift.report
   | Rollback_advised of string
 
-let reconsider ?(drift_threshold = 0.3) (cfg : Config.t) ~workflows (t : t) =
+let reconsider (cfg : Config.t) ~workflows (t : t) =
   (* Pick up the (possibly updated) workflow by name. *)
   let wf =
     match List.find_opt (fun w -> w.Workflow.wf_name = t.workflow.Workflow.wf_name) workflows with
@@ -160,7 +156,7 @@ let reconsider ?(drift_threshold = 0.3) (cfg : Config.t) ~workflows (t : t) =
   match profile cfg ~workflows wf with
   | Error e -> Rollback_advised (Printf.sprintf "re-profiling failed: %s" e)
   | Ok fresh ->
-      let report = Drift.detect ~threshold:drift_threshold t.callgraph fresh in
+      let report = Drift.detect t.callgraph fresh in
       if not (Drift.drifted report) then Keep report
       else begin
         match optimize ~graph:fresh cfg ~workflows wf with

@@ -49,7 +49,6 @@ val rollback : Quilt_platform.Engine.t -> Config.t -> t -> unit
 
 val fresh_platform :
   ?seed:int ->
-  ?params:Quilt_platform.Params.t ->
   ?config:Config.t ->
   workflows:Quilt_apps.Workflow.t list ->
   unit ->
@@ -70,7 +69,6 @@ type reconsideration =
           the original functions (§8). *)
 
 val reconsider :
-  ?drift_threshold:float ->
   Config.t ->
   workflows:Quilt_apps.Workflow.t list ->
   t ->
@@ -81,8 +79,7 @@ val reconsider :
     call graph against the one the plan was built from with
     {!Quilt_dag.Drift.detect} — the same definition the online control plane
     ({!Quilt_control}) uses: topology changes, per-edge call-rate and α
-    changes, resource drift beyond [drift_threshold] (relative, default
-    0.3), or opt-in changes trigger a re-optimization.  The workflow is
+    changes, resource drift beyond 30% (relative), or opt-in changes trigger a re-optimization.  The workflow is
     looked up by name in [workflows], so an updated version of the functions
     is picked up. *)
 

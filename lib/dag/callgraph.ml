@@ -31,8 +31,6 @@ let preds g i = Array.to_list g.pred_adj.(i)
 
 let iter_succs g i f = Array.iter f g.succ_adj.(i)
 
-let iter_preds g i f = Array.iter f g.pred_adj.(i)
-
 let alpha g e =
   let n = if g.invocations <= 0 then 1 else g.invocations in
   let a = (e.weight + n - 1) / n in
@@ -122,10 +120,6 @@ let make ~nodes ~edges ~root ~invocations =
       invalid_arg (Printf.sprintf "Callgraph.make: node %d (%s) unreachable from root" i nodes.(i).name)
   done;
   g
-
-let is_reachable g i j =
-  let seen = reachable_from g i in
-  Bitset.mem seen j
 
 let descendant_sets g =
   let n = Array.length g.nodes in

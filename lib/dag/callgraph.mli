@@ -70,7 +70,6 @@ val in_edges : t -> int -> edge array
 (** The vertex's incoming-edge array itself — no allocation.  Read-only. *)
 
 val iter_succs : t -> int -> (edge -> unit) -> unit
-val iter_preds : t -> int -> (edge -> unit) -> unit
 
 val topo_order : t -> int list
 (** Vertices in topological order (root first). *)
@@ -86,8 +85,6 @@ val descendant_sets : t -> Quilt_util.Bitset.t array
 
 val weighted_in_degree : t -> int -> float
 (** Σ of weights of incoming edges (W_in in Appendix C.1). *)
-
-val is_reachable : t -> int -> int -> bool
 
 val with_mergeable : t -> (string -> bool) -> t
 (** Re-labels the opt-in bit by function name (used after profiling, since

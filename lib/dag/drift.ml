@@ -1,4 +1,3 @@
-module Json = Quilt_util.Json
 
 type rate_shift = {
   rs_src : string;
@@ -150,53 +149,3 @@ let describe r =
     List.iter (fun n -> line "fn %s opt-in flipped" n) r.optin_flips;
     String.trim (Buffer.contents buf)
   end
-
-let to_json r =
-  let strs l = Json.List (List.map Json.str l) in
-  let pairs l = Json.List (List.map (fun (a, b) -> Json.List [ Json.str a; Json.str b ]) l) in
-  Json.Obj
-    [
-      ("threshold", Json.Float r.threshold);
-      ("added_nodes", strs r.added_nodes);
-      ("removed_nodes", strs r.removed_nodes);
-      ("added_edges", pairs r.added_edges);
-      ("removed_edges", pairs r.removed_edges);
-      ( "rate_shifts",
-        Json.List
-          (List.map
-             (fun s ->
-               Json.Obj
-                 [
-                   ("src", Json.str s.rs_src);
-                   ("dst", Json.str s.rs_dst);
-                   ("old", Json.Float s.rate_old);
-                   ("new", Json.Float s.rate_new);
-                 ])
-             r.rate_shifts) );
-      ( "alpha_shifts",
-        Json.List
-          (List.map
-             (fun s ->
-               Json.Obj
-                 [
-                   ("src", Json.str s.as_src);
-                   ("dst", Json.str s.as_dst);
-                   ("old", Json.int s.alpha_old);
-                   ("new", Json.int s.alpha_new);
-                 ])
-             r.alpha_shifts) );
-      ( "resource_shifts",
-        Json.List
-          (List.map
-             (fun s ->
-               Json.Obj
-                 [
-                   ("fn", Json.str s.fn);
-                   ("cpu_old", Json.Float s.cpu_old);
-                   ("cpu_new", Json.Float s.cpu_new);
-                   ("mem_old", Json.Float s.mem_old);
-                   ("mem_new", Json.Float s.mem_new);
-                 ])
-             r.resource_shifts) );
-      ("optin_flips", strs r.optin_flips);
-    ]

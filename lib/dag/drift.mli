@@ -62,4 +62,3 @@ val topology_changed : report -> bool
 val describe : report -> string
 (** One line per finding; ["no drift"] when empty. *)
 
-val to_json : report -> Quilt_util.Json.t

@@ -20,8 +20,7 @@ let whole_graph_demand (g : Callgraph.t) =
     g.edges;
   (!cpu, !mem)
 
-let random_rdag rng ~n ?(edge_factor = 1.2) ?(async_fraction = 0.1) ?(max_weight = 3)
-    ?(heavy_fraction = 0.0) () =
+let random_rdag rng ~n ?(async_fraction = 0.1) ?(heavy_fraction = 0.0) () =
   if n < 2 then invalid_arg "Gen.random_rdag: need at least 2 vertices";
   let nodes =
     Array.init n (fun i ->
@@ -42,8 +41,8 @@ let random_rdag rng ~n ?(edge_factor = 1.2) ?(async_fraction = 0.1) ?(max_weight
     Hashtbl.replace edge_set (parent, i) ();
     base_edges := (parent, i) :: !base_edges
   done;
-  (* Extra edges up to edge_factor * n, always forward in vertex order. *)
-  let target = int_of_float (ceil (edge_factor *. float_of_int n)) in
+  (* Extra edges up to 1.2 * n, always forward in vertex order. *)
+  let target = int_of_float (ceil (1.2 *. float_of_int n)) in
   let extra = ref [] in
   let attempts = ref 0 in
   while List.length !base_edges + List.length !extra < target && !attempts < 50 * n do
@@ -61,7 +60,7 @@ let random_rdag rng ~n ?(edge_factor = 1.2) ?(async_fraction = 0.1) ?(max_weight
       (fun (src, dst) ->
         let kind = if Rng.chance rng async_fraction then Callgraph.Async else Callgraph.Sync in
         let weight =
-          if Rng.chance rng heavy_fraction then Rng.int_in rng 20 120 else Rng.int_in rng 1 max_weight
+          if Rng.chance rng heavy_fraction then Rng.int_in rng 20 120 else Rng.int_in rng 1 3
         in
         { Callgraph.src; dst; weight; kind })
       all_pairs

@@ -11,17 +11,15 @@ type limits = { max_cpu : float; max_mem_mb : float }
 val random_rdag :
   Quilt_util.Rng.t ->
   n:int ->
-  ?edge_factor:float ->
   ?async_fraction:float ->
-  ?max_weight:int ->
   ?heavy_fraction:float ->
   unit ->
   Callgraph.t * limits
 (** [random_rdag rng ~n ()] builds a connected rooted DAG with [n] vertices
-    and approximately [edge_factor * n] edges (default 1.2), each extra edge
-    respecting the topological order so the result is acyclic.
-    [async_fraction] (default 0.1) of edges are asynchronous; weights are
-    uniform in [\[1, max_weight\]] (default 3) per workflow invocation.
+    and approximately [1.2 * n] edges, each extra edge respecting the
+    topological order so the result is acyclic.  [async_fraction]
+    (default 0.1) of edges are asynchronous; weights are uniform in
+    [\[1, 3\]] per workflow invocation.
     [heavy_fraction] (default 0) of edges get a heavy-tailed weight in
     [\[20, 120\]] — serverless call frequencies are skewed, and the skew is
     what separates good root choices from bad ones in Figure 9.

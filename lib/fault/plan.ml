@@ -24,17 +24,6 @@ type t = { seed : int; events : event list }
 
 let make ~seed events = { seed; events }
 
-let fault_name = function
-  | Kill _ -> "kill"
-  | Kill_all _ -> "kill-all"
-  | Crash_storm _ -> "crash-storm"
-  | Mem_spike _ -> "mem-spike"
-  | Net_delay _ -> "net-delay"
-  | Net_drop _ -> "net-drop"
-  | Cpu_degrade _ -> "cpu-degrade"
-  | Image_cache_flush _ -> "image-cache-flush"
-  | Kill_node _ -> "kill-node"
-
 (* One network perturbation, pre-registered at arm time so a single engine
    hook can compose every rule; activation just flips the flag. *)
 type net_rule = {

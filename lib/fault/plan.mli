@@ -53,8 +53,6 @@ type t = { seed : int; events : event list }
 
 val make : seed:int -> event list -> t
 
-val fault_name : fault -> string
-
 val matches : Quilt_platform.Engine.t -> string -> string -> bool
 (** [matches engine pat name]: the src/dst pattern semantics of the network
     and CPU faults.  Precedence: exact name (a service literally named

@@ -27,7 +27,9 @@ let most_fractional (p : Lp.problem) x =
 let round_solution (p : Lp.problem) x =
   Array.mapi (fun i v -> if p.integer.(i) then Float.round v else v) x
 
-let solve ?(mip_gap = 0.0) ?(node_limit = 200_000) (p : Lp.problem) =
+let node_limit = 200_000
+
+let solve (p : Lp.problem) =
   let queue : (float array * float array) Heap.t = Heap.create () in
   (* Nodes are (lower bounds, upper bounds) boxes keyed by their LP bound. *)
   let incumbent = ref None in
@@ -54,13 +56,13 @@ let solve ?(mip_gap = 0.0) ?(node_limit = 200_000) (p : Lp.problem) =
         end
   in
   push_node (Array.copy p.lower) (Array.copy p.upper);
-  let stop_reason = ref `Exhausted in
+  let hit_limit = ref false in
   let stop = ref false in
   while (not !stop) && not (Heap.is_empty queue) do
     incr nodes;
     if !nodes > node_limit then begin
       stop := true;
-      stop_reason := `Node_limit
+      hit_limit := true
     end
     else begin
       match Heap.pop queue with
@@ -71,25 +73,9 @@ let solve ?(mip_gap = 0.0) ?(node_limit = 200_000) (p : Lp.problem) =
             | None -> false
             | Some _ -> bound >= !incumbent_obj -. 1e-9
           in
-          let gap_reached =
-            match !incumbent with
-            | None -> false
-            | Some _ ->
-                mip_gap > 0.0
-                && ((!incumbent_obj <> 0.0
-                    && (!incumbent_obj -. bound) /. Float.abs !incumbent_obj <= mip_gap +. 1e-12)
-                   || (!incumbent_obj = 0.0 && bound >= -1e-9))
-          in
-          (* Best-first: the popped bound is the global lower bound, so either
-             condition ends the search. *)
-          if proven_optimal then begin
-            stop := true;
-            stop_reason := `Exhausted
-          end
-          else if gap_reached then begin
-            stop := true;
-            stop_reason := `Gap
-          end
+          (* Best-first: the popped bound is the global lower bound, so a
+             bound at the incumbent ends the search. *)
+          if proven_optimal then stop := true
           else begin
             (* Re-solve to get the fractional solution for branching. *)
             let sub = { p with Lp.lower; upper } in
@@ -117,12 +103,8 @@ let solve ?(mip_gap = 0.0) ?(node_limit = 200_000) (p : Lp.problem) =
   done;
   match !incumbent with
   | Some x ->
-      let status =
-        match !stop_reason with
-        | `Exhausted -> `Optimal
-        | `Gap | `Node_limit -> `Feasible
-      in
+      let status = if !hit_limit then `Feasible else `Optimal in
       { status; objective = !incumbent_obj; solution = x; nodes_explored = !nodes }
   | None ->
-      let status = match !stop_reason with `Node_limit -> `NodeLimit | `Exhausted | `Gap -> `Infeasible in
+      let status = if !hit_limit then `NodeLimit else `Infeasible in
       { status; objective = infinity; solution = [||]; nodes_explored = !nodes }

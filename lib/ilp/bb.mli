@@ -1,10 +1,8 @@
-(** Branch-and-bound 0/1 ILP solver with a MIP-gap stop rule (§4.3).
+(** Branch-and-bound 0/1 ILP solver (§4.3).
 
     Best-first search on LP-relaxation bounds.  When the problem declares an
     integral objective, node bounds are tightened to their ceiling, which
-    prunes aggressively on Quilt's integer-weight objectives.  The [mip_gap]
-    parameter mirrors Gurobi's "MIPGap": the solver may stop once the
-    incumbent is proven within that relative distance of the optimum. *)
+    prunes aggressively on Quilt's integer-weight objectives. *)
 
 type outcome = {
   status : [ `Optimal | `Feasible | `Infeasible | `NodeLimit ];
@@ -13,8 +11,7 @@ type outcome = {
   nodes_explored : int;
 }
 
-val solve : ?mip_gap:float -> ?node_limit:int -> Lp.problem -> outcome
-(** [solve p] minimizes.  [mip_gap] defaults to 0 (prove optimality);
-    [node_limit] defaults to 200_000.  [`Feasible] means an incumbent exists
-    but the gap/limit stopped the proof; [`NodeLimit] means no incumbent was
-    found before the limit. *)
+val solve : Lp.problem -> outcome
+(** [solve p] minimizes, proving optimality within 200_000 nodes.
+    [`Feasible] means an incumbent exists but the node limit stopped the
+    proof; [`NodeLimit] means no incumbent was found before the limit. *)

@@ -45,10 +45,6 @@ val dominates : idom:int array -> int -> int -> bool
 
 val instr_dst : Ir.instr -> string option
 
-val instr_dst_ty : Ir.instr -> (string * Ir.ty) option
-(** Destination and its result type: [Icmp] produces [I1], [Alloca] and
-    [Gep] produce [Ptr], everything else carries its annotation. *)
-
 val iter_operands : (Ir.value -> unit) -> Ir.instr -> unit
 (** Visits the instruction's operands in source order, allocating
     nothing: call arguments, phi incoming values, and so on. *)

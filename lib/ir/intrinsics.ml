@@ -49,8 +49,6 @@ let table =
      List.iter (fun (name, args, ret) -> Hashtbl.replace t name (args, ret)) (all ());
      t)
 
-let names () = List.map (fun (n, _, _) -> n) (all ())
-
 let mem name = Hashtbl.mem (Lazy.force table) name
 
 let signature name = Hashtbl.find_opt (Lazy.force table) name

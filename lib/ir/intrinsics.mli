@@ -19,16 +19,8 @@
 val languages : string list
 (** The five supported frontends: ["c"; "cpp"; "rust"; "go"; "swift"]. *)
 
-val shared : (string * Ir.ty list * Ir.ty) list
-(** Shared natives as (name, parameter types, return type). *)
-
-val per_language : string -> (string * Ir.ty list * Ir.ty) list
-(** Natives for one language, fully prefixed. *)
-
-val names : unit -> string list
-(** Every native symbol (shared + all languages). *)
-
 val mem : string -> bool
-(** Membership in {!names}, O(1). *)
+(** Whether the name is a native symbol (shared or of any language),
+    O(1). *)
 
 val signature : string -> (Ir.ty list * Ir.ty) option

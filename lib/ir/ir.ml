@@ -89,8 +89,6 @@ let find_global m name =
   | Some (k, tbl) when k == m.globals -> Hashtbl.find_opt tbl name
   | _ -> List.find_opt (fun g -> g.gname = name) m.globals
 
-let func_names m = List.map (fun f -> f.fname) m.funcs
-
 let map_funcs fn m = { m with funcs = List.map fn m.funcs }
 
 let replace_func m f =
@@ -107,8 +105,6 @@ let add_global m g =
   if List.exists (fun g' -> g'.gname = g.gname) m.globals then
     invalid_arg (Printf.sprintf "Ir.add_global: duplicate global %s" g.gname)
   else { m with globals = m.globals @ [ g ] }
-
-let remove_func m name = { m with funcs = List.filter (fun f -> f.fname <> name) m.funcs }
 
 let map_instrs fn f =
   if is_declaration f then f

@@ -87,16 +87,12 @@ val func_index : modul -> string -> func option
 val global_index : modul -> string -> global option
 (** O(1) counterpart of {!find_global}; same memoization. *)
 
-val func_names : modul -> string list
-(** Names of all defined and declared functions, definition-order. *)
-
 val map_funcs : (func -> func) -> modul -> modul
 val replace_func : modul -> func -> modul
 (** Replaces the function with the same name; adds it if absent. *)
 
 val add_func : modul -> func -> modul
 val add_global : modul -> global -> modul
-val remove_func : modul -> string -> modul
 
 val map_instrs : (instr -> instr list) -> func -> func
 (** Rewrites every instruction of a definition; one instruction may expand

@@ -50,10 +50,3 @@ let link ?(dedup_identical = false) (a : Ir.modul) (b : Ir.modul) =
     globals = List.rev_map (fun n -> Hashtbl.find g_by_name n) !globals;
     funcs = List.rev_map (fun n -> Hashtbl.find by_name n) !funcs;
   }
-
-let link_all ?dedup_identical ~name modules =
-  match modules with
-  | [] -> { Ir.mname = name; globals = []; funcs = [] }
-  | first :: rest ->
-      let merged = List.fold_left (fun acc m -> link ?dedup_identical acc m) first rest in
-      { merged with Ir.mname = name }

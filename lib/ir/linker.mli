@@ -12,6 +12,3 @@ exception Link_error of string
 val link : ?dedup_identical:bool -> Ir.modul -> Ir.modul -> Ir.modul
 (** [link a b] merges [b] into [a]; [a]'s module name wins.  Raises
     {!Link_error} on symbol clashes (see above) or signature mismatches. *)
-
-val link_all : ?dedup_identical:bool -> name:string -> Ir.modul list -> Ir.modul
-(** Folds {!link} over a list; the result gets [name]. *)

@@ -48,6 +48,3 @@ val rewrite_call_sites :
     carry different profiled α values.  [reset_in], when set, names the
     handler at whose entry conditional-mode counters are reset (once per
     request). *)
-
-val shim_names : service:string -> caller_lang:string -> string * string
-(** (caller2c, c2callee) symbol names for documentation and tests. *)

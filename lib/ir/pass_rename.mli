@@ -6,10 +6,6 @@
     (§5.2).  Runtime symbols shared by functions of the same language are
     {e not} renamed — the linker deduplicates those instead. *)
 
-val rename_symbols : map:(string -> string option) -> Ir.modul -> Ir.modul
-(** Applies an explicit renaming to function names, global names, call
-    targets, and global references.  [map name = None] keeps the name. *)
-
 val avoid_collisions : against:Ir.modul -> keep:(string -> bool) -> Ir.modul -> Ir.modul
 (** Renames every symbol of the module that also exists in [against] (and is
     not protected by [keep]) by appending a fresh numeric suffix.  Typical

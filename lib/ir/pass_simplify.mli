@@ -13,5 +13,3 @@
 
 val run : Ir.modul -> Ir.modul
 (** Iterates folding per function to a fixpoint. *)
-
-val run_func : Ir.func -> Ir.func

@@ -18,16 +18,6 @@ let escape_bytes s =
     s;
   Buffer.contents buf
 
-let const_to_string = function
-  | Ir.Cint (ty, v) -> Printf.sprintf "%s %Ld" (ty_to_string ty) v
-  | Ir.Cfloat f -> Printf.sprintf "f64 %h" f
-  | Ir.Cnull -> "null"
-  | Ir.Cglobal g -> "@" ^ g
-
-let value_to_string = function
-  | Ir.Const c -> const_to_string c
-  | Ir.Local l -> "%" ^ l
-
 (* Untyped operand position: the instruction mnemonic supplies the type. *)
 let operand = function
   | Ir.Const (Ir.Cint (_, v)) -> Int64.to_string v
@@ -138,5 +128,3 @@ let to_string (m : Ir.modul) =
   if m.Ir.globals <> [] then Buffer.add_char buf '\n';
   List.iter (fun f -> Buffer.add_string buf (func_to_string f ^ "\n\n")) m.Ir.funcs;
   Buffer.contents buf
-
-let pp fmt m = Format.pp_print_string fmt (to_string m)

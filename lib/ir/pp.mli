@@ -3,10 +3,5 @@
     [Parser.parse_module (to_string m)] round-trips for every well-formed
     module; the property is in the test suite. *)
 
-val ty_to_string : Ir.ty -> string
-val value_to_string : Ir.value -> string
-val instr_to_string : Ir.instr -> string
-val term_to_string : Ir.terminator -> string
 val func_to_string : Ir.func -> string
 val to_string : Ir.modul -> string
-val pp : Format.formatter -> Ir.modul -> unit

@@ -555,7 +555,7 @@ let raise_errors ?stage diags =
       let prefix = match stage with None -> "Verify" | Some s -> "Verify[" ^ s ^ "]" in
       failwith (prefix ^ ": " ^ String.concat "; " msgs)
 
-let check_exn ?strict ?stage m = raise_errors ?stage (run ?strict m)
+let check_exn m = raise_errors (run m)
 
 let stage_checker ~strict () =
   let check = incremental ~strict () in

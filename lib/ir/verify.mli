@@ -39,7 +39,7 @@ val run : ?strict:bool -> Ir.modul -> diagnostic list
 (** Empty when the module is well-formed (base tier) and, with
     [~strict:true], well-typed and properly dominated.  Calls to functions
     with no declaration or definition in the module are reported unless
-    their name is in {!Intrinsics.names} (the host runtime).  Strict-tier
+    {!Intrinsics.mem} holds for their name (the host runtime).  Strict-tier
     warnings (unreachable blocks, dead stores) never appear without
     [~strict:true]. *)
 
@@ -52,10 +52,9 @@ val interference : Ir.modul -> diagnostic list
     [M003] (error) — a call across a language boundary whose argument or
     return types disagree with the callee, i.e. a broken ABI shim. *)
 
-val check_exn : ?strict:bool -> ?stage:string -> Ir.modul -> unit
-(** Raises [Failure] with a readable summary if {!run} reports any
-    [Error]-severity diagnostic ([Warning]s never raise).  [stage] names
-    the pipeline stage in the summary. *)
+val check_exn : Ir.modul -> unit
+(** Raises [Failure] with a readable summary if the base tier of {!run}
+    reports any [Error]-severity diagnostic ([Warning]s never raise). *)
 
 (** {1 Incremental verification}
 

@@ -49,14 +49,3 @@ val run_handler_prog :
     a freshly compiled program.  Any number of domains may run one program
     at once, its first activation included, and [host.invoke] may re-enter
     it: a run that finds the spare taken starts from an empty heap. *)
-
-val run_local_prog :
-  ?fuel:int ->
-  host:Interp.host ->
-  Compile.prog ->
-  fname:string ->
-  req:string ->
-  (string * Interp.stats, string) result
-(** {!run_local} on an already-compiled program, reusing its heap like
-    {!run_handler_prog}. *)
-

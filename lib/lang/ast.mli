@@ -63,9 +63,6 @@ type fn = {
 
 exception Type_error of string
 
-val infer : (string * vty) list -> expr -> vty
-(** Raises {!Type_error} on ill-typed expressions. *)
-
 val check_fn : fn -> unit
 (** Checks the body has type [Tstr] under [req : Tstr] and that the
     language is supported. *)

@@ -8,15 +8,8 @@
     libstd to bitcode (§5.2).  The handler follows the canonical
     serverless convention that {!Quilt_ir.Pass_mergefunc} rewrites. *)
 
-val runtime_module : string -> Quilt_ir.Ir.modul
-(** The language's SDK: [<lang>_sync_inv], [<lang>_async_inv],
-    [<lang>_async_wait], defined in IR over the platform natives.  Raises
-    [Invalid_argument] on unknown languages. *)
-
-val compile_fn : Ast.fn -> Quilt_ir.Ir.modul
-(** Lowers the function alone: its handler plus interned string globals.
-    Type-checks first ({!Ast.check_fn}). *)
-
 val compile : Ast.fn -> Quilt_ir.Ir.modul
-(** [compile_fn] linked with {!runtime_module} — a self-contained
-    "bitcode object" for the function, verified. *)
+(** Type-checks the function ({!Ast.check_fn}), lowers its handler and
+    interned string globals, and links the language's SDK runtime module:
+    a self-contained "bitcode object" for the function, verified.  Raises
+    [Invalid_argument] on unknown languages. *)

@@ -275,5 +275,5 @@ let merge_group ~lookup ~members ~root ?(edge_mode = fun ~caller:_ ~callee:_ -> 
         report
   end
 
-let validate ?fuel ~host report ~req =
-  Vm.run_handler ?fuel ~host report.merged_module ~fname:report.entry ~req
+let validate ~host report ~req =
+  Vm.run_handler ~host report.merged_module ~fname:report.entry ~req

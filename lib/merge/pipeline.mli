@@ -90,7 +90,6 @@ val reset_cache : unit -> unit
 (** Drops every cached report and zeroes {!cache_stats}. *)
 
 val validate :
-  ?fuel:int ->
   host:Quilt_ir.Interp.host ->
   report ->
   req:string ->

@@ -18,17 +18,14 @@
     decision consumes — are unbiased; multiply counts by
     {!Recorder.sample_period} when absolute rates are needed. *)
 
-val to_trace : ?since:float -> Recorder.t -> Quilt_tracing.Trace.store
-(** The synthesized span + resource store over the retained spans
-    (completion time [>= since]). *)
-
 val callgraph :
   ?since:float ->
   ?code_edges:(string * string * Quilt_dag.Callgraph.call_kind) list ->
   entry:string ->
   Recorder.t ->
   (Quilt_dag.Callgraph.t, string) result
-(** [Builder.build] over {!to_trace}, plus the statically-known
+(** [Builder.build] over a span + resource store synthesized from the
+    retained spans (completion time [>= since]), plus the statically-known
     [code_edges] at weight 0 (Figure 3's dashed arrows).  [Error] when the
     window holds no sampled invocation of [entry]. *)
 

@@ -185,10 +185,3 @@ let to_list ?since t =
   let acc = ref [] in
   iter ?since t (fun s -> acc := s :: !acc);
   List.rev !acc
-
-let fn_names t = Array.to_list (Array.sub t.names 0 t.n_names)
-
-let clear t =
-  t.written <- 0;
-  t.seen <- 0;
-  t.sampled <- 0

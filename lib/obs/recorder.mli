@@ -82,10 +82,3 @@ val iter : ?since:float -> t -> (span -> unit) -> unit
 (** Oldest to newest; [since] keeps spans with [sp_end >= since]. *)
 
 val to_list : ?since:float -> t -> span list
-
-val fn_names : t -> string list
-(** Interned function names, in first-seen order. *)
-
-val clear : t -> unit
-(** Drops the retained spans and counters; keeps capacity, period, seed
-    and the interning table. *)

@@ -52,20 +52,6 @@ let make ?(rtt_same_node_us = 5.0) ?(rtt_same_rack_us = 150.0)
       image_cache;
     }
 
-let example () =
-  (* 3 racks × 2 nodes; rack 0 holds the big machines.  Mirrors the paper's
-     six-machine testbed with a deliberate capacity skew so bin-packing and
-     locality policies make visibly different choices. *)
-  make
-    [
-      node ~rack:0 ~vcpus:8.0 ~mem_mb:4096.0 ();
-      node ~rack:0 ~vcpus:8.0 ~mem_mb:4096.0 ();
-      node ~rack:1 ~vcpus:4.0 ~mem_mb:2048.0 ();
-      node ~rack:1 ~vcpus:4.0 ~mem_mb:2048.0 ();
-      node ~rack:2 ~vcpus:4.0 ~mem_mb:2048.0 ();
-      node ~rack:2 ~vcpus:4.0 ~mem_mb:2048.0 ();
-    ]
-
 let n_nodes = function Flat -> 1 | Cluster c -> Array.length c.nodes
 
 let dist c a b =
@@ -81,11 +67,6 @@ let rtt_us t ~default_rtt_us a b =
       | Same_node -> c.rtt_same_node_us
       | Same_rack -> c.rtt_same_rack_us
       | Cross_rack -> c.rtt_cross_rack_us)
-
-let dist_name = function
-  | Same_node -> "same-node"
-  | Same_rack -> "same-rack"
-  | Cross_rack -> "cross-rack"
 
 let describe = function
   | Flat -> "flat (single implicit node)"

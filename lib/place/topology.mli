@@ -55,10 +55,6 @@ val node :
   ?name:string -> rack:int -> vcpus:float -> mem_mb:float -> unit -> node
 (** Convenience constructor; [node_id] is assigned by {!make}. *)
 
-val example : unit -> t
-(** The bench/CLI reference cluster: 3 racks × 2 nodes, heterogeneous
-    (8-vCPU/4096 MB big nodes in rack 0, 4-vCPU/2048 MB elsewhere). *)
-
 val n_nodes : t -> int
 (** Number of nodes; a [Flat] topology reports 1. *)
 
@@ -68,8 +64,6 @@ val dist : cluster -> int -> int -> dist
 val rtt_us : t -> default_rtt_us:float -> int -> int -> float
 (** RTT between two nodes.  [Flat] returns [default_rtt_us] (the seed
     constant) so callers need no special case. *)
-
-val dist_name : dist -> string
 
 val describe : t -> string
 (** One-line summary for CLI output. *)

@@ -73,9 +73,6 @@ let rec total_cpu_us n =
       | Io _ | Mem _ | Join _ -> acc)
     0.0 n.phases
 
-let peak_mem_mb n =
-  List.fold_left (fun acc p -> match p with Mem mb -> acc +. mb | _ -> acc) 0.0 n.phases
-
 let functions n =
   let seen = Hashtbl.create 16 in
   let order = ref [] in

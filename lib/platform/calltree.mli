@@ -35,9 +35,5 @@ val response : node -> string
 val total_cpu_us : node -> float
 (** Σ Compute over the whole tree. *)
 
-val peak_mem_mb : node -> float
-(** Workspace of a single node (max over its own Mem phases); children not
-    included — the engine accounts concurrency itself. *)
-
 val functions : node -> string list
 (** Distinct function names in the tree. *)

@@ -261,7 +261,6 @@ let set_span_sink sim s = sim.span_sink <- s
 
 let add_completion_hook sim h = sim.completion_hooks <- h :: sim.completion_hooks
 
-let params sim = sim.prm
 let now sim = sim.now_
 let tracing sim = sim.store
 let set_profiling sim b = sim.profiling <- b
@@ -294,8 +293,6 @@ let make_deployment spec =
 let deploy sim spec =
   Hashtbl.replace sim.deployments spec.service (make_deployment spec);
   Hashtbl.replace sim.routes spec.service spec.service
-
-let route sim ~fn ~deployment = Hashtbl.replace sim.routes fn deployment
 
 let mem_deployment sim name = Hashtbl.mem sim.deployments name
 
@@ -1372,13 +1369,6 @@ let reassign sim ~service ~node =
         true
       end
 
-let node_assignments sim =
-  match sim.cluster with
-  | None -> []
-  | Some cs ->
-      Hashtbl.fold (fun s id acc -> (s, id) :: acc) cs.assign []
-      |> List.sort compare
-
 type node_load = {
   nl_node : Topology.node;
   nl_used_vcpus : float;
@@ -1418,28 +1408,6 @@ let topo_counters sim =
         image_cache_hits = cs.ch_image_hits;
         capacity_denials = cs.ch_cap_denials;
       }
-
-let deployment_spec sim name =
-  let dname = match Hashtbl.find_opt sim.routes name with Some d -> d | None -> name in
-  match Hashtbl.find_opt sim.deployments dname with
-  | Some dep -> Some dep.dspec
-  | None -> None
-
-let route_of sim fn =
-  match Hashtbl.find_opt sim.routes fn with Some d -> d | None -> fn
-
-(* Retire a superseded rolling version: tear down its remaining containers
-   (releasing their node reservations) without touching the crash counters.
-   Callers decommission only after the route has flipped away and the old
-   pool has drained; any straggling in-flight request fails via the usual
-   fail hooks rather than hanging on a zombie pool. *)
-let decommission sim ~deployment =
-  match Hashtbl.find_opt sim.deployments deployment with
-  | None -> 0
-  | Some dep ->
-      let victims = List.filter (fun c -> not c.dead) dep.pool in
-      List.iter (fun c -> kill_impl sim dep c) victims;
-      List.length victims
 
 (* A node is a failure domain: kill every container it hosts (in-flight
    requests fail exactly once, queued work re-evaluates and cold-starts

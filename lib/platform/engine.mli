@@ -52,8 +52,6 @@ val create : ?seed:int -> ?params:Params.t -> registry:Calltree.registry -> unit
 (** Events run on a {!Sched} timer wheel with an allocation-free hot path;
     equal seeds give bit-identical simulations. *)
 
-val params : t -> Params.t
-
 val deploy : t -> spec -> unit
 (** Registers (or replaces — Quilt's function-update path, §5.5) a
     deployment and routes its service name to it.  Replacement is
@@ -68,10 +66,6 @@ val deploy_rolling : t -> spec -> unit
     flips to it the moment that container is ready; the old version keeps
     serving new requests until then and finishes its in-flight work.  Falls
     back to {!deploy} when the service is not yet deployed. *)
-
-val route : t -> fn:string -> deployment:string -> unit
-(** Points invocations of [fn] at another deployment (how a merged function
-    takes over its subgraph's entry, §5.5). *)
 
 val set_profiling : t -> bool -> unit
 (** The one-bit profiler-enabled token (§3).  While enabled, the engine
@@ -283,9 +277,6 @@ val reassign : t -> service:string -> node:int -> bool
     until they die.
     False when flat or the node id is out of range. *)
 
-val node_assignments : t -> (string * int) list
-(** Current service→node map, sorted; empty when flat. *)
-
 type node_load = {
   nl_node : Quilt_place.Topology.node;
   nl_used_vcpus : float;
@@ -307,21 +298,6 @@ type hop_counters = {
 val topo_counters : t -> hop_counters
 (** Cumulative hop-distance classification of every internal remote
     invocation, plus image-cache and capacity-denial counts. *)
-
-val deployment_spec : t -> string -> spec option
-(** Spec of the deployment a service currently routes to (the live rolling
-    version's spec) — what to re-submit to {!deploy_rolling} after a
-    {!reassign}. *)
-
-val route_of : t -> string -> string
-(** The deployment name a service currently routes to (itself when no
-    rolling version has taken over). *)
-
-val decommission : t -> deployment:string -> int
-(** Retires a superseded rolling version by exact deployment name: kills
-    its remaining containers (releasing node reservations; stragglers fail
-    via the usual hooks) without counting crash kills.  Returns how many
-    containers were torn down. *)
 
 val kill_node : t -> node:int -> int
 (** Kills every container on the node (each counted as a crash kill, each

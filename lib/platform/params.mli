@@ -43,9 +43,6 @@ type t = {
 
 val default : t
 
-val payload_kb : string -> float
-(** Size of a JSON payload in KB for the serialization model. *)
-
 val remote_leg_us : ?rtt_us:float -> t -> profiled:bool -> payload:string -> float
 (** One-way cost of an invocation request (client→callee or fn→fn):
     serialization + gateway + routing + half RTT (+ nginx when profiling).

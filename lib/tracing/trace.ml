@@ -51,8 +51,3 @@ let evict_before st t =
       if !l = [] then empty := fn :: !empty)
     st.resources;
   List.iter (fun fn -> Hashtbl.remove st.resources fn) !empty
-
-let clear st =
-  st.spans_rev <- [];
-  st.n_spans <- 0;
-  Hashtbl.reset st.resources

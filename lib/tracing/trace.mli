@@ -58,5 +58,3 @@ val evict_before : store -> float -> unit
     {e cumulative} per-container counters, a call graph built over
     [\[t, now\]] after eviction equals the one built over the same window
     from the full store. *)
-
-val clear : store -> unit

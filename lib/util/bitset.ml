@@ -135,5 +135,3 @@ let of_list n l =
   List.iter (set t) l;
   t
 
-let pp fmt t =
-  Format.fprintf fmt "{%s}" (String.concat "," (List.map string_of_int (to_list t)))

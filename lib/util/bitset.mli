@@ -45,8 +45,6 @@ val union_into : dst:t -> t -> unit
     word. *)
 
 val inter_into : dst:t -> t -> unit
-val diff_into : dst:t -> t -> unit
-(** [diff_into ~dst src] removes every element of [src] from [dst]. *)
 
 val union : t -> t -> t
 val inter : t -> t -> t
@@ -71,4 +69,3 @@ val to_bool_array : t -> bool array
 val of_list : int -> int list -> t
 (** [of_list n l] is the set over universe [n] containing [l]. *)
 
-val pp : Format.formatter -> t -> unit

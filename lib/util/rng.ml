@@ -15,8 +15,6 @@ let split t =
   let seed = bits64 t in
   { state = seed }
 
-let copy t = { state = t.state }
-
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Mask to 62 bits so the value fits OCaml's int; modulo bias is

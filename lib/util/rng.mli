@@ -16,9 +16,6 @@ val split : t -> t
 (** [split t] derives an independent generator from [t], advancing [t].
     Useful to give subsystems their own streams. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing [t]. *)
-
 val bits64 : t -> int64
 (** Next raw 64 bits. *)
 

@@ -200,31 +200,29 @@ let qcheck_detector_quiet =
 let stats ~n ~fail_rate ~tail_us = { Canary.n; fail_rate; tail_us }
 
 let test_canary_verdicts () =
-  let cfg = Canary.default in
   let pre = stats ~n:200 ~fail_rate:0.0 ~tail_us:20_000.0 in
-  (match Canary.judge cfg ~pre ~post:(stats ~n:200 ~fail_rate:0.0 ~tail_us:22_000.0) with
+  (match Canary.judge ~pre ~post:(stats ~n:200 ~fail_rate:0.0 ~tail_us:22_000.0) with
   | Canary.Pass -> ()
   | _ -> Alcotest.fail "mild tail movement must pass");
-  (match Canary.judge cfg ~pre ~post:(stats ~n:200 ~fail_rate:0.0 ~tail_us:50_000.0) with
+  (match Canary.judge ~pre ~post:(stats ~n:200 ~fail_rate:0.0 ~tail_us:50_000.0) with
   | Canary.Regress _ -> ()
   | _ -> Alcotest.fail "2.5x tail must regress");
   (* An OOM-looping deployment can show a LOWER tail because only cheap
      requests survive: the failure-rate check must fire first. *)
-  (match Canary.judge cfg ~pre ~post:(stats ~n:200 ~fail_rate:0.3 ~tail_us:5_000.0) with
+  (match Canary.judge ~pre ~post:(stats ~n:200 ~fail_rate:0.3 ~tail_us:5_000.0) with
   | Canary.Regress reason ->
       checkb "reason mentions failures" true
         (String.length reason > 0 && String.lowercase_ascii reason <> "")
   | _ -> Alcotest.fail "failure spike must regress");
-  match Canary.judge cfg ~pre ~post:(stats ~n:3 ~fail_rate:0.0 ~tail_us:1_000.0) with
+  match Canary.judge ~pre ~post:(stats ~n:3 ~fail_rate:0.0 ~tail_us:1_000.0) with
   | Canary.Inconclusive _ -> ()
   | _ -> Alcotest.fail "too few samples must be inconclusive"
 
 let test_canary_stats_of () =
-  let cfg = Canary.default in
   let samples =
     [ (10_000.0, true); (20_000.0, true); (30_000.0, true); (40_000.0, false) ]
   in
-  let s = Canary.stats_of cfg samples in
+  let s = Canary.stats_of samples in
   check Alcotest.int "n" 4 s.Canary.n;
   check (Alcotest.float 1e-9) "fail rate" 0.25 s.Canary.fail_rate;
   (* Tail is computed over successes only (the 40 ms sample failed); allow

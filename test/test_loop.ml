@@ -197,7 +197,7 @@ let compact_controller =
 let controller_defaults =
   let c = Controller.default_config in
   {
-    Loop.hysteresis = c.Controller.hysteresis;
+    Loop.hysteresis = Controller.hysteresis;
     cooldown_us = c.Controller.cooldown_us;
     noop_cooldown_us = c.Controller.cooldown_us;
     warmup_us = c.Controller.canary_warmup_us;
