@@ -13,6 +13,8 @@ module Callgraph = Quilt_dag.Callgraph
 module Workflow = Quilt_apps.Workflow
 module Special = Quilt_apps.Special
 module Quilt = Quilt_core.Quilt
+module Config = Quilt_core.Config
+module Deploy = Quilt_core.Deploy
 module Ast = Quilt_lang.Ast
 module Topology = Quilt_place.Topology
 module Rng = Quilt_util.Rng
@@ -425,6 +427,101 @@ let test_compose_post_golden_fingerprint () =
           { no_faults with cold_starts = 110; completed = 506; remote_invocations = 5060 };
         g_events = 38167;
         g_peak_depth = 130;
+        g_clock_us = 33_500_000.0;
+      }
+
+(* The fan-out workflow under its Quilt plan: one Merged deployment whose
+   member edge carries a §5.6 guard (alpha = 8), so in-process async
+   futures, overflow to remote and OOM kills all run in one simulation. *)
+let test_fan_out_quilt_golden_fingerprint () =
+  let wf = Special.fan_out ~callee_mem_mb:10 () in
+  let plan =
+    match Quilt.optimize Config.default ~workflows:[ wf ] wf with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check int) "one merged deployment" 1 (List.length plan.Quilt.deployments);
+  let engine = Quilt.fresh_platform ~seed:5 ~workflows:[ wf ] () in
+  Quilt.apply engine plan;
+  let r =
+    Loadgen.run_open_loop engine ~entry:"fan-out" ~gen_req:wf.Workflow.gen_req ~rate_rps:100.0
+      ~duration_us:3_000_000.0 ~warmup_us:500_000.0 ()
+  in
+  check_golden (fingerprint engine r)
+    ~expected:
+      {
+        g_successes = 265;
+        g_failures = 20;
+        g_offered = 285;
+        g_median_ms = 6.4320000000000004;
+        g_p99_ms = 325.63200000000001;
+        g_mean_ms = 24.150059934562428;
+        g_counters =
+          {
+            no_faults with
+            cold_starts = 47;
+            oom_kills = 16;
+            completed = 309;
+            failed = 34;
+            remote_invocations = 768;
+            local_invocations = 1838;
+          };
+        g_events = 10504;
+        g_peak_depth = 83;
+        g_clock_us = 33_500_000.0;
+      }
+
+(* compose-post under the container-merge baseline at a rate that
+   OOM-kills: every member behind the in-container gateway hop, and the
+   kill path failing in-flight requests. *)
+let test_compose_post_cm_golden_fingerprint () =
+  let wfs = Quilt_apps.Deathstar.social_network ~async:false () in
+  let compose = List.find (fun w -> w.Workflow.wf_name = "compose-post") wfs in
+  let engine = Quilt.fresh_platform ~seed:17 ~workflows:[ compose ] () in
+  Deploy.deploy_cm engine Config.default compose;
+  let r =
+    Loadgen.run_open_loop engine ~entry:"compose-post" ~gen_req:compose.Workflow.gen_req
+      ~rate_rps:100.0 ~duration_us:3_000_000.0 ~warmup_us:500_000.0 ()
+  in
+  check_golden (fingerprint engine r)
+    ~expected:
+      {
+        g_successes = 273;
+        g_failures = 12;
+        g_offered = 285;
+        g_median_ms = 30.61338671875;
+        g_p99_ms = 31.103999999999999;
+        g_mean_ms = 30.619522093257807;
+        g_counters =
+          { no_faults with cold_starts = 35; oom_kills = 9; completed = 273; failed = 70 };
+        g_events = 12645;
+        g_peak_depth = 52;
+        g_clock_us = 33_500_000.0;
+      }
+
+(* The asynchronous compose-post on baseline deployments: remote futures
+   resolved by hops and joined by their caller. *)
+let test_async_compose_post_golden_fingerprint () =
+  let wfs = Quilt_apps.Deathstar.social_network ~async:true () in
+  let compose = List.find (fun w -> w.Workflow.wf_name = "compose-post") wfs in
+  let engine = Quilt.fresh_platform ~seed:29 ~workflows:[ compose ] () in
+  let r =
+    Loadgen.run_open_loop engine ~entry:"compose-post" ~gen_req:compose.Workflow.gen_req
+      ~rate_rps:100.0 ~duration_us:3_000_000.0 ~warmup_us:500_000.0 ()
+  in
+  check_golden (fingerprint engine r)
+    ~expected:
+      {
+        g_successes = 285;
+        g_failures = 0;
+        g_offered = 285;
+        g_median_ms = 12.265296875000001;
+        g_p99_ms = 522.24000000000001;
+        g_mean_ms = 68.584978675760823;
+        g_counters =
+          { no_faults with cold_starts = 110; completed = 343; remote_invocations = 3430 };
+        g_events = 21901;
+        g_peak_depth = 269;
         g_clock_us = 33_500_000.0;
       }
 
@@ -845,6 +942,12 @@ let suite =
           test_dial_golden_fingerprint;
         Alcotest.test_case "compose-post = golden fingerprint" `Quick
           test_compose_post_golden_fingerprint;
+        Alcotest.test_case "fan-out quilt plan = golden fingerprint" `Quick
+          test_fan_out_quilt_golden_fingerprint;
+        Alcotest.test_case "compose-post cm = golden fingerprint" `Quick
+          test_compose_post_cm_golden_fingerprint;
+        Alcotest.test_case "async compose-post = golden fingerprint" `Quick
+          test_async_compose_post_golden_fingerprint;
         Alcotest.test_case "global stats race-free across domains" `Quick
           test_global_stats_race_free_under_domains;
       ] );
