@@ -108,6 +108,45 @@ let row name w counters =
       ("counters", Json.Obj counters);
     ]
 
+(* A smoke run checks the deterministic [keys] of [rows] against the
+   committed BENCH_<section>.json when the working directory has one (the
+   repository root does), and fails on any difference. *)
+let check_committed section keys rows =
+  let file = "BENCH_" ^ section ^ ".json" in
+  if not (Sys.file_exists file) then
+    Printf.printf "  [no %s here: counters not checked]\n%!" file
+  else begin
+    let committed =
+      Json.to_list (Json.member "rows" (Json.of_string (In_channel.with_open_bin file In_channel.input_all)))
+    in
+    let counters name rows =
+      List.find_map
+        (fun r ->
+          if Json.member "row" r = Json.String name then Some (Json.member "counters" r) else None)
+        rows
+    in
+    let diffs =
+      List.concat_map
+        (fun r ->
+          let name = Option.get (Json.to_string_opt (Json.member "row" r)) in
+          let now = Json.member "counters" r in
+          match counters name committed with
+          | None -> [ Printf.sprintf "%s: no committed row" name ]
+          | Some was ->
+              List.filter_map
+                (fun k ->
+                  let a = Json.to_string (Json.member k was) and b = Json.to_string (Json.member k now) in
+                  if a = b then None else Some (Printf.sprintf "%s %s: committed %s, now %s" name k a b))
+                keys)
+        rows
+    in
+    if diffs <> [] then begin
+      List.iter (Printf.printf "  COUNTER CHANGE: %s\n") diffs;
+      failwith (Printf.sprintf "%s bench: counters differ from the committed %s" section file)
+    end;
+    Printf.printf "  counters = committed %s: yes\n%!" file
+  end
+
 (* Each timing section writes its BENCH_<section>.json whole, through this
    one writer: its timed rows, its untimed results in [extra], and the
    machine they ran on. *)

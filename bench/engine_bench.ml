@@ -11,6 +11,11 @@
    the bench fails loudly on any difference.  The seed heap's full-scale
    row is kept in BENCH_engine.json as history.
 
+   The profile row counts the engine's events and the minor words of one
+   warm §3 profiling pass ([Quilt.profile Config.default] on compose-post).
+   That pass is the same size at every scale, so a smoke run checks its
+   counters against the committed BENCH_engine.json.
+
    Scenario B runs the online control plane's "path-shift" drift scenario
    (profile, merge, drift, re-merge, canary) across several seeds with the
    merge cache cold at the start, then reports the cache hit rate: every
@@ -24,6 +29,8 @@ module Ast = Quilt_lang.Ast
 module Pipeline = Quilt_merge.Pipeline
 module Scenario = Quilt_control.Scenario
 module Json = Quilt_util.Json
+module Quilt = Quilt_core.Quilt
+module Config = Quilt_core.Config
 
 (* --- Scenario A: open-loop throughput --- *)
 
@@ -205,6 +212,43 @@ let run_throughput () =
   Printf.printf "  fingerprint = pinned (%s): yes\n" (if !Common.smoke then "smoke" else "full");
   Common.row "wheel" wall counters
 
+(* --- Profiling pass: events and minor words per request --- *)
+
+(* [Common.measure] runs the pass once untimed first, so the counted run is
+   warm: lazy initialisation is left out.  [requests] is the profiled
+   graph's N, the requests its window counted. *)
+let run_profile () =
+  Common.subsection "profile: Quilt.profile Config.default on compose-post";
+  let wfs = Quilt_apps.Deathstar.social_network ~async:false () in
+  let compose = List.find (fun w -> w.Workflow.wf_name = "compose-post") wfs in
+  let profile_once () =
+    Engine.reset_global_stats ();
+    let minor0 = Gc.minor_words () in
+    let g =
+      match Quilt.profile Config.default ~workflows:[ compose ] compose with
+      | Ok g -> g
+      | Error e -> failwith ("engine bench: profiling failed: " ^ e)
+    in
+    let minor_words = Gc.minor_words () -. minor0 in
+    let events, _ = Engine.global_stats () in
+    let requests = g.Quilt_dag.Callgraph.invocations in
+    let per x = x /. float_of_int (max 1 requests) in
+    [
+      ("requests", Json.Int requests);
+      ("events", Json.Int events);
+      ("minor_words", Json.Float minor_words);
+      ("events_per_request", Json.Float (per (float_of_int events)));
+      ("minor_words_per_request", Json.Float (per minor_words));
+    ]
+  in
+  let counters, wall = Common.measure profile_once in
+  let row = Common.row "profile" wall counters in
+  if !Common.smoke then
+    Common.check_committed "engine"
+      [ "requests"; "events"; "minor_words"; "events_per_request"; "minor_words_per_request" ]
+      [ row ];
+  row
+
 (* --- Scenario B: merge-cache hit rate under drift-triggered re-merges --- *)
 
 let run_merge_cache () =
@@ -234,6 +278,7 @@ let run_merge_cache () =
 let run () =
   Common.section "engine: timer-wheel scheduler throughput";
   let wheel = run_throughput () in
+  let profile = run_profile () in
   let hits, misses, hit_rate, remerges = run_merge_cache () in
   Common.paper_note
     [
@@ -243,7 +288,7 @@ let run () =
       "near-future timers, freelist event records instead of per-event";
       "closures, and scratch-buffer container picking.";
     ];
-  Common.write_section "engine" [ wheel ]
+  Common.write_section "engine" [ wheel; profile ]
     ~extra:
       [
         ("history", Json.Obj [ ("seed_heap", seed_heap_history) ]);

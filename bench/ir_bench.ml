@@ -112,46 +112,6 @@ let words_per_call f =
     ("major_words", Json.Float (per (major1 -. major0 -. (promoted1 -. promoted0))));
   ]
 
-(* The QVM rows' counters are deterministic, so a smoke run checks them
-   against the committed BENCH_ir.json when the working directory has one
-   (the repository root does): a change that alters instructions, steps or
-   allocation per call must regenerate the file at full scale. *)
-let check_committed rows =
-  let file = "BENCH_ir.json" in
-  if not (Sys.file_exists file) then
-    Printf.printf "  [no %s here: QVM counters not checked]\n%!" file
-  else begin
-    let committed =
-      Json.to_list (Json.member "rows" (Json.of_string (In_channel.with_open_bin file In_channel.input_all)))
-    in
-    let counters name rows =
-      List.find_map
-        (fun r ->
-          if Json.member "row" r = Json.String name then Some (Json.member "counters" r) else None)
-        rows
-    in
-    let diffs =
-      List.concat_map
-        (fun r ->
-          let name = Option.get (Json.to_string_opt (Json.member "row" r)) in
-          let now = Json.member "counters" r in
-          match counters name committed with
-          | None -> [ Printf.sprintf "%s: no committed row" name ]
-          | Some was ->
-              List.filter_map
-                (fun k ->
-                  let a = Json.to_string (Json.member k was) and b = Json.to_string (Json.member k now) in
-                  if a = b then None else Some (Printf.sprintf "%s %s: committed %s, now %s" name k a b))
-                [ "instrs"; "steps"; "minor_words"; "major_words" ])
-        rows
-    in
-    if diffs <> [] then begin
-      List.iter (Printf.printf "  COUNTER CHANGE: %s\n") diffs;
-      failwith ("ir bench: QVM counters differ from the committed " ^ file)
-    end;
-    Printf.printf "  QVM counters = committed %s: yes\n%!" file
-  end
-
 let run () =
   Common.section "ir: QVM compiled engine and static analysis";
   (* Calls per timed rep (a tenth of it for lint and verify): each call
@@ -199,7 +159,11 @@ let run () =
   let dl_row = vm_row "dispatch-loop" dl ~fname:"dispatch-loop" ~req:"{}" in
   let dl1_row = vm_row "dispatch-loop optimized" dl_opt ~fname:"dispatch-loop" ~req:"{}" in
   let vm_rows = [ cp_row; cp0_row; dl_row; dl1_row ] in
-  if !Common.smoke then check_committed vm_rows;
+  (* The QVM rows' counters are deterministic: a change that alters
+     instructions, steps or allocation per call must regenerate the file
+     at full scale. *)
+  if !Common.smoke then
+    Common.check_committed "ir" [ "instrs"; "steps"; "minor_words"; "major_words" ] vm_rows;
 
   (* Lint throughput: the full strict verifier plus the merge-interference
      analyzer over the merged compose-post module. *)

@@ -155,18 +155,23 @@ let mask_weight redges mask =
     redges;
   !acc
 
-(* Everything the search needs: normalized roots, the root-targeted edge
-   array and, per root, its feasible choices sorted ascending by own cut
-   weight — or [None] when some root has no feasible choice. *)
-let prepare_exact (g : Callgraph.t) (lim : Types.limits) ~roots =
+(* Normalized roots, their bitset and the root-targeted edges in list
+   order: edges whose target is a root are the only cuttable edges.
+   [solve] computes these once and hands them to the search it picks. *)
+let root_view (g : Callgraph.t) roots =
   let roots = normalize_roots g roots in
-  let k = List.length roots in
-  if k > exact_max_roots then invalid_arg "Closure.solve_exact: too many roots (use solve_greedy)";
   let is_root = root_bitset g roots in
-  (* Edges whose target is a root are the only cuttable edges. *)
   let root_edges =
     List.filter (fun (e : Callgraph.edge) -> Bitset.mem is_root e.Callgraph.dst) g.Callgraph.edges
   in
+  (roots, is_root, root_edges)
+
+(* Everything the search needs: normalized roots, the root-targeted edge
+   array and, per root, its feasible choices sorted ascending by own cut
+   weight — or [None] when some root has no feasible choice. *)
+let prepare_exact (g : Callgraph.t) (lim : Types.limits) (roots, is_root, root_edges) =
+  let k = List.length roots in
+  if k > exact_max_roots then invalid_arg "Closure.solve_exact: too many roots (use solve_greedy)";
   let n_redges = List.length root_edges in
   if n_redges > exact_max_root_edges then
     invalid_arg "Closure.solve_exact: too many root-targeted edges";
@@ -348,8 +353,8 @@ let bounded_search_count () = Atomic.get bounded_searches
    drops below the optimum of any search it has pruned, so a cost-optimal
    assignment at or below it stays reachable, and a search whose optimum
    lies above it reports [None]. *)
-let solve_exact ?(incumbent = ref max_int) (g : Callgraph.t) (lim : Types.limits) ~roots =
-  match prepare_exact g lim ~roots with
+let exact_search ?(incumbent = ref max_int) (g : Callgraph.t) (lim : Types.limits) view =
+  match prepare_exact g lim view with
   | None -> None
   | Some (roots, redges, sorted_choices) ->
       Atomic.incr bounded_searches;
@@ -382,6 +387,8 @@ let solve_exact ?(incumbent = ref max_int) (g : Callgraph.t) (lim : Types.limits
         let choices = List.mapi choice roots in
         Some (build_solution g roots choices)
 
+let solve_exact ?incumbent g lim ~roots = exact_search ?incumbent g lim (root_view g roots)
+
 (* --- Greedy search for large instances --- *)
 
 (* The greedy hill-climb evaluates every (subgraph, absorbable-root) move per
@@ -393,11 +400,9 @@ let solve_exact ?(incumbent = ref max_int) (g : Callgraph.t) (lim : Types.limits
    root-targeted edges — no solution rebuild.  Absorbing j into G_r keeps
    G_r connected automatically: the move requires an internal caller of j,
    and everything else it adds is j's closure, reachable from j. *)
-let solve_greedy (g : Callgraph.t) (lim : Types.limits) ~roots =
+let greedy_search (g : Callgraph.t) (lim : Types.limits) roots is_root =
   let open Callgraph in
-  let roots = normalize_roots g roots in
   let n = Callgraph.n_nodes g in
-  let is_root = root_bitset g roots in
   let closures = Array.make n (Bitset.create 0) in
   List.iter (fun r -> closures.(r) <- nr_closure_bits g ~is_root r) roots;
   let root_arr = Array.of_list roots in
@@ -547,12 +552,12 @@ let solve_greedy (g : Callgraph.t) (lim : Types.limits) ~roots =
     Some (build_solution g roots choices)
   end
 
+let solve_greedy g lim ~roots =
+  let roots = normalize_roots g roots in
+  greedy_search g lim roots (root_bitset g roots)
+
 let solve ?incumbent g lim ~roots =
-  let roots' = normalize_roots g roots in
-  let is_root = root_bitset g roots' in
-  let n_redges =
-    List.length (List.filter (fun (e : Callgraph.edge) -> Bitset.mem is_root e.Callgraph.dst) g.Callgraph.edges)
-  in
-  if List.length roots' <= exact_max_roots && n_redges <= exact_max_root_edges then
-    solve_exact ?incumbent g lim ~roots
-  else solve_greedy g lim ~roots
+  let ((roots, is_root, root_edges) as view) = root_view g roots in
+  if List.length roots <= exact_max_roots && List.length root_edges <= exact_max_root_edges then
+    exact_search ?incumbent g lim view
+  else greedy_search g lim roots is_root

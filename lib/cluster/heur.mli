@@ -1,12 +1,7 @@
-(** Simple root-selection heuristics the paper compares DIH against (§4.3):
-    weighted in-degree, weighted out-degree, and betweenness centrality.
-    They look only at local properties of a vertex, which is why they lose
-    to DIH — they ignore the resource demands downstream of a candidate. *)
-
-val weighted_out_degree_scores : Quilt_dag.Callgraph.t -> float array
-
-val betweenness_scores : Quilt_dag.Callgraph.t -> float array
-(** Brandes' algorithm on the unweighted DAG. *)
+(** The simple root-selection heuristic the paper compares DIH against
+    (§4.3): weighted in-degree.  It looks only at a local property of a
+    vertex, which is why it loses to DIH — it ignores the resource demands
+    downstream of a candidate. *)
 
 val solve_weighted_degree :
   ?pool_size:int ->
@@ -19,13 +14,3 @@ val solve_weighted_degree :
     with the highest weighted in-degree become the root set — a purely
     local criterion with no subset exploration and no downstream-resource
     awareness, which is exactly why it loses to DIH (Appendix C). *)
-
-val solve_betweenness :
-  ?pool_size:int ->
-  ?k_max:int ->
-  ?fallback:bool ->
-  Quilt_dag.Callgraph.t ->
-  Types.limits ->
-  Types.solution option
-(** Same naive strategy ranked by betweenness centrality — the other
-    insufficient candidate §4.3 mentions. *)

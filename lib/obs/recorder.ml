@@ -101,8 +101,10 @@ let intern t s =
 
 (* splitmix64 finalizer: a pure, well-mixed hash of (seed, rid) so the
    sampling verdict is a function of the ids alone — equal seeds over
-   equal traffic sample identical request sets. *)
-let mix64 z =
+   equal traffic sample identical request sets.  Inlined into [sample], so
+   the Int64 arithmetic stays unboxed: the verdict, taken on every
+   request, allocates nothing. *)
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xff51afd7ed558ccdL in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xc4ceb9fe1a85ec53L in
   Int64.logxor z (Int64.shift_right_logical z 33)

@@ -14,6 +14,10 @@ let max_index = max_int / 4
 
 let max_quotient = float_of_int max_index
 
+(* All-float, so OCaml stores it flat: the clock advances on every pop
+   without boxing a float. *)
+type clock = { mutable now : float; mutable last_time : float }
+
 type 'a t = {
   buckets : int array;  (* slot -> head event id, -1 when empty *)
   occ : int array;  (* occupancy bitmap, 32 slots per word *)
@@ -42,7 +46,7 @@ type 'a t = {
   mutable scheduled : int;
   mutable popped : int;
   mutable peak : int;
-  mutable last_time : float;
+  clock : clock;
   mutable last_tag : int;
 }
 
@@ -68,7 +72,7 @@ let create ~dummy () =
     scheduled = 0;
     popped = 0;
     peak = 0;
-    last_time = 0.0;
+    clock = { now = 0.0; last_time = 0.0 };
     last_tag = 0;
   }
 
@@ -125,7 +129,7 @@ let next_occupied w =
    compared before the conversion because [int_of_float] of a value past
    [max_int] is unspecified (negative on amd64), which would misfile a
    far-future event as due now. *)
-let bucket_index time =
+let[@inline] bucket_index time =
   let q = time /. granularity in
   if q >= max_quotient then max_index else int_of_float q
 
@@ -264,8 +268,10 @@ let release w id =
 
 (* --- operations --- *)
 
-let schedule w ~time ~tag payload =
-  if Float.is_nan time then invalid_arg "Sched.schedule: time is NaN";
+(* Inlined into both entry points, so a time computed by [schedule_in] is
+   never boxed. *)
+let[@inline] insert w time tag payload =
+  if time <> time then invalid_arg "Sched.schedule: time is NaN";
   let time = if time < 0.0 then 0.0 else time in
   let id = alloc w in
   w.ev_time.(id) <- time;
@@ -286,6 +292,8 @@ let schedule w ~time ~tag payload =
     w.wcount <- w.wcount + 1
   end
   else ovf_push w id
+
+let schedule w ~time ~tag payload = insert w time tag payload
 
 (* Refill the due heap: advance the cursor to the earliest pending bucket
    (wheel or overflow) and drain everything at that index.  Returns false
@@ -321,18 +329,30 @@ let ensure_due w =
 
 let next_time w = if ensure_due w then w.ev_time.(w.due.(0)) else infinity
 
+let has_due w limit = ensure_due w && w.ev_time.(w.due.(0)) <= limit
+
+let schedule_in w ~delay ~tag payload =
+  let delay = if delay < 0.0 then 0.0 else delay in
+  insert w (w.clock.now +. delay) tag payload
+
+let advance w t = if t > w.clock.now then w.clock.now <- t
+
 let pop_exn w =
   if not (ensure_due w) then raise Not_found;
   let id = due_pop w in
   w.len <- w.len - 1;
   w.popped <- w.popped + 1;
-  w.last_time <- w.ev_time.(id);
+  let t = w.ev_time.(id) in
+  w.clock.last_time <- t;
+  if t > w.clock.now then w.clock.now <- t;
   w.last_tag <- w.ev_tag.(id);
   let p = w.ev_payload.(id) in
   release w id;
   p
 
-let last_time w = w.last_time
+let last_time w = w.clock.last_time
+
+let clock w = w.clock
 
 let last_tag w = w.last_tag
 
@@ -340,7 +360,7 @@ let pop w =
   if is_empty w then None
   else begin
     let p = pop_exn w in
-    Some (w.last_time, w.last_tag, p)
+    Some (w.clock.last_time, w.last_tag, p)
   end
 
 let scheduled_total w = w.scheduled

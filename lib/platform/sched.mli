@@ -26,9 +26,17 @@
     closures: a stale tick is recognised by comparing the popped event's
     tag against the container's current epoch, with no per-reschedule
     closure allocation.  {!last_time} and {!last_tag} describe the most
-    recently popped event and stay valid until the next pop. *)
+    recently popped event and stay valid until the next pop.
+
+    The scheduler also keeps the simulation clock: the latest event time
+    popped, or time {!advance}d to.  It lives in an all-float record,
+    which OCaml stores flat, so a pop writes it without boxing a float,
+    and the engine reads it through {!clock} without a call. *)
 
 type 'a t
+
+type clock = private { mutable now : float; mutable last_time : float }
+(** [now] never decreases; [last_time] is the popped event's time. *)
 
 val create : dummy:'a -> unit -> 'a t
 (** [dummy] fills freed payload slots so the scheduler never pins dead
@@ -44,19 +52,33 @@ val schedule : 'a t -> time:float -> tag:int -> 'a -> unit
     order after every nearer event.  Raises [Invalid_argument] if [time]
     is NaN, which has no place in the order. *)
 
+val schedule_in : 'a t -> delay:float -> tag:int -> 'a -> unit
+(** [schedule_in t ~delay] schedules at [now + delay], a negative delay
+    counting as 0. *)
+
 val next_time : 'a t -> float
 (** Time of the earliest pending event, [infinity] when empty.  May
     advance the wheel cursor internally; observable order is unaffected. *)
 
+val has_due : 'a t -> float -> bool
+(** [has_due t limit]: is an event pending at a time [<= limit]?  Same
+    effect on the cursor as {!next_time}, without returning a float. *)
+
 val pop_exn : 'a t -> 'a
 (** Removes and returns the earliest event's payload (FIFO on equal
-    times); sets {!last_time}/{!last_tag}.  Raises [Not_found] when empty.
+    times); sets {!last_time}/{!last_tag} and advances the clock to the
+    event's time.  Raises [Not_found] when empty.
     Allocation-free. *)
 
 val pop : 'a t -> (float * int * 'a) option
 (** Convenience wrapper over {!pop_exn}: [(time, tag, payload)]. *)
 
 val last_time : 'a t -> float
+
+val clock : 'a t -> clock
+
+val advance : 'a t -> float -> unit
+(** Moves the clock forward to the given time; an earlier time is a no-op. *)
 
 val last_tag : 'a t -> int
 

@@ -479,29 +479,6 @@ let test_weighted_degree_worse_on_appendix_a () =
          heavy edges. *)
       Alcotest.(check bool) "simple heuristic pays >= 100" true (sol.Types.cost >= 100)
 
-(* --- Heuristic scores --- *)
-
-let test_betweenness_on_chain () =
-  let g = Gen.line_graph ~n:5 ~cpu:1.0 ~mem_mb:10.0 ~weight:1 in
-  let bc = Heur.betweenness_scores g in
-  Alcotest.(check bool) "middle beats ends" true (bc.(2) > bc.(0) && bc.(2) > bc.(4))
-
-let test_betweenness_solver_valid () =
-  let rng = Rng.create 12 in
-  let g, lims = Gen.random_rdag rng ~n:9 () in
-  let lim = { Types.max_cpu = lims.Gen.max_cpu; max_mem_mb = lims.Gen.max_mem_mb } in
-  match Heur.solve_betweenness g lim with
-  | Some sol ->
-      Alcotest.(check bool) "valid" true (Metrics.solution_valid g lim sol = Ok ());
-      Alcotest.(check bool) "no worse than baseline" true (sol.Types.cost <= Metrics.baseline_cost g)
-  | None -> Alcotest.fail "betweenness solver should find something (fallback on)"
-
-let test_weighted_out_degree () =
-  let g = appendix_a_graph () in
-  let s = Heur.weighted_out_degree_scores g in
-  Alcotest.(check (float 1e-9)) "A out-degree" 300.0 s.(0);
-  Alcotest.(check (float 1e-9)) "D out-degree" 0.0 s.(4)
-
 (* --- GRASP --- *)
 
 let test_grasp_solves_appendix_a () =
@@ -855,12 +832,6 @@ let suite =
         Alcotest.test_case "candidate pool" `Quick test_dih_candidate_pool_size;
         Alcotest.test_case "finds appendix A optimum" `Quick test_dih_finds_appendix_a_optimum;
         Alcotest.test_case "weighted degree worse on appendix A" `Quick test_weighted_degree_worse_on_appendix_a;
-      ] );
-    ( "cluster.heur",
-      [
-        Alcotest.test_case "betweenness on chain" `Quick test_betweenness_on_chain;
-        Alcotest.test_case "weighted out-degree" `Quick test_weighted_out_degree;
-        Alcotest.test_case "betweenness solver" `Quick test_betweenness_solver_valid;
       ] );
     ( "cluster.grasp",
       [
