@@ -89,7 +89,22 @@ let find_global m name =
   | Some (k, tbl) when k == m.globals -> Hashtbl.find_opt tbl name
   | _ -> List.find_opt (fun g -> g.gname = name) m.globals
 
-let map_funcs fn m = { m with funcs = List.map fn m.funcs }
+(* [List.map] that returns [l] itself when [fn] returns every element
+   physically unchanged, so a pass that changes nothing hands back its
+   input and the stage verifier can skip it. *)
+let map_same fn l =
+  let rec go = function
+    | [] -> []
+    | x :: rest as l ->
+        let x' = fn x in
+        let rest' = go rest in
+        if x' == x && rest' == rest then l else x' :: rest'
+  in
+  go l
+
+let map_funcs fn m =
+  let funcs = map_same fn m.funcs in
+  if funcs == m.funcs then m else { m with funcs }
 
 let replace_func m f =
   if List.exists (fun f' -> f'.fname = f.fname) m.funcs then
@@ -107,15 +122,13 @@ let add_global m g =
   else { m with globals = m.globals @ [ g ] }
 
 let map_instrs fn f =
-  if is_declaration f then f
-  else
-    {
-      f with
-      blocks =
-        List.map
-          (fun b -> { b with instrs = List.concat_map fn b.instrs })
-          f.blocks;
-    }
+  let map_block b =
+    let expanded = List.map fn b.instrs in
+    if List.for_all2 (fun i -> function [ i' ] -> i' == i | _ -> false) b.instrs expanded then b
+    else { b with instrs = List.concat expanded }
+  in
+  let blocks = map_same map_block f.blocks in
+  if blocks == f.blocks then f else { f with blocks }
 
 let iter_calls m visit =
   List.iter

@@ -88,6 +88,13 @@ val global_index : modul -> string -> global option
 (** O(1) counterpart of {!find_global}; same memoization. *)
 
 val map_funcs : (func -> func) -> modul -> modul
+(** Returns [m] itself when every function comes back physically equal
+    ([==]), so a stage that changes nothing keeps its input's identity. *)
+
+val map_same : ('a -> 'a) -> 'a list -> 'a list
+(** [List.map] that returns the list itself when every element comes back
+    [==]; unchanged tails are shared either way. *)
+
 val replace_func : modul -> func -> modul
 (** Replaces the function with the same name; adds it if absent. *)
 
@@ -96,7 +103,8 @@ val add_global : modul -> global -> modul
 
 val map_instrs : (instr -> instr list) -> func -> func
 (** Rewrites every instruction of a definition; one instruction may expand
-    to several. *)
+    to several.  A block whose every instruction maps to itself ([[i]] with
+    the same [i]) is kept, and so is [f] when every block is. *)
 
 val iter_calls : modul -> (caller:func -> instr -> unit) -> unit
 (** Visits every [Call] instruction in every definition. *)

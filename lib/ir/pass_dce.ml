@@ -67,11 +67,10 @@ let live_set ~roots (m : Ir.modul) =
 
 let run ~roots (m : Ir.modul) =
   let live = live_set ~roots m in
-  {
-    m with
-    Ir.funcs = List.filter (fun (f : Ir.func) -> Hashtbl.mem live f.Ir.fname) m.Ir.funcs;
-    globals = List.filter (fun (g : Ir.global) -> Hashtbl.mem live g.Ir.gname) m.Ir.globals;
-  }
+  let keep_f (f : Ir.func) = Hashtbl.mem live f.Ir.fname in
+  let keep_g (g : Ir.global) = Hashtbl.mem live g.Ir.gname in
+  if List.for_all keep_f m.Ir.funcs && List.for_all keep_g m.Ir.globals then m
+  else { m with Ir.funcs = List.filter keep_f m.Ir.funcs; globals = List.filter keep_g m.Ir.globals }
 
 let unused_symbols ~roots (m : Ir.modul) =
   let live = live_set ~roots m in

@@ -69,11 +69,13 @@ let run_func (f : Ir.func) =
       | Some d -> Hashtbl.mem needed d
       | None -> true
   in
-  {
-    f with
-    Ir.blocks =
-      List.map (fun (b : Ir.block) -> { b with Ir.instrs = List.filter keep b.Ir.instrs }) f.Ir.blocks;
-  }
+  let blocks =
+    Ir.map_same
+      (fun (b : Ir.block) ->
+        if List.for_all keep b.Ir.instrs then b else { b with Ir.instrs = List.filter keep b.Ir.instrs })
+      f.Ir.blocks
+  in
+  if blocks == f.Ir.blocks then f else { f with Ir.blocks }
 
 let run (m : Ir.modul) =
   Ir.map_funcs (fun f -> if Ir.is_declaration f then f else run_func f) m

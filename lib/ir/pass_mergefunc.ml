@@ -242,7 +242,7 @@ let rewrite_function (m : Ir.modul) ~ids ~service ~caller2c_for ~mode (f : Ir.fu
        entry block keeps its position. *)
     let rec process_block clean (b : Ir.block) =
       match split b.Ir.instrs with
-      | None -> [ { b with Ir.instrs = clean @ b.Ir.instrs } ]
+      | None -> [ (if clean = [] then b else { b with Ir.instrs = clean @ b.Ir.instrs }) ]
       | Some (before, site_instr, kind, lang, dst, req, after) -> (
           incr count;
           let caller2c = caller2c_for lang in
@@ -297,12 +297,12 @@ let rewrite_function (m : Ir.modul) ~ids ~service ~caller2c_for ~mode (f : Ir.fu
             })
           blocks
     in
-    ({ f with Ir.blocks = blocks }, !count, !counters)
+    if !count = 0 then (f, 0, []) else ({ f with Ir.blocks = blocks }, !count, !counters)
   end
 
 let insert_counter_reset (m : Ir.modul) ~handler counters =
   match Ir.find_func m handler with
-  | Some f when not (Ir.is_declaration f) ->
+  | Some f when counters <> [] && not (Ir.is_declaration f) ->
       let resets =
         List.map
           (fun c ->
@@ -330,7 +330,7 @@ let rewrite_call_sites (m : Ir.modul) ~ids ~service ~local_name ~callee_lang ~mo
   let total = ref 0 in
   let all_counters = ref [] in
   let funcs =
-    List.map
+    Ir.map_same
       (fun f ->
         let f', n, counters = rewrite_function !module_ref ~ids ~service ~caller2c_for ~mode f in
         total := !total + n;
@@ -338,30 +338,34 @@ let rewrite_call_sites (m : Ir.modul) ~ids ~service ~local_name ~callee_lang ~mo
         f')
       !module_ref.Ir.funcs
   in
-  let m = { !module_ref with Ir.funcs } in
-  (* Shim functions were added to module_ref during rewriting, but [funcs]
-     was computed from the same list; re-add any shims missing.  A seen-set
-     keeps this linear instead of re-scanning the accumulator per shim. *)
-  let m =
-    let have = Hashtbl.create (2 * List.length m.Ir.funcs) in
-    List.iter (fun (f : Ir.func) -> Hashtbl.replace have f.Ir.fname ()) m.Ir.funcs;
-    List.fold_left
-      (fun acc (f : Ir.func) ->
-        if Hashtbl.mem have f.Ir.fname then acc
-        else begin
-          Hashtbl.replace have f.Ir.fname ();
-          Ir.add_func acc f
-        end)
-      m !module_ref.Ir.funcs
-  in
-  (* Declare counters. *)
-  let m =
-    List.fold_left
-      (fun acc c ->
-        if Ir.find_global acc c = None then
-          Ir.add_global acc { Ir.gname = c; ginit = Ir.Gint64 0L; gconst = false; glang = None }
-        else acc)
-      m (List.sort_uniq compare !all_counters)
-  in
-  let m = match reset_in with Some h -> insert_counter_reset m ~handler:h (List.sort_uniq compare !all_counters) | None -> m in
-  (m, !total)
+  (* No site: every function came back unchanged, and no shim was made. *)
+  if !total = 0 then (m, 0)
+  else begin
+    let m = { !module_ref with Ir.funcs } in
+    (* Shim functions were added to module_ref during rewriting, but [funcs]
+       was computed from the same list; re-add any shims missing.  A seen-set
+       keeps this linear instead of re-scanning the accumulator per shim. *)
+    let m =
+      let have = Hashtbl.create (2 * List.length m.Ir.funcs) in
+      List.iter (fun (f : Ir.func) -> Hashtbl.replace have f.Ir.fname ()) m.Ir.funcs;
+      List.fold_left
+        (fun acc (f : Ir.func) ->
+          if Hashtbl.mem have f.Ir.fname then acc
+          else begin
+            Hashtbl.replace have f.Ir.fname ();
+            Ir.add_func acc f
+          end)
+        m !module_ref.Ir.funcs
+    in
+    (* Declare counters. *)
+    let m =
+      List.fold_left
+        (fun acc c ->
+          if Ir.find_global acc c = None then
+            Ir.add_global acc { Ir.gname = c; ginit = Ir.Gint64 0L; gconst = false; glang = None }
+          else acc)
+        m (List.sort_uniq compare !all_counters)
+    in
+    let m = match reset_in with Some h -> insert_counter_reset m ~handler:h (List.sort_uniq compare !all_counters) | None -> m in
+    (m, !total)
+  end

@@ -40,7 +40,8 @@ val rewrite_call_sites :
   reset_in:string option ->
   Ir.modul * int
 (** Rewrites all matching call sites in every defined function; returns the
-    module and the number of sites rewritten.  [ids] numbers the fresh
+    module and the number of sites rewritten, [(m, 0)] with [m] itself when
+    no site matches.  [ids] numbers the fresh
     locals and labels of the rewritten sites; give each merge its own
     counter so its text does not depend on earlier merges.  [service] is the callee's
     platform handle (the string the caller passes to sync_inv).  [mode] is

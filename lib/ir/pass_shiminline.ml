@@ -83,7 +83,7 @@ let resolver subst =
   in
   resolve ?seen:None
 
-let inline_into tbl changed (f : Ir.func) =
+let inline_sites ~shim_of (f : Ir.func) =
   (* Site counter starts past any [inl.<k>.] names already present, so the
      pass stays collision-free if ever run twice. *)
   let site = ref 0 in
@@ -103,32 +103,34 @@ let inline_into tbl changed (f : Ir.func) =
         b.Ir.instrs)
     f.Ir.blocks;
   let subst = Hashtbl.create 8 in
+  let expanded = ref false in
   let expand (i : Ir.instr) =
     match i with
-    | Ir.Call { dst; ret = _; callee; args } when callee <> f.Ir.fname -> (
-        match Hashtbl.find_opt tbl callee with
-        | Some ((shim : Ir.func), body) when List.length shim.Ir.params = List.length args -> (
+    | Ir.Call { dst; ret = _; callee; args } -> (
+        match shim_of callee args with
+        | Some (shim, body) -> (
             let k = !site in
             incr site;
             let instrs, rv = splice ~site:k ~shim ~body ~args in
             match (dst, rv) with
             | Some d, Some rv ->
                 Hashtbl.replace subst d rv;
-                changed := true;
+                expanded := true;
                 instrs
             | None, _ ->
-                changed := true;
+                expanded := true;
                 instrs
             | Some _, None ->
                 (* Value expected from a void shim: leave the site alone and
                    let the verifier complain. *)
                 decr site;
                 [ i ])
-        | _ -> [ i ])
+        | None -> [ i ])
     | _ -> [ i ]
   in
   let blocks = List.map (fun b -> { b with Ir.instrs = List.concat_map expand b.Ir.instrs }) f.Ir.blocks in
-  if Hashtbl.length subst = 0 then { f with Ir.blocks }
+  if not !expanded then f
+  else if Hashtbl.length subst = 0 then { f with Ir.blocks }
   else begin
     let resolve = resolver subst in
     let rw_instr = map_instr ~dst:(fun d -> d) ~v:resolve in
@@ -146,6 +148,23 @@ let inline_into tbl changed (f : Ir.func) =
     { f with Ir.blocks }
   end
 
+(* [f] itself when it calls no shim of [tbl]. *)
+let inline_into tbl (f : Ir.func) =
+  let shim_of callee args =
+    if callee = f.Ir.fname then None
+    else
+      match Hashtbl.find_opt tbl callee with
+      | Some ((shim : Ir.func), body) when List.length shim.Ir.params = List.length args ->
+          Some (shim, body)
+      | Some _ | None -> None
+  in
+  let calls_shim (b : Ir.block) =
+    List.exists
+      (function Ir.Call { callee; args; _ } -> Option.is_some (shim_of callee args) | _ -> false)
+      b.Ir.instrs
+  in
+  if List.exists calls_shim f.Ir.blocks then inline_sites ~shim_of f else f
+
 let run (m : Ir.modul) =
   (* A caller2c body itself calls c2callee, so flattening a whole chain
      takes one extra round; the budget is slack over the generated depth. *)
@@ -155,11 +174,8 @@ let run (m : Ir.modul) =
       let tbl = inlinable_table m in
       if Hashtbl.length tbl = 0 then m
       else begin
-        let changed = ref false in
-        let m' =
-          Ir.map_funcs (fun f -> if Ir.is_declaration f then f else inline_into tbl changed f) m
-        in
-        if !changed then go m' (round + 1) else m'
+        let m' = Ir.map_funcs (inline_into tbl) m in
+        if m' == m then m else go m' (round + 1)
       end
     end
   in

@@ -137,11 +137,13 @@ let fold_round (f : Ir.func) =
 let run_func (f : Ir.func) =
   if Ir.is_declaration f then f
   else begin
+    (* A round that changes nothing rebuilds [f] structurally equal: keep
+       [f] itself. *)
     let rec fixpoint f rounds =
       if rounds = 0 then f
       else begin
-        let f, changed = fold_round f in
-        if changed then fixpoint f (rounds - 1) else f
+        let f', changed = fold_round f in
+        if changed then fixpoint f' (rounds - 1) else f
       end
     in
     fixpoint f 8

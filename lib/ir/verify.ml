@@ -449,11 +449,12 @@ let interference (m : Ir.modul) =
    One code path serves both the one-shot [run] and the merge pipeline's
    per-stage checks: [incremental] keeps, per function name, the function
    last verified, the names its base check probed, and its diagnostics.
-   A function that is [==] or structurally equal to its predecessor, none
-   of whose probed names resolves differently than in the previous module,
-   gets the same diagnostics by construction: the strict tier reads only
-   the function, and the base tier reads only the function and its probes.
-   Module-level duplicate checks (V012) are recomputed every time. *)
+   A function that is [==] to its predecessor, none of whose probed names
+   resolves differently than in the previous module, gets the same
+   diagnostics by construction: the strict tier reads only the function,
+   and the base tier reads only the function and its probes.  Passes hand
+   back the functions they leave unchanged, so [==] is the whole reuse
+   test.  Module-level duplicate checks (V012) are recomputed every time. *)
 
 (* All a base-tier probe can observe of a module: the signature of the
    first function bound to each name, and which names are globals.
@@ -523,7 +524,7 @@ let incremental ~strict () =
       { m_func = f; m_probed = !probed; m_diags = diags }
     in
     let reusable e (f : Ir.func) =
-      (e.m_func == f || compare e.m_func f = 0)
+      e.m_func == f
       &&
       let changed = Lazy.force changed in
       Hashtbl.length changed = 0 || not (List.exists (Hashtbl.mem changed) e.m_probed)
@@ -557,6 +558,18 @@ let raise_errors ?stage diags =
 
 let check_exn m = raise_errors (run m)
 
+(* A stage that hands back the module it was given has the diagnostics
+   the last check found. *)
 let stage_checker ~strict () =
   let check = incremental ~strict () in
-  fun ~stage m -> raise_errors ~stage (check m)
+  let last = ref None in
+  fun ~stage m ->
+    let diags =
+      match !last with
+      | Some (m', diags) when m' == m -> diags
+      | Some _ | None ->
+          let diags = check m in
+          last := Some (m, diags);
+          diags
+    in
+    raise_errors ~stage diags

@@ -19,7 +19,7 @@
     formatted only for emitted diagnostics.  On the bundled workflows'
     merged modules ([dune exec bench/main.exe -- ir], row
     [verify:bundled-merges]) a strict run allocates 46 minor words per
-    instruction and takes 9–14 µs per function on a 2-vCPU x86-64
+    instruction and takes 8–12 µs per function on a 2-vCPU x86-64
     container. *)
 
 type severity = Error | Warning
@@ -65,14 +65,16 @@ val check_exn : Ir.modul -> unit
     and the names its base check {e probed} in the module: every callee,
     whose [(param types, ret type)] or absence decides V005–V008, and
     every [@name] reference, whose existence as a global or function
-    decides V004.  A function's diagnostics are reused when it is [==] or
-    structurally equal to the remembered one and none of its probed names
-    resolves differently than in the previous module (a function of that
-    name appeared, vanished or changed signature, or a global of that name
-    appeared or vanished).  The reuse is exact, not a heuristic: the
-    strict tier reads nothing but the function, and the base tier reads
-    nothing but the function and those probes, so re-running either would
-    produce the same list.  Module-level findings (V012) are recomputed on
+    decides V004.  A function's diagnostics are reused when it is [==] to
+    the remembered one and none of its probed names resolves differently
+    than in the previous module (a function of that name appeared, vanished
+    or changed signature, or a global of that name appeared or vanished).
+    A function that is only structurally equal is verified again: the
+    passes return every function they leave unchanged physically, so
+    physical identity is the whole test.  The reuse is exact, not a
+    heuristic: the strict tier reads nothing but the function, and the
+    base tier reads nothing but the function and those probes, so
+    re-running either would produce the same list.  Module-level findings (V012) are recomputed on
     every call.  The memo holds at most one version per function name and
     lives in the returned closure; nothing is shared across closures or
     domains. *)
@@ -85,4 +87,6 @@ val incremental : strict:bool -> unit -> Ir.modul -> diagnostic list
 val stage_checker : strict:bool -> unit -> stage:string -> Ir.modul -> unit
 (** A {!check_exn} over one {!incremental} verifier, for checking the
     successive stages of one compilation: raises [Failure] naming [stage]
-    if that stage's module has an [Error]-severity diagnostic. *)
+    if that stage's module has an [Error]-severity diagnostic.  A module
+    [==] to the last one checked is not walked again: it has that check's
+    diagnostics. *)

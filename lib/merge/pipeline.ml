@@ -152,6 +152,15 @@ let merge_group_uncached ?(on_stage = fun ~stage:_ _ -> ()) ~lookup ~members ~ro
             List.map (fun (c, k) -> if c = callee then (c, k + n) else (c, k)) !rounds
       end)
     order;
+  (* Strip what the entry handler cannot reach — the members' original
+     handlers, unused runtime and shim functions — before the optimizing
+     stages, so they rewrite and verify only live code.  Every later pass
+     is per function and only ever drops references, so the reachable set
+     only shrinks and the final strip sees the same module it would have
+     seen without this one. *)
+  let strip ~stage = merged := checked ~stage (Pass_dce.run ~roots:[ root_handler ] !merged) in
+  let before = List.length !merged.Ir.funcs + List.length !merged.Ir.globals in
+  strip ~stage:"dce:merged";
   (* Step ⑦: DelayHTTP. *)
   merged := checked ~stage:"delayhttp" (Pass_delayhttp.run !merged);
   (* Steps ⑧–⑩: scalar simplification (folds the localization aliases and
@@ -161,12 +170,13 @@ let merge_group_uncached ?(on_stage = fun ~stage:_ _ -> ()) ~lookup ~members ~ro
   merged := checked ~stage:"simplify" (Pass_simplify.run !merged);
   if optimize then begin
     merged := checked ~stage:"shiminline" (Pass_shiminline.run !merged);
+    (* Inlining leaves the caller2c/c2callee shims dead. *)
+    strip ~stage:"dce:shiminline";
     merged := checked ~stage:"sccp" (Pass_sccp.run !merged);
     merged := checked ~stage:"jumpthread" (Pass_jumpthread.run !merged)
   end;
   merged := checked ~stage:"livedce" (Pass_livedce.run !merged);
-  let before = List.length !merged.Ir.funcs + List.length !merged.Ir.globals in
-  merged := checked ~stage:"dce" (Pass_dce.run ~roots:[ root_handler ] !merged);
+  strip ~stage:"dce";
   let after = List.length !merged.Ir.funcs + List.length !merged.Ir.globals in
   (* Optional per-function billing instrumentation (§8). *)
   if billing then merged := checked ~stage:"billing" (Pass_billing.run !merged);
@@ -191,8 +201,8 @@ let merge_group_uncached ?(on_stage = fun ~stage:_ _ -> ()) ~lookup ~members ~ro
    evaluated over every ordered member pair, and the billing flag — so a
    re-merge with unchanged inputs is a table lookup, while any source or
    guard change misses by construction (no explicit invalidation).  Reports
-   are immutable (every pass returns a fresh module), so sharing the cached
-   value is safe.  A mutex guards the table because bench fan-outs call
+   are immutable (no pass mutates a module), so sharing the cached value is
+   safe.  A mutex guards the table because bench fan-outs call
    [merge_group] from a Domain pool; computation happens outside the lock
    (two domains may race to compute one key — last insert wins). *)
 

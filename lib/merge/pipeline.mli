@@ -10,7 +10,17 @@
     §5.6 conditional invocations.  After the last round the HTTP-stack
     initialisation is delayed (⑦ DelayHTTP) and unreferenced functions,
     runtimes and globals are stripped (⑧–⑩ llc / Implib.so / gc-sections,
-    modelled by global DCE).  The result is verified. *)
+    modelled by global DCE).
+
+    The global DCE ({!Quilt_ir.Pass_dce}, rooted at the entry handler)
+    runs three times: as soon as the merge rounds end, so DelayHTTP and
+    every later stage see only code the entry handler can reach; after
+    shim inlining, which leaves the caller2c/c2callee shims dead; and
+    last, after the liveness DCE.  Every stage in between rewrites
+    functions one at a time and only ever drops references, so the early
+    strips change no deployed module.  A stage that changes nothing
+    returns its input module physically, and the stage verifier skips it.
+    Every stage's output is verified. *)
 
 type edge_mode = Always_local | Guarded of int
 (** [Guarded alpha]: the first [alpha] calls per request stay local, later
@@ -19,7 +29,9 @@ type edge_mode = Always_local | Guarded of int
 type report = {
   rounds : (string * int) list;
       (** Per merged callee: number of call sites rewritten. *)
-  removed_symbols : int;  (** Symbols stripped by the final DCE. *)
+  removed_symbols : int;
+      (** Functions and globals the DCE stages stripped, counted from the
+          module the merge rounds left. *)
   languages : string list;  (** Distinct source languages in the result. *)
   merged_module : Quilt_ir.Ir.modul;
   entry : string;  (** The entry handler symbol, [entry_handler root]. *)

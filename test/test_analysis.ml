@@ -580,6 +580,59 @@ let test_unoptimized_merge_is_livedce_fixpoint () =
         (Pp.to_string (Pass_livedce.run m)))
     (bundled_workflows ())
 
+(* A pass that changes nothing hands back its input: run on its own output
+   over every bundled merge, each pass returns the same physical module,
+   function for function.  The unoptimized merges still hold the ABI shims,
+   so shim inlining does real work in its first run there. *)
+let test_passes_return_unchanged_input () =
+  let passes =
+    [
+      ("delayhttp", Pass_delayhttp.run);
+      ("simplify", Pass_simplify.run);
+      ("shiminline", Pass_shiminline.run);
+      ("sccp", Pass_sccp.run);
+      ("jumpthread", Pass_jumpthread.run);
+      ("livedce", Pass_livedce.run);
+    ]
+  in
+  List.iter
+    (fun (wf : Workflow.t) ->
+      List.iter
+        (fun optimize ->
+          let report =
+            Pipeline.merge_group_uncached ~lookup:(Workflow.lookup wf)
+              ~members:(Workflow.fn_names wf) ~root:wf.Workflow.entry ~optimize ()
+          in
+          let m = report.Pipeline.merged_module in
+          let what = Printf.sprintf "%s (optimize=%b)" wf.Workflow.wf_name optimize in
+          let same name m1 m2 =
+            List.iter2
+              (fun (f1 : Ir.func) (f2 : Ir.func) ->
+                if f1 != f2 then Alcotest.failf "%s: %s rebuilt unchanged @%s" what name f1.Ir.fname)
+              m1.Ir.funcs m2.Ir.funcs;
+            if m1 != m2 then Alcotest.failf "%s: %s rebuilt an unchanged module" what name
+          in
+          List.iter
+            (fun (name, run) ->
+              let once = run m in
+              same name once (run once))
+            (("dce", Pass_dce.run ~roots:[ report.Pipeline.entry ]) :: passes);
+          (* Every member's sites were rewritten by the merge, and no
+             function calls a service that does not exist. *)
+          List.iter
+            (fun service ->
+              let m', n =
+                Pass_mergefunc.rewrite_call_sites m ~ids:(ref 0) ~service
+                  ~local_name:(service ^ "__local") ~callee_lang:"rust"
+                  ~mode:(fun ~caller:_ -> Pass_mergefunc.Unconditional)
+                  ~reset_in:(Some report.Pipeline.entry)
+              in
+              Alcotest.(check int) (what ^ ": no site for " ^ service) 0 n;
+              same ("rewrite_call_sites " ^ service) m m')
+            ("no-such-service" :: Workflow.fn_names wf))
+        [ true; false ])
+    (bundled_workflows ())
+
 (* [m] with one called, defined function's return type flipped: the
    function itself now fails V010 and its unchanged callers fail V008, so a
    verifier that reused stale diagnostics would miss both. *)
@@ -787,5 +840,7 @@ let suite =
         Alcotest.test_case "symbol DCE is a fixed point" `Quick test_dce_fixed_point;
         Alcotest.test_case "unoptimized merges are livedce fixpoints" `Quick
           test_unoptimized_merge_is_livedce_fixpoint;
+        Alcotest.test_case "passes hand back unchanged input" `Quick
+          test_passes_return_unchanged_input;
       ] );
   ]
