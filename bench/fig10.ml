@@ -12,7 +12,7 @@ module Stats = Quilt_util.Stats
 let callee_mem_mb = 14 (* 8 x 14 MB + base fits in 128 MB; 9 does not *)
 let alpha = 8
 
-let merged_spec ~guard =
+let merged_spec ~guards =
   {
     Engine.service = "fan-out";
     vcpus = 2.0;
@@ -21,7 +21,7 @@ let merged_spec ~guard =
     image_mb = 30.0;
     max_scale = 20;
     eager_http = false;
-    mode = Engine.Merged { members = [ "fan-out"; "fan-out-worker" ]; guard };
+    mode = Engine.Merged { members = [ "fan-out"; "fan-out-worker" ]; guards };
   }
 
 type system = Baseline | Unguarded | Guarded
@@ -30,8 +30,8 @@ let make_engine wf system =
   let engine = Quilt.fresh_platform ~workflows:[ wf ] () in
   (match system with
   | Baseline -> ()
-  | Unguarded -> Engine.deploy engine (merged_spec ~guard:(fun ~caller:_ ~callee:_ -> None))
-  | Guarded -> Engine.deploy engine (merged_spec ~guard:(fun ~caller:_ ~callee:_ -> Some alpha)));
+  | Unguarded -> Engine.deploy engine (merged_spec ~guards:[])
+  | Guarded -> Engine.deploy engine (merged_spec ~guards:[ (("fan-out", "fan-out-worker"), alpha) ]));
   engine
 
 let measure engine ~num ~samples =

@@ -91,27 +91,19 @@ type t = {
   samples : Canary.samples;
 }
 
-(* A plan's grouping identity: sorted member lists plus the guard budget of
-   every internal edge.  Guards matter — the same member set deployed with
-   and without α-guards behaves differently, and a canary verdict against
-   one must not be applied to the other. *)
+(* A plan's grouping identity: sorted member lists plus the canonical
+   guards of each merged deployment.  Guards matter — the same member set
+   deployed with and without α-guards behaves differently, and a canary
+   verdict against one must not be applied to the other. *)
 let fingerprint (plan : Quilt.t) =
   let dep_fp (d : Deploy.merged_deployment) =
     let members = List.sort compare d.Deploy.members in
     let guards =
       match d.Deploy.spec.Engine.mode with
-      | Engine.Merged { guard; _ } ->
-          List.concat_map
-            (fun a ->
-              List.filter_map
-                (fun b ->
-                  if a = b then None
-                  else
-                    match guard ~caller:a ~callee:b with
-                    | Some g -> Some (Printf.sprintf "%s>%s:%d" a b g)
-                    | None -> None)
-                members)
-            members
+      | Engine.Merged { guards; _ } ->
+          List.map
+            (fun ((a, b), g) -> Printf.sprintf "%s>%s:%d" a b g)
+            (Quilt_merge.Pipeline.canonical_guards ~members guards)
       | Engine.Plain | Engine.Container_merge _ -> []
     in
     String.concat "," members ^ "{" ^ String.concat "," guards ^ "}"

@@ -1,4 +1,4 @@
-type guard_policy = Never | Data_dependent | Always
+type guard_policy = Never | Data_dependent
 
 type t = {
   vcpus : float;

@@ -6,7 +6,6 @@ type guard_policy =
   | Data_dependent
       (** Guard edges whose profiled α exceeds 1 — loops and other
           data-dependent fan-out (§5.6). *)
-  | Always
 
 type t = {
   vcpus : float;  (** Container CPU limit. *)

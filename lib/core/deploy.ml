@@ -75,43 +75,26 @@ let merged_spec (cfg : Config.t) (wf : Workflow.t) ~(graph : Callgraph.t)
     (fun i b -> if b then members := (Callgraph.node graph i).Callgraph.name :: !members)
     subgraph.Quilt_cluster.Types.members;
   let members = List.rev !members in
-  (* Per-edge α from the profile, for guard decisions. *)
-  let alpha_of caller callee =
-    match Callgraph.find_node graph caller, Callgraph.find_node graph callee with
-    | Some a, Some b ->
-        List.find_map
-          (fun (e : Callgraph.edge) ->
-            if e.Callgraph.src = a.Callgraph.id && e.Callgraph.dst = b.Callgraph.id then
-              Some (Callgraph.alpha graph e)
-            else None)
-          graph.Callgraph.edges
-    | _ -> None
-  in
-  let guard ~caller ~callee =
-    match cfg.Config.guard_policy, alpha_of caller callee with
-    | Config.Never, _ -> None
-    | Config.Always, Some a -> Some a
-    | Config.Always, None -> Some 1
-    | Config.Data_dependent, Some a when a > 1 -> Some a
-    | Config.Data_dependent, (Some _ | None) -> None
-  in
-  let edge_mode ~caller ~callee =
-    match guard ~caller ~callee with
-    | Some a -> Pipeline.Guarded a
-    | None -> Pipeline.Always_local
+  (* §5.6: guard each member pair whose first profiled edge has α > 1. *)
+  let guards =
+    match cfg.Config.guard_policy with
+    | Config.Never -> []
+    | Config.Data_dependent ->
+        let name i = (Callgraph.node graph i).Callgraph.name in
+        Pipeline.canonical_guards ~members
+          (List.map
+             (fun (e : Callgraph.edge) ->
+               ((name e.Callgraph.src, name e.Callgraph.dst), Callgraph.alpha graph e))
+             graph.Callgraph.edges)
+        |> List.filter (fun (_, alpha) -> alpha > 1)
   in
   let report =
     Pipeline.merge_group
       ~lookup:(fun svc -> Workflow.lookup wf svc)
-      ~members ~root:root_name ~edge_mode ()
+      ~members ~root:root_name ~guards ()
   in
   let m = report.Pipeline.merged_module in
   let binary = Sizes.binary_size_mb m in
-  let eager_http =
-    (* DelayHTTP ran, so eager loading survives only if something forces
-       it; the size model's stub check doubles as the indicator. *)
-    false
-  in
   let spec =
     {
       Engine.service = root_name;
@@ -122,8 +105,9 @@ let merged_spec (cfg : Config.t) (wf : Workflow.t) ~(graph : Callgraph.t)
       (* Experiment 1 gives Quilt the same total resources as the baseline:
          max-scale per function, summed over the merged members. *)
       max_scale = cfg.Config.max_scale * List.length members;
-      eager_http;
-      mode = Engine.Merged { members; guard };
+      (* DelayHTTP runs on every merged module. *)
+      eager_http = false;
+      mode = Engine.Merged { members; guards };
     }
   in
   { spec; report; members; root = root_name }

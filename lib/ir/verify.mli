@@ -19,8 +19,8 @@
     formatted only for emitted diagnostics.  On the bundled workflows'
     merged modules ([dune exec bench/main.exe -- ir], row
     [verify:bundled-merges]) a strict run allocates 46 minor words per
-    instruction and takes 8–12 µs per function on a 2-vCPU x86-64
-    container. *)
+    instruction, a deterministic count; the row's wall time, with its
+    spread, is in [BENCH_ir.json]. *)
 
 type severity = Error | Warning
 

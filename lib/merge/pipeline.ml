@@ -2,8 +2,6 @@ open Quilt_ir
 module Ast = Quilt_lang.Ast
 module Frontend = Quilt_lang.Frontend
 
-type edge_mode = Always_local | Guarded of int
-
 type report = {
   rounds : (string * int) list;
   removed_symbols : int;
@@ -52,8 +50,7 @@ let bfs_order ~members ~edges ~root =
   List.rev !order
 
 let merge_group_uncached ?(on_stage = fun ~stage:_ _ -> ()) ~lookup ~members ~root
-    ?(edge_mode = fun ~caller:_ ~callee:_ -> Always_local) ?(billing = false) ?(optimize = true) ()
-    =
+    ?(guards = []) ?(billing = false) ?(optimize = true) () =
   if not (List.mem root members) then failwith "Pipeline.merge_group: root must be a member";
   (* The strict verifier runs after every stage: a stage that breaks SSA
      dominance, typing or phi/CFG agreement is reported by name instead of
@@ -79,13 +76,23 @@ let merge_group_uncached ?(on_stage = fun ~stage:_ _ -> ()) ~lookup ~members ~ro
       members
   in
   let order = bfs_order ~members ~edges ~root in
-  (* Map handler symbols back to services for per-edge modes. *)
+  (* Map handler symbols back to services for per-edge guards. *)
   let service_of_symbol = Hashtbl.create 16 in
   List.iter
     (fun svc ->
       Hashtbl.replace service_of_symbol (Ast.handler_symbol svc) svc;
       Hashtbl.replace service_of_symbol (Ast.local_symbol svc) svc)
     members;
+  (* A member's call site to [callee] is conditional exactly when the
+     first [guards] entry for the pair says so (§5.6). *)
+  let mode ~callee ~caller =
+    match Hashtbl.find_opt service_of_symbol caller with
+    | Some caller_svc -> (
+        match List.assoc_opt (caller_svc, callee) guards with
+        | Some alpha -> Pass_mergefunc.Conditional alpha
+        | None -> Pass_mergefunc.Unconditional)
+    | None -> Pass_mergefunc.Unconditional
+  in
   let root_handler = entry_handler root in
   let ids = ref 0 in
   let merged = ref (checked ~stage:"frontend" (Frontend.compile (lookup root))) in
@@ -111,17 +118,9 @@ let merge_group_uncached ?(on_stage = fun ~stage:_ _ -> ()) ~lookup ~members ~ro
         if Ir.func_index !merged local_name = None then
           merged := Pass_mergefunc.localize_handler !merged ~handler ~local_name;
         let callee_lang = (lookup callee).Ast.fn_lang in
-        let mode ~caller =
-          match Hashtbl.find_opt service_of_symbol caller with
-          | Some caller_svc -> (
-              match edge_mode ~caller:caller_svc ~callee with
-              | Always_local -> Pass_mergefunc.Unconditional
-              | Guarded alpha -> Pass_mergefunc.Conditional alpha)
-          | None -> Pass_mergefunc.Unconditional
-        in
         let m', n =
           Pass_mergefunc.rewrite_call_sites !merged ~ids ~service:callee ~local_name ~callee_lang
-            ~mode ~reset_in:(Some root_handler)
+            ~mode:(mode ~callee) ~reset_in:(Some root_handler)
         in
         merged := checked ~stage:("mergefunc:" ^ callee) m';
         rounds := (callee, n) :: !rounds
@@ -134,17 +133,9 @@ let merge_group_uncached ?(on_stage = fun ~stage:_ _ -> ()) ~lookup ~members ~ro
       if callee <> root then begin
         let local_name = Ast.local_symbol callee in
         let callee_lang = (lookup callee).Ast.fn_lang in
-        let mode ~caller =
-          match Hashtbl.find_opt service_of_symbol caller with
-          | Some caller_svc -> (
-              match edge_mode ~caller:caller_svc ~callee with
-              | Always_local -> Pass_mergefunc.Unconditional
-              | Guarded alpha -> Pass_mergefunc.Conditional alpha)
-          | None -> Pass_mergefunc.Unconditional
-        in
         let m', n =
           Pass_mergefunc.rewrite_call_sites !merged ~ids ~service:callee ~local_name ~callee_lang
-            ~mode ~reset_in:(Some root_handler)
+            ~mode:(mode ~callee) ~reset_in:(Some root_handler)
         in
         merged := checked ~stage:("resweep:" ^ callee) m';
         if n > 0 then
@@ -197,10 +188,10 @@ let merge_group_uncached ?(on_stage = fun ~stage:_ _ -> ()) ~lookup ~members ~ro
    recompiling the same groups: between two re-merge decisions the member
    sources rarely change, and independent seeds of one scenario share every
    group.  The cache keys a compiled [report] by the {e content} of its
-   inputs — the members' AST digests, the root, the edge-mode decisions
-   evaluated over every ordered member pair, and the billing flag — so a
-   re-merge with unchanged inputs is a table lookup, while any source or
-   guard change misses by construction (no explicit invalidation).  Reports
+   inputs — the members' AST digests, the root, the flags and the
+   canonical guard list — so a re-merge with unchanged inputs is a table
+   lookup, while any source or guard change misses by construction (no
+   explicit invalidation).  Reports
    are immutable (no pass mutates a module), so sharing the cached value is
    safe.  A mutex guards the table because bench fan-outs call
    [merge_group] from a Domain pool; computation happens outside the lock
@@ -223,9 +214,19 @@ let reset_cache () =
   Atomic.set cache_hits 0;
   Atomic.set cache_misses 0
 
+let canonical_guards ~members guards =
+  let rec firsts acc = function
+    | [] -> acc
+    | ((((caller, callee) as pair), _) as g) :: tl ->
+        if List.mem_assoc pair acc || not (List.mem caller members && List.mem callee members) then
+          firsts acc tl
+        else firsts (g :: acc) tl
+  in
+  List.sort compare (firsts [] guards)
+
 let fn_digest (f : Ast.fn) = Digest.to_hex (Digest.string (Marshal.to_string f []))
 
-let cache_key ~lookup ~members ~root ~edge_mode ~billing ~optimize =
+let cache_key ~lookup ~members ~root ~guards ~billing ~optimize =
   let sorted = List.sort String.compare members in
   let buf = Buffer.create 512 in
   Buffer.add_string buf "root=";
@@ -241,34 +242,22 @@ let cache_key ~lookup ~members ~root ~edge_mode ~billing ~optimize =
       Buffer.add_char buf '=';
       Buffer.add_string buf (fn_digest (lookup m)))
     sorted;
-  (* The edge-mode closure is opaque (it captures profiled α values);
-     fingerprint its decisions over every ordered member pair instead. *)
   List.iter
-    (fun caller ->
-      List.iter
-        (fun callee ->
-          if caller <> callee then begin
-            Buffer.add_string buf ";e:";
-            Buffer.add_string buf caller;
-            Buffer.add_char buf '>';
-            Buffer.add_string buf callee;
-            Buffer.add_char buf '=';
-            match edge_mode ~caller ~callee with
-            | Always_local -> Buffer.add_char buf 'L'
-            | Guarded alpha ->
-                Buffer.add_char buf 'G';
-                Buffer.add_string buf (string_of_int alpha)
-          end)
-        sorted)
-    sorted;
+    (fun ((caller, callee), alpha) ->
+      Buffer.add_string buf ";g:";
+      Buffer.add_string buf caller;
+      Buffer.add_char buf '>';
+      Buffer.add_string buf callee;
+      Buffer.add_char buf '=';
+      Buffer.add_string buf (string_of_int alpha))
+    (canonical_guards ~members guards);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let merge_group ~lookup ~members ~root ?(edge_mode = fun ~caller:_ ~callee:_ -> Always_local)
-    ?(billing = false) ?(optimize = true) () =
+let merge_group ~lookup ~members ~root ?(guards = []) ?(billing = false) ?(optimize = true) () =
   if not (Atomic.get cache_enabled) then
-    merge_group_uncached ~lookup ~members ~root ~edge_mode ~billing ~optimize ()
+    merge_group_uncached ~lookup ~members ~root ~guards ~billing ~optimize ()
   else begin
-    let key = cache_key ~lookup ~members ~root ~edge_mode ~billing ~optimize in
+    let key = cache_key ~lookup ~members ~root ~guards ~billing ~optimize in
     Mutex.lock cache_lock;
     let cached = Hashtbl.find_opt cache key in
     Mutex.unlock cache_lock;
@@ -278,7 +267,7 @@ let merge_group ~lookup ~members ~root ?(edge_mode = fun ~caller:_ ~callee:_ -> 
         report
     | None ->
         ignore (Atomic.fetch_and_add cache_misses 1);
-        let report = merge_group_uncached ~lookup ~members ~root ~edge_mode ~billing ~optimize () in
+        let report = merge_group_uncached ~lookup ~members ~root ~guards ~billing ~optimize () in
         Mutex.lock cache_lock;
         Hashtbl.replace cache key report;
         Mutex.unlock cache_lock;

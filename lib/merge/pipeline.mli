@@ -22,10 +22,6 @@
     returns its input module physically, and the stage verifier skips it.
     Every stage's output is verified. *)
 
-type edge_mode = Always_local | Guarded of int
-(** [Guarded alpha]: the first [alpha] calls per request stay local, later
-    ones fall back to remote invocation (§5.6). *)
-
 type report = {
   rounds : (string * int) list;
       (** Per merged callee: number of call sites rewritten. *)
@@ -41,15 +37,19 @@ val merge_group :
   lookup:(string -> Quilt_lang.Ast.fn) ->
   members:string list ->
   root:string ->
-  ?edge_mode:(caller:string -> callee:string -> edge_mode) ->
+  ?guards:((string * string) * int) list ->
   ?billing:bool ->
   ?optimize:bool ->
   unit ->
   report
 (** [members] are service names (the root included); [lookup] resolves each
     to its source.  The call graph is derived from the ASTs; only edges
-    between members are merged.  [edge_mode] defaults to
-    [fun ~caller:_ ~callee:_ -> Always_local].
+    between members are merged.  [guards] lists the §5.6 conditional
+    edges: for [((caller, callee), alpha)], the first [alpha] calls from
+    [caller] to [callee] per request stay local and later ones fall back to
+    remote invocation.  The first entry for a pair wins and pairs that are
+    not both members are ignored; every other member edge is always local
+    (the default, [[]], makes every member edge local).
     [optimize] (default [true]) runs the analysis-driven optimization
     passes — {!Quilt_ir.Pass_shiminline}, {!Quilt_ir.Pass_sccp},
     {!Quilt_ir.Pass_jumpthread} — after scalar simplification; [false] is
@@ -69,7 +69,7 @@ val merge_group_uncached :
   lookup:(string -> Quilt_lang.Ast.fn) ->
   members:string list ->
   root:string ->
-  ?edge_mode:(caller:string -> callee:string -> edge_mode) ->
+  ?guards:((string * string) * int) list ->
   ?billing:bool ->
   ?optimize:bool ->
   unit ->
@@ -85,11 +85,17 @@ val entry_handler : string -> string
 
     {!merge_group} memoises compiled groups process-wide, keyed by the
     content of its inputs: each member's AST digest, the root, the
-    edge-mode decisions over every ordered member pair, and the billing
-    flag.  Drift-triggered re-merges and multi-seed bench fan-outs with
+    {!canonical_guards} and the billing and optimize flags.  Guard lists
+    that differ only in order, duplicates or non-member pairs share a key.
+    Drift-triggered re-merges and multi-seed bench fan-outs with
     unchanged inputs hit the cache; any source or guard change misses by
     construction, so there is no explicit invalidation.  The table is
     mutex-guarded (bench fan-outs merge from a Domain pool). *)
+
+val canonical_guards :
+  members:string list -> ((string * string) * int) list -> ((string * string) * int) list
+(** The guards a merge of [members] obeys: member pairs only, the first
+    entry per pair, sorted by pair. *)
 
 val set_cache_enabled : bool -> unit
 (** Default: enabled.  Disabling makes {!merge_group} recompile every call

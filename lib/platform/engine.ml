@@ -4,7 +4,7 @@ module Topology = Quilt_place.Topology
 
 type mode =
   | Plain
-  | Merged of { members : string list; guard : caller:string -> callee:string -> int option }
+  | Merged of { members : string list; guards : ((string * string) * int) list }
   | Container_merge of { members : string list; member_base_mem : string -> float }
 
 type spec = {
@@ -105,6 +105,10 @@ and cfloats = {
 
 and monitor_cell = { mutable m_cpu : float; mutable m_inv : int; mutable m_peak : float }
 
+(* A guarded call from [g_caller]: the first [g_alpha] per request, counted
+   in slot [g_pair] of the task's [guards], stay local. *)
+and guard = { g_caller : string; g_pair : int; g_alpha : int }
+
 and deployment = {
   mutable dspec : spec;
   mutable pool : container list;
@@ -116,7 +120,9 @@ and deployment = {
   mutable wq_first : task;
   mutable wq_last : task;
   mutable wq_len : int;
-  members_tbl : (string, unit) Hashtbl.t;  (* interned merge-member set *)
+  (* Merge members, each with its §5.6-guarded callers. *)
+  members_tbl : (string, guard list) Hashtbl.t;
+  n_guards : int;  (* guarded (caller, callee) pairs, numbered from 0 *)
   mutable scratch : container array;  (* reused alive-pool buffer for pick_container *)
 }
 
@@ -139,7 +145,7 @@ and task = {
   mutable t_done : bool;
   mutable settled : bool;  (* the caller has its answer (response or hop timeout) *)
   mutable t_ok : bool;  (* the answer the response leg carries *)
-  mutable guards : int array;  (* §5.6 per-request counts by guard pair id *)
+  mutable guards : int array;  (* §5.6 per-request counts by [g_pair] *)
   mutable qnext : task;  (* the next task queued at the controller *)
   from : frame;  (* the calling frame of a hop; [no_frame] for a client request *)
   from_fid : int;  (* the future an async hop resolves in [from]; -1 for sync *)
@@ -271,8 +277,6 @@ type t = {
   mutable next_tid : int;
   mutable ev_synced : int;  (* pops already folded into the global counters *)
   ctree_cache : (string, (string, Calltree.node) Hashtbl.t) Hashtbl.t;
-  guard_pairs : (string, (string, int) Hashtbl.t) Hashtbl.t;  (* caller -> callee -> id *)
-  mutable n_guard_pairs : int;
   rates : rates;
   cm_cpu_us : float;  (* CPU share of the CM gateway hop *)
   cm_wait_us : float;  (* ... and its wait *)
@@ -379,6 +383,7 @@ and no_container =
         wq_last = no_task;
         wq_len = 0;
         members_tbl = no_table;
+        n_guards = 0;
         scratch = [||];
       };
     ready = false;
@@ -444,8 +449,6 @@ let create ?(seed = 1) ?(params = Params.default) ~registry () =
     next_tid = 0;
     ev_synced = 0;
     ctree_cache = Hashtbl.create 16;
-    guard_pairs = Hashtbl.create 16;
-    n_guard_pairs = 0;
     rates = { r_small = 0.0; r_big = 0.0 };
     cm_cpu_us = params.Params.cm_call_us *. 0.4;
     cm_wait_us = params.Params.cm_call_us *. 0.6;
@@ -482,12 +485,34 @@ let step_in sim delay fr kind =
 
 let task_in sim delay t kind = Sched.schedule_in sim.events ~delay ~tag:kind (Task t)
 
+(* Files each guarded member pair under its callee in [members_tbl],
+   numbering the pairs from [n]; the first entry for a pair wins.  Returns
+   the number of pairs. *)
+let rec number_guards members_tbl n = function
+  | [] -> n
+  | ((caller, callee), alpha) :: tl ->
+      if Hashtbl.mem members_tbl caller && Hashtbl.mem members_tbl callee then begin
+        let gs = Hashtbl.find members_tbl callee in
+        if List.exists (fun g -> String.equal g.g_caller caller) gs then number_guards members_tbl n tl
+        else begin
+          Hashtbl.replace members_tbl callee ({ g_caller = caller; g_pair = n; g_alpha = alpha } :: gs);
+          number_guards members_tbl (n + 1) tl
+        end
+      end
+      else number_guards members_tbl n tl
+
 let make_deployment spec =
   let members_tbl = Hashtbl.create 8 in
-  (match spec.mode with
-  | Plain -> ()
-  | Merged { members; _ } | Container_merge { members; _ } ->
-      List.iter (fun m -> Hashtbl.replace members_tbl m ()) members);
+  let n_guards =
+    match spec.mode with
+    | Plain -> 0
+    | Container_merge { members; _ } ->
+        List.iter (fun m -> Hashtbl.replace members_tbl m []) members;
+        0
+    | Merged { members; guards } ->
+        List.iter (fun m -> Hashtbl.replace members_tbl m []) members;
+        number_guards members_tbl 0 guards
+  in
   {
     dspec = spec;
     pool = [];
@@ -498,6 +523,7 @@ let make_deployment spec =
     wq_last = no_task;
     wq_len = 0;
     members_tbl;
+    n_guards;
     scratch = [||];
   }
 
@@ -780,50 +806,33 @@ let rec count_starting n = function
 
 (* --- Execution --- *)
 
-(* The engine's id of a (caller, callee) pair, for per-request guard
-   counts. *)
-let guard_pair sim ~caller ~callee =
-  let callees =
-    match Hashtbl.find sim.guard_pairs caller with
-    | h -> h
-    | exception Not_found ->
-        let h = Hashtbl.create 4 in
-        Hashtbl.add sim.guard_pairs caller h;
-        h
-  in
-  match Hashtbl.find callees callee with
-  | p -> p
-  | exception Not_found ->
-      let p = sim.n_guard_pairs in
-      sim.n_guard_pairs <- p + 1;
-      Hashtbl.add callees callee p;
-      p
+(* A member call from [caller] runs in-process unless one of the callee's
+   [guards] names [caller] and has used up its per-request budget. *)
+let rec guarded_call dep t caller = function
+  | [] -> Local
+  | g :: tl ->
+      if String.equal g.g_caller caller then begin
+        if Array.length t.guards = 0 then t.guards <- Array.make dep.n_guards 0;
+        let p = g.g_pair in
+        if t.guards.(p) < g.g_alpha then begin
+          t.guards.(p) <- t.guards.(p) + 1;
+          Local
+        end
+        else Root
+      end
+      else guarded_call dep t caller tl
 
 (* Where [fr]'s call to [child] runs: in-process, behind the CM gateway, or
    remote (as a task's [Root]). *)
-let call_decision sim fr (child : Calltree.node) =
+let call_decision fr (child : Calltree.node) =
   let dep = fr.task.tc.c_dep in
   match dep.dspec.mode with
   | Plain -> Root
-  | Merged { guard; _ } ->
-      let caller = fr.node.Calltree.fn and callee = child.Calltree.fn in
-      if Hashtbl.mem dep.members_tbl callee then begin
-        match guard ~caller ~callee with
-        | None -> Local
-        | Some alpha ->
-            let t = fr.task in
-            let p = guard_pair sim ~caller ~callee in
-            if p >= Array.length t.guards then begin
-              let g = Array.make sim.n_guard_pairs 0 in
-              Array.blit t.guards 0 g 0 (Array.length t.guards);
-              t.guards <- g
-            end;
-            if t.guards.(p) < alpha then begin
-              t.guards.(p) <- t.guards.(p) + 1;
-              Local
-            end
-            else Root
-      end
+  | Merged _ ->
+      let callee = child.Calltree.fn in
+      (* [mem] first: a cut edge must not raise inside [find]. *)
+      if Hashtbl.mem dep.members_tbl callee then
+        guarded_call dep fr.task fr.node.Calltree.fn (Hashtbl.find dep.members_tbl callee)
       else Root
   | Container_merge _ ->
       if Hashtbl.mem dep.members_tbl child.Calltree.fn then Cm else Root
@@ -1098,7 +1107,7 @@ and run sim fr =
 
 and call sim fr (child : Calltree.node) kind future =
   let c = fr.task.tc in
-  let where = call_decision sim fr child in
+  let where = call_decision fr child in
   let fid =
     match (kind, future) with
     | Trace.Sync, _ -> -1

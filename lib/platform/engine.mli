@@ -29,9 +29,12 @@ type mode =
   | Plain
   | Merged of {
       members : string list;
-      guard : caller:string -> callee:string -> int option;
-          (** [Some α]: conditional invocation with that per-request budget;
-              [None]: always local. *)
+      guards : ((string * string) * int) list;
+          (** §5.6 conditional invocations: for [((caller, callee), α)],
+              the first α calls per request from [caller] to [callee] run
+              in-process and later ones go remote.  The first entry for a
+              pair wins; pairs that are not both members are ignored, and
+              every other member edge is always local. *)
     }
   | Container_merge of { members : string list; member_base_mem : string -> float }
 

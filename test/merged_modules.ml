@@ -1,8 +1,8 @@
 (* Prints the merged module of every bundled workflow — every name `quilt
    list` prints, built once synchronously and once with `--async` — under
    the three pipeline variants the incremental-verification test replays:
-   the default pipeline, [Guarded 2] edges with billing instrumentation,
-   and [~optimize:false].  Each module is preceded by its merge rounds and
+   the default pipeline, an α = 2 guard on every member pair with billing
+   instrumentation, and [~optimize:false].  Each module is preceded by its merge rounds and
    the number of symbols the pipeline stripped.  `dune runtest` diffs the
    output against `merged_modules.expected`: a change to when or how the
    pipeline runs its passes must leave every merged module byte-identical
@@ -26,7 +26,7 @@ let workflows ~async =
 let variants =
   [
     ("default", None, None, None);
-    ("guarded+billing", Some (fun ~caller:_ ~callee:_ -> Pipeline.Guarded 2), Some true, None);
+    ("guarded+billing", Some 2, Some true, None);
     ("unoptimized", None, None, Some false);
   ]
 
@@ -39,11 +39,18 @@ let () =
       List.iter
         (fun (wf : Workflow.t) ->
           List.iter
-            (fun (variant, edge_mode, billing, optimize) ->
+            (fun (variant, guard, billing, optimize) ->
+              let members = Workflow.fn_names wf in
+              (* [guard]: that α on every ordered member pair. *)
+              let guards =
+                Option.map
+                  (fun alpha ->
+                    List.concat_map (fun a -> List.map (fun b -> ((a, b), alpha)) members) members)
+                  guard
+              in
               let report =
-                Pipeline.merge_group_uncached ~lookup:(Workflow.lookup wf)
-                  ~members:(Workflow.fn_names wf) ~root:wf.Workflow.entry ?edge_mode ?billing
-                  ?optimize ()
+                Pipeline.merge_group_uncached ~lookup:(Workflow.lookup wf) ~members
+                  ~root:wf.Workflow.entry ?guards ?billing ?optimize ()
               in
               Printf.printf "=== %s%s (%s): removed_symbols=%d rounds=[%s]\n" wf.Workflow.wf_name
                 (if async then " --async" else "")

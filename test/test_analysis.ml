@@ -671,16 +671,22 @@ let corrupt_one (m : Ir.modul) =
    corrupted copy of itself, so reuse is exercised against real findings
    too, not only against clean modules. *)
 let test_incremental_matches_scratch_on_pipeline () =
-  let merge ?edge_mode ?billing ?optimize () ~on_stage (wf : Workflow.t) =
+  let merge ?guard ?billing ?optimize () ~on_stage (wf : Workflow.t) =
+    let members = Workflow.fn_names wf in
+    (* [guard]: that α on every ordered member pair. *)
+    let guards =
+      Option.map
+        (fun alpha -> List.concat_map (fun a -> List.map (fun b -> ((a, b), alpha)) members) members)
+        guard
+    in
     ignore
-      (Pipeline.merge_group_uncached ~on_stage ~lookup:(Workflow.lookup wf)
-         ~members:(Workflow.fn_names wf) ~root:wf.Workflow.entry ?edge_mode ?billing ?optimize ())
+      (Pipeline.merge_group_uncached ~on_stage ~lookup:(Workflow.lookup wf) ~members
+         ~root:wf.Workflow.entry ?guards ?billing ?optimize ())
   in
   let variants =
     [
       ("default", merge ());
-      ( "guarded+billing",
-        merge ~edge_mode:(fun ~caller:_ ~callee:_ -> Pipeline.Guarded 2) ~billing:true () );
+      ("guarded+billing", merge ~guard:2 ~billing:true ());
       ("unoptimized", merge ~optimize:false ());
     ]
   in

@@ -32,17 +32,21 @@ let stage_modules =
      List.iter
        (fun (wf : Workflow.t) ->
          List.iter
-           (fun (edge_mode, billing, optimize) ->
+           (fun (guard, billing, optimize) ->
+             let members = Workflow.fn_names wf in
+             (* [guard]: that α on every ordered member pair. *)
+             let guards =
+               Option.map
+                 (fun alpha ->
+                   List.concat_map (fun a -> List.map (fun b -> ((a, b), alpha)) members) members)
+                 guard
+             in
              ignore
                (Pipeline.merge_group_uncached
                   ~on_stage:(fun ~stage m -> out := (wf.Workflow.wf_name ^ "/" ^ stage, m) :: !out)
-                  ~lookup:(Workflow.lookup wf) ~members:(Workflow.fn_names wf)
-                  ~root:wf.Workflow.entry ?edge_mode ?billing ?optimize ()))
-           [
-             (None, None, None);
-             (Some (fun ~caller:_ ~callee:_ -> Pipeline.Guarded 2), Some true, None);
-             (None, None, Some false);
-           ])
+                  ~lookup:(Workflow.lookup wf) ~members ~root:wf.Workflow.entry ?guards ?billing
+                  ?optimize ()))
+           [ (None, None, None); (Some 2, Some true, None); (None, None, Some false) ])
        (bundled_workflows ());
      Array.of_list (List.rev !out))
 

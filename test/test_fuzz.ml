@@ -85,6 +85,10 @@ let prop_eval_deterministic =
       let b, _ = reference fns (List.hd names) req in
       a = b)
 
+(* A guard of [alpha] on every ordered pair of [names]. *)
+let guard_every names alpha =
+  List.concat_map (fun a -> List.map (fun b -> ((a, b), alpha)) names) names
+
 let prop_guarded_merge_equals_reference =
   QCheck.Test.make ~name:"fuzz: guarded merge (random alpha) = distributed workflow" ~count:60
     (QCheck.int_range 1 1_000_000)
@@ -93,7 +97,7 @@ let prop_guarded_merge_equals_reference =
       let alpha = 1 + (seed mod 3) in
       let report =
         Pipeline.merge_group ~lookup:(lookup_for fns) ~members:names ~root:(List.hd names)
-          ~edge_mode:(fun ~caller:_ ~callee:_ -> Pipeline.Guarded alpha)
+          ~guards:(guard_every names alpha)
           ()
       in
       let req = Printf.sprintf "{\"data\":\"g%d\"}" (seed mod 50) in
@@ -249,7 +253,7 @@ let prop_vm_differential_guarded =
       let alpha = 1 + (seed mod 3) in
       let report =
         Pipeline.merge_group ~lookup:(lookup_for fns) ~members:names ~root:(List.hd names)
-          ~edge_mode:(fun ~caller:_ ~callee:_ -> Pipeline.Guarded alpha)
+          ~guards:(guard_every names alpha)
           ()
       in
       let m = report.Pipeline.merged_module in

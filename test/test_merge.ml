@@ -103,8 +103,8 @@ let rec reference fns svc req =
   let invoke ~kind:_ ~name ~req = fst (reference fns name req) in
   Eval.run ~invoke fn ~req
 
-let merge fns ~members ~root ?edge_mode () =
-  Pipeline.merge_group ~lookup:(lookup_for fns) ~members ~root ?edge_mode ()
+let merge fns ~members ~root ?guards () =
+  Pipeline.merge_group ~lookup:(lookup_for fns) ~members ~root ?guards ()
 
 let run_merged report ~root ~req ~host =
   match
@@ -231,9 +231,7 @@ let test_merge_async_fan_out_unconditional () =
 let test_conditional_invocation_below_alpha () =
   let fns = [ fan_out "rust" ~callee:"leaf"; leaf "rust" ] in
   let report =
-    merge fns ~members:[ "fan-out"; "leaf" ] ~root:"fan-out"
-      ~edge_mode:(fun ~caller:_ ~callee:_ -> Pipeline.Guarded 8)
-      ()
+    merge fns ~members:[ "fan-out"; "leaf" ] ~root:"fan-out" ~guards:[ (("fan-out", "leaf"), 8) ] ()
   in
   let expected, _ = reference fns "fan-out" "{\"num\":6}" in
   let got, stats = run_merged report ~root:"fan-out" ~req:"{\"num\":6}" ~host:Interp.null_host in
@@ -243,9 +241,7 @@ let test_conditional_invocation_below_alpha () =
 let test_conditional_invocation_above_alpha () =
   let fns = [ fan_out "rust" ~callee:"leaf"; leaf "rust" ] in
   let report =
-    merge fns ~members:[ "fan-out"; "leaf" ] ~root:"fan-out"
-      ~edge_mode:(fun ~caller:_ ~callee:_ -> Pipeline.Guarded 8)
-      ()
+    merge fns ~members:[ "fan-out"; "leaf" ] ~root:"fan-out" ~guards:[ (("fan-out", "leaf"), 8) ] ()
   in
   let host = { Interp.invoke = (fun ~kind:_ ~name ~req -> fst (reference fns name req)) } in
   let expected, _ = reference fns "fan-out" "{\"num\":12}" in
@@ -260,9 +256,7 @@ let test_conditional_counter_resets_per_request () =
      local, i.e. the counter was reset. *)
   let fns = [ fan_out "rust" ~callee:"leaf"; leaf "rust" ] in
   let report =
-    merge fns ~members:[ "fan-out"; "leaf" ] ~root:"fan-out"
-      ~edge_mode:(fun ~caller:_ ~callee:_ -> Pipeline.Guarded 8)
-      ()
+    merge fns ~members:[ "fan-out"; "leaf" ] ~root:"fan-out" ~guards:[ (("fan-out", "leaf"), 8) ] ()
   in
   (* The interpreter materializes globals per run, so cross-request counter
      state is exercised by running twice within one module instance is not
@@ -348,7 +342,7 @@ let test_fan_out_all_guarded_overflow () =
   let fns = [ fan_out_all "rust" ~callee:"worker"; worker "rust" ] in
   let report =
     merge fns ~members:[ "fan-out"; "worker" ] ~root:"fan-out"
-      ~edge_mode:(fun ~caller:_ ~callee:_ -> Pipeline.Guarded 3)
+      ~guards:[ (("fan-out", "worker"), 3) ]
       ()
   in
   let host = { Interp.invoke = (fun ~kind:_ ~name ~req -> fst (reference fns name req)) } in
@@ -446,18 +440,29 @@ let test_cache_miss_on_changed_source () =
   ignore (merge fns' ~members:[ "middle"; "leaf" ] ~root:"middle" ());
   Alcotest.(check (pair int int)) "then hits on repeat" (1, 2) (Pipeline.cache_stats ())
 
-(* Guard decisions are part of the key: a re-profile that changes an α must
-   recompile, an unchanged α must not. *)
-let test_cache_keyed_by_edge_mode () =
+(* Guards are part of the key: a re-profile that changes an α must
+   recompile, an unchanged α must not — however the list is ordered or
+   repeated (the first entry for a pair wins). *)
+let test_cache_keyed_by_guards () =
   Pipeline.reset_cache ();
   let fns = [ front "rust"; middle "rust"; leaf "rust" ] in
-  let guarded alpha ~caller:_ ~callee:_ = Pipeline.Guarded alpha in
-  ignore (merge fns ~members:[ "middle"; "leaf" ] ~root:"middle" ());
-  ignore (merge fns ~members:[ "middle"; "leaf" ] ~root:"middle" ~edge_mode:(guarded 2) ());
-  ignore (merge fns ~members:[ "middle"; "leaf" ] ~root:"middle" ~edge_mode:(guarded 3) ());
+  let members = [ "front"; "middle"; "leaf" ] in
+  let fm = ("front", "middle") and ml = ("middle", "leaf") in
+  let merge guards = ignore (merge fns ~members ~root:"front" ~guards ()) in
+  merge [];
+  merge [ (fm, 2); (ml, 3) ];
+  merge [ (fm, 2); (ml, 4) ];
   Alcotest.(check (pair int int)) "distinct guards are distinct keys" (0, 3) (Pipeline.cache_stats ());
-  ignore (merge fns ~members:[ "middle"; "leaf" ] ~root:"middle" ~edge_mode:(guarded 2) ());
-  Alcotest.(check (pair int int)) "same guard hits" (1, 3) (Pipeline.cache_stats ())
+  merge [ (fm, 2); (ml, 3) ];
+  Alcotest.(check (pair int int)) "same guards hit" (1, 3) (Pipeline.cache_stats ());
+  merge [ (ml, 3); (fm, 2) ];
+  Alcotest.(check (pair int int)) "order is irrelevant" (2, 3) (Pipeline.cache_stats ());
+  merge [ (fm, 2); (ml, 3); (fm, 5) ];
+  Alcotest.(check (pair int int)) "a later duplicate is ignored" (3, 3) (Pipeline.cache_stats ());
+  merge [ (fm, 5); (fm, 2); (ml, 3) ];
+  Alcotest.(check (pair int int)) "the first entry for a pair wins" (3, 4) (Pipeline.cache_stats ());
+  merge [ (fm, 2); (ml, 3); (("leaf", "elsewhere"), 7) ];
+  Alcotest.(check (pair int int)) "non-member pairs are ignored" (4, 4) (Pipeline.cache_stats ())
 
 (* A merge's text depends only on its inputs, not on what the process merged
    before: two uncached compiles of async compose-post and a cache hit all
@@ -529,7 +534,7 @@ let suite =
       [
         Alcotest.test_case "hit on identical inputs" `Quick test_cache_hit_on_identical_inputs;
         Alcotest.test_case "miss on changed source" `Quick test_cache_miss_on_changed_source;
-        Alcotest.test_case "keyed by edge mode" `Quick test_cache_keyed_by_edge_mode;
+        Alcotest.test_case "keyed by guards" `Quick test_cache_keyed_by_guards;
         Alcotest.test_case "disabled bypasses" `Quick test_cache_disabled_bypasses;
         Alcotest.test_case "text independent of history" `Quick test_merge_text_independent_of_history;
       ] );

@@ -177,7 +177,7 @@ let test_engine_guard_overflow () =
       eager_http = false;
       mode =
         Engine.Merged
-          { members = [ "fan-out"; "fan-out-worker" ]; guard = (fun ~caller:_ ~callee:_ -> Some 8) };
+          { members = [ "fan-out"; "fan-out-worker" ]; guards = [ (("fan-out", "fan-out-worker"), 8) ] };
     };
   (* Warm the container first so latency comparisons exclude cold starts. *)
   let _ = run_one engine ~entry:"fan-out" ~req:"{\"num\":1}" in
@@ -190,6 +190,83 @@ let test_engine_guard_overflow () =
   Alcotest.(check bool) "above alpha ok" true ok2;
   Alcotest.(check int) "4 overflow invocations went remote" 4 c2.Engine.remote_invocations;
   Alcotest.(check bool) "overflow costs latency" true (lat_above > lat_below)
+
+(* Two guarded edges of one merged deployment keep separate per-request
+   budgets: a→b (α = 2) and b→c (α = 3).  [a] calls [b] four times in
+   sequence and each [b] calls [c] three times.  The two local [b]s make
+   six b→c calls in the request's task, of which three stay local; the two
+   overflow [b]s run in their own deployment, where every call is remote.
+   The later entries for a guarded pair and a non-member pair change
+   nothing. *)
+let test_guards_counted_per_pair () =
+  let fn = Workflow.std_fn ~lang:"rust" ~profile:{ Workflow.compute_us = 100; db_us = 0; mem_mb = 1 } in
+  let functions =
+    [
+      fn ~name:"a" ~children:[ "b" ] ~repeat:[ ("b", 3) ] ();
+      fn ~name:"b" ~children:[ "c" ] ~repeat:[ ("c", 2) ] ();
+      fn ~name:"c" ();
+    ]
+  in
+  let wf =
+    {
+      Workflow.wf_name = "chain";
+      entry = "a";
+      functions;
+      gen_req = (fun _ -> "{\"data\":\"x\"}");
+      code_edges = Workflow.edges_of functions;
+    }
+  in
+  let engine = Quilt.fresh_platform ~workflows:[ wf ] () in
+  Engine.deploy engine
+    {
+      Engine.service = "a";
+      vcpus = 2.0;
+      mem_limit_mb = 128.0;
+      base_mem_mb = 10.0;
+      image_mb = 30.0;
+      max_scale = 4;
+      eager_http = false;
+      mode =
+        Engine.Merged
+          {
+            members = [ "a"; "b"; "c" ];
+            guards =
+              [
+                (("a", "b"), 2);
+                (("b", "c"), 3);
+                (("a", "b"), 5);
+                (("b", "c"), 1);
+                (("a", "elsewhere"), 1);
+              ];
+          };
+    };
+  let calls = Hashtbl.create 8 in
+  Engine.set_span_sink engine
+    (Some
+       {
+         Engine.sk_sample = (fun _ -> true);
+         sk_task =
+           (fun ~rid:_ ~fn ~caller ~cid:_ ~node:_ ~t_send:_ ~t_enq:_ ~t_start:_ ~t_end:_ ~cpu_us:_
+                ~mem_mb:_ ~async:_ ~local ~ok:_ ->
+             match caller with
+             | Some caller ->
+                 let key = (caller, fn, local) in
+                 Hashtbl.replace calls key (1 + Option.value ~default:0 (Hashtbl.find_opt calls key))
+             | None -> ());
+       });
+  let count caller callee ~local =
+    Option.value ~default:0 (Hashtbl.find_opt calls (caller, callee, local))
+  in
+  for request = 1 to 2 do
+    Hashtbl.reset calls;
+    let _, ok = run_one engine ~entry:"a" ~req:"{\"data\":\"x\"}" in
+    let check what want got = Alcotest.(check int) (Printf.sprintf "request %d: %s" request what) want got in
+    Alcotest.(check bool) "request ok" true ok;
+    check "a->b local" 2 (count "a" "b" ~local:true);
+    check "a->b remote" 2 (count "a" "b" ~local:false);
+    check "b->c local" 3 (count "b" "c" ~local:true);
+    check "b->c remote" 9 (count "b" "c" ~local:false)
+  done
 
 (* --- Memory: OOM and CM --- *)
 
@@ -208,8 +285,7 @@ let test_oom_kills_and_fails () =
       max_scale = 2;
       eager_http = false;
       mode =
-        Engine.Merged
-          { members = [ "fan-out"; "fan-out-worker" ]; guard = (fun ~caller:_ ~callee:_ -> None) };
+        Engine.Merged { members = [ "fan-out"; "fan-out-worker" ]; guards = [] };
     };
   let _, ok = run_one engine ~entry:"fan-out" ~req:"{\"num\":12}" in
   let c = Engine.counters engine in
@@ -233,7 +309,7 @@ let test_guard_prevents_oom () =
       eager_http = false;
       mode =
         Engine.Merged
-          { members = [ "fan-out"; "fan-out-worker" ]; guard = (fun ~caller:_ ~callee:_ -> Some 2) };
+          { members = [ "fan-out"; "fan-out-worker" ]; guards = [ (("fan-out", "fan-out-worker"), 2) ] };
     };
   let _, ok = run_one engine ~entry:"fan-out" ~req:"{\"num\":12}" in
   let c = Engine.counters engine in
@@ -406,6 +482,7 @@ let suite =
         Alcotest.test_case "latency anatomy" `Quick test_single_request_latency_anatomy;
         Alcotest.test_case "overhead scales with depth" `Quick test_remote_overhead_scales_with_depth;
         Alcotest.test_case "guard overflow" `Quick test_engine_guard_overflow;
+        Alcotest.test_case "guards counted per pair" `Quick test_guards_counted_per_pair;
         Alcotest.test_case "oom kills and fails" `Quick test_oom_kills_and_fails;
         Alcotest.test_case "guard prevents oom" `Quick test_guard_prevents_oom;
         Alcotest.test_case "cm mode" `Quick test_cm_mode_runs;
